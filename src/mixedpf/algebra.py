@@ -23,6 +23,14 @@ def _component(x):
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _fraction(x) -> Fraction:
+    """Fraction(x) for parsed input, where every malformed x is a ValueError."""
+    try:
+        return Fraction(x)
+    except (TypeError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"not an exact rational: {x!r}") from None
+
+
 def _div_exact(a, b):
     """a / b for int-or-Fraction components, never leaving exact arithmetic."""
     if isinstance(a, int) and isinstance(b, int):
@@ -61,7 +69,7 @@ class GaussianRational:
         if not text:
             raise ValueError("empty Gaussian rational literal")
         if not text.endswith("i"):
-            return cls(Fraction(text))
+            return cls(_fraction(text))
         body = text[:-1]
         cut = max(body.rfind("+"), body.rfind("-"))
         if cut > 0:
@@ -73,8 +81,8 @@ class GaussianRational:
         elif im_part == "-":
             im = Fraction(-1)
         else:
-            im = Fraction(im_part)
-        re = Fraction(re_part) if re_part else Fraction(0)
+            im = _fraction(im_part)
+        re = _fraction(re_part) if re_part else Fraction(0)
         return cls(re, im)
 
     @classmethod
@@ -84,7 +92,7 @@ class GaussianRational:
         if isinstance(obj, int):
             return cls(obj)
         if isinstance(obj, dict):
-            return cls(Fraction(obj.get("re", "0")), Fraction(obj.get("im", "0")))
+            return cls(_fraction(obj.get("re", "0")), _fraction(obj.get("im", "0")))
         raise ValueError(f"cannot read Gaussian rational from {obj!r}")
 
     def to_json(self) -> dict:

@@ -148,17 +148,45 @@ def is_eulerian_subset(frag, subset) -> bool:
 def enumerate_eulerian_subsets(frag) -> list[frozenset]:
     """All edge subsets whose unlabeled vertices have even subset-degree.
 
-    Includes the empty set; for a plain graph these are exactly the members
-    of the cycle space (the even subgraphs).
+    These subsets are the cycle space of the graph with all labeled vertices
+    merged into one node (the merged node's degree is then even too), so
+    they are built from a GF(2) basis of fundamental cycles of a spanning
+    forest: 2^(m - n' + c') subsets are built, where n' and c' count the
+    vertices and components after the merge, instead of 2^m masks tested.
+    The empty set is included.  The list is in ascending order of the edge
+    bitmask sum(1 << e for e in subset); callers may rely on that order.
     """
     frag = as_fragment(frag)
-    m = frag.graph.n_edges
-    out = []
-    for mask in range(1 << m):
-        subset = frozenset(e for e in range(m) if mask >> e & 1)
-        if is_eulerian_subset(frag, subset):
-            out.append(subset)
-    return out
+    edges = frag.graph.edges
+    node = {v: -1 for v in frag.labels}  # every label becomes the node -1
+    ends = [(node.get(a, a), node.get(b, b)) for a, b in edges]
+    adjacent = defaultdict(list)
+    for e, (a, b) in enumerate(ends):
+        adjacent[a].append((e, b))
+        adjacent[b].append((e, a))
+    # path[v]: bitmask of the forest edges from v's root to v
+    path = {}
+    forest = 0
+    for root in adjacent:
+        if root in path:
+            continue
+        path[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for e, w in adjacent[u]:
+                if w not in path:
+                    path[w] = path[u] | 1 << e
+                    forest |= 1 << e
+                    stack.append(w)
+    masks = [0]
+    for e, (a, b) in enumerate(ends):
+        if not forest >> e & 1:
+            cycle = 1 << e ^ path[a] ^ path[b]
+            masks += [mask ^ cycle for mask in masks]
+    masks.sort()
+    m = len(edges)
+    return [frozenset(e for e in range(m) if mask >> e & 1) for mask in masks]
 
 
 @dataclass(frozen=True)

@@ -246,23 +246,31 @@ def model_to_json(model: EdgeColoringModel) -> dict:
 
 
 def model_from_json(obj: dict) -> EdgeColoringModel:
+    """Read the JSON model format; any malformed field is a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("model JSON must be an object")
     try:
         k = int(obj["k"])
         two_ell = int(obj["two_ell"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("model JSON needs integer 'k' and 'two_ell'") from None
-    cap = obj.get("cap")
-    if cap is not None:
-        cap = int(cap)
+        cap = None if obj.get("cap") is None else int(obj["cap"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError(
+            "model JSON needs integer 'k' and 'two_ell' and an integer or null 'cap'"
+        ) from None
+    items = obj.get("entries", [])
+    if not isinstance(items, list):
+        raise ValueError("model JSON 'entries' must be a list")
     entries = []
-    for item in obj.get("entries", []):
-        entries.append(
-            (
-                tuple(item["sym"]),
-                tuple(item["ext"]),
-                GaussianRational.from_json(item["value"]),
-            )
-        )
+    for pos, item in enumerate(items):
+        if not isinstance(item, dict) or not {"sym", "ext", "value"} <= item.keys():
+            raise ValueError(f"model entry {pos} needs 'sym', 'ext' and 'value'")
+        sym, ext = item["sym"], item["ext"]
+        if not all(
+            isinstance(part, list) and all(isinstance(c, int) for c in part)
+            for part in (sym, ext)
+        ):
+            raise ValueError(f"model entry {pos}: 'sym' and 'ext' must be lists of integers")
+        entries.append((tuple(sym), tuple(ext), GaussianRational.from_json(item["value"])))
     return EdgeColoringModel(k, two_ell, entries, cap=cap)
 
 

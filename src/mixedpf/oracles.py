@@ -2,10 +2,11 @@
 
 Each function here recomputes, by direct enumeration or textbook linear
 algebra, a quantity that the engine reaches through a partition function:
-characteristic polynomials (determinant and subgraph-expansion routes,
-deliberately separate code paths), the circuit partition polynomial via
-transition systems, matching counts, and matching-permutation signs via
-exhaustive search.  Nothing in this module calls the evaluator.
+Eulerian edge subsets by testing every edge bitmask, characteristic
+polynomials (determinant and subgraph-expansion routes, deliberately
+separate code paths), the circuit partition polynomial via transition
+systems, matching counts, and matching-permutation signs via exhaustive
+search.  Nothing in this module calls the evaluator.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import GaussianRational, ONE, ZERO, as_gaussian
-from .graph import MultiGraph
+from .graph import MultiGraph, as_fragment, is_eulerian_subset
 from .linalg import determinant
 
 
@@ -92,6 +93,22 @@ class Polynomial:
                 mono = "x" if d == 1 else f"x^{d}"
                 parts.append(mono if c == 1 else f"({c}){mono}")
         return " + ".join(parts)
+
+
+def eulerian_subsets_oracle(frag) -> list[frozenset]:
+    """The Eulerian subsets of a graph or fragment, by testing all 2^m masks.
+
+    Same list, in the same ascending-mask order, as
+    ``graph.enumerate_eulerian_subsets``.
+    """
+    frag = as_fragment(frag)
+    m = frag.graph.n_edges
+    out = []
+    for mask in range(1 << m):
+        subset = frozenset(e for e in range(m) if mask >> e & 1)
+        if is_eulerian_subset(frag, subset):
+            out.append(subset)
+    return out
 
 
 def adjacency_matrix(g: MultiGraph) -> list[list[int]]:

@@ -63,6 +63,29 @@ def test_eval_missing_file_is_input_error(tmp_path, capsys):
     )
 
 
+def test_eval_zero_denominator_in_model_spec_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "k3.graph", K3_TEXT)
+    assert main(["eval", path, "--model", "charpoly?t=1/0", "--mode", "mixed"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"sym": 5, "ext": [], "value": 1},
+        {"sym": [1, 0], "ext": []},
+        {"sym": [1, 0], "ext": [], "value": {"re": "1/0"}},
+    ],
+)
+def test_eval_malformed_model_file_entry_is_input_error(tmp_path, capsys, entry):
+    path = write(tmp_path, "k3.graph", K3_TEXT)
+    model = write(tmp_path, "bad.json", json.dumps({"k": 2, "two_ell": 0, "entries": [entry]}))
+    assert main(["eval", path, "--model-file", model, "--mode", "ordinary"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_eval_parse_error_reports_line(tmp_path, capsys):
     path = write(tmp_path, "bad.graph", "vertices 1\nedge 0 7\n")
     assert main(["eval", path, "--model", "matchings", "--mode", "ordinary"]) == 2

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedpf.graph import (
     Fragment,
@@ -24,26 +26,11 @@ from mixedpf.graph import (
     validate_state,
     walk_decomposition,
 )
+from mixedpf.oracles import eulerian_subsets_oracle
+from mixedpf.suites import enumerate_fragments, enumerate_multigraphs
 
 K3 = cycle_graph(3)
 FIG8 = MultiGraph(1, ((0, 0), (0, 0)))
-
-
-def brute_eulerian_subsets(frag):
-    """Independent exhaustive filter used to cross-check the enumeration."""
-    if isinstance(frag, MultiGraph):
-        frag = Fragment(frag, ())
-    g, labeled = frag.graph, set(frag.labels)
-    out = []
-    for mask in range(1 << g.n_edges):
-        degs = [0] * g.n_vertices
-        for e, (a, b) in enumerate(g.edges):
-            if mask >> e & 1:
-                degs[a] += 1
-                degs[b] += 1
-        if all(degs[v] % 2 == 0 for v in range(g.n_vertices) if v not in labeled):
-            out.append(frozenset(e for e in range(g.n_edges) if mask >> e & 1))
-    return out
 
 
 # -- Eulerian subsets -----------------------------------------------------------
@@ -78,8 +65,78 @@ def test_enumeration_matches_brute_force():
         edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 6)))
         g = MultiGraph(n, edges)
         assert sorted(enumerate_eulerian_subsets(g), key=sorted) == sorted(
-            brute_eulerian_subsets(g), key=sorted
+            eulerian_subsets_oracle(g), key=sorted
         )
+
+
+def test_enumeration_equals_oracle_exhaustively():
+    # lists are compared, so the ascending-mask order is checked too
+    cases = list(enumerate_multigraphs(4, 6))
+    for t, max_internal, max_edges in ((2, 3, 5), (3, 2, 5), (1, 3, 5), (4, 2, 4), (2, 2, 4)):
+        cases += enumerate_fragments(t, max_internal, max_edges)
+    assert len(cases) == 11270
+    for frag in cases:
+        assert enumerate_eulerian_subsets(frag) == eulerian_subsets_oracle(frag), frag
+
+
+@st.composite
+def fragments(draw):
+    """Multigraphs with loops and parallel edges, with up to 3 labels whose
+    open ends go to internal vertices or straight to other labels."""
+    t = draw(st.integers(0, 3))
+    n_int = draw(st.integers(1 if t % 2 else 0, 4))
+    labels = tuple(range(n_int, n_int + t))
+    internal = st.integers(0, n_int - 1)
+    edges = []
+    unattached = list(labels)
+    while unattached:
+        v = unattached.pop(0)
+        if unattached and (not n_int or draw(st.booleans())):
+            edges.append((v, unattached.pop(draw(st.integers(0, len(unattached) - 1)))))
+        else:
+            edges.append((draw(internal), v))
+    if n_int:
+        edges += draw(st.lists(st.tuples(internal, internal), max_size=8))
+    return Fragment(MultiGraph(n_int + t, tuple(edges)), labels)
+
+
+def merged_counts(frag):
+    """Vertices and components once all labels are merged into one vertex."""
+    parent = list(range(frag.graph.n_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in frag.graph.edges + tuple(zip(frag.labels, frag.labels[1:])):
+        parent[find(a)] = find(b)
+    n = frag.graph.n_vertices - max(frag.t - 1, 0)
+    return n, len({find(v) for v in range(frag.graph.n_vertices)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(fragments())
+def test_subset_count_is_two_to_the_cycle_rank(frag):
+    n, c = merged_counts(frag)
+    assert len(enumerate_eulerian_subsets(frag)) == 2 ** (frag.graph.n_edges - n + c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fragments(), st.randoms(use_true_random=False))
+def test_subsets_follow_vertex_renaming_and_edge_permutation(frag, rng):
+    g = frag.graph
+    rename = list(range(g.n_vertices))
+    rng.shuffle(rename)
+    order = list(range(g.n_edges))  # new edge j is old edge order[j]
+    rng.shuffle(order)
+    edges = tuple(
+        (rename[b], rename[a]) if rng.random() < 0.5 else (rename[a], rename[b])
+        for a, b in (g.edges[e] for e in order)
+    )
+    moved = Fragment(MultiGraph(g.n_vertices, edges), tuple(rename[v] for v in frag.labels))
+    mapped = {frozenset(order[j] for j in s) for s in enumerate_eulerian_subsets(moved)}
+    assert mapped == set(enumerate_eulerian_subsets(frag))
 
 
 # -- states and decompositions ---------------------------------------------------
