@@ -54,12 +54,10 @@ from .graph import (
 )
 from .models import (
     EdgeColoringModel,
-    LocalEvaluationRequest,
     charpoly_model,
     circuit_neg_model,
     circuit_odd_model,
     circuit_pos_model,
-    evaluate_local,
     matchings_model,
     model_from_json,
     model_from_spec,

@@ -375,6 +375,21 @@ class MixedVector:
         return MixedVector(self.k, self.two_ell, tuple(c * x for x in self.entries))
 
 
+def form_table(k: int, two_ell: int) -> list[tuple[int, int]]:
+    """The supersymmetric form as one (partner, sign) per coordinate.
+
+    [x, y] = sum over coordinates a of sign * x[a] * y[partner]: a symmetric
+    coordinate pairs with itself, and the exterior f_i with f_j where its
+    dual is g_i = s * f_j (:func:`dual_basis`), with sign -s.
+    """
+    ell = two_ell // 2
+    table = [(a, 1) for a in range(k)]
+    for i in range(1, two_ell + 1):
+        s, j = dual_basis(i, ell)
+        table.append((k + j - 1, -s))
+    return table
+
+
 def super_bilinear_form(x: MixedVector, y: MixedVector) -> GaussianRational:
     """[x, y]: symmetric on the k-block, skew-symplectic on the 2*ell-block.
 
@@ -384,12 +399,8 @@ def super_bilinear_form(x: MixedVector, y: MixedVector) -> GaussianRational:
     """
     if (x.k, x.two_ell) != (y.k, y.two_ell):
         raise ValueError("MixedVector shape mismatch in bilinear form")
-    k, ell = x.k, x.two_ell // 2
     total = ZERO
-    for a in range(k):
-        total = total + x.entries[a] * y.entries[a]
-    for j in range(ell):
-        # <x, y> += x_j * y_{j+ell} - x_{j+ell} * y_j on the exterior block
-        total = total + x.entries[k + j] * y.entries[k + ell + j]
-        total = total - x.entries[k + ell + j] * y.entries[k + j]
+    for a, (partner, sign) in enumerate(form_table(x.k, x.two_ell)):
+        term = x.entries[a] * y.entries[partner]
+        total = total + term if sign > 0 else total - term
     return total

@@ -18,6 +18,20 @@ from .models import model_from_json, model_from_spec
 from .suites import SUITES, enumerate_fragments
 
 
+#: verify's suite options, flag -> suite parameter; a ``*_values`` one repeats
+VERIFY_OPTIONS = {
+    "--seed": "seed",
+    "--count": "count",
+    "--trials": "trials",
+    "--pairs": "pairs",
+    "--max-vertices": "max_vertices",
+    "--max-edges": "max_edges",
+    "--max-m": "max_m",
+    "--k": "k_values",
+    "--t": "t_values",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedpf",
@@ -38,15 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=sorted(SUITES))
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--count", type=int)
-    pv.add_argument("--trials", type=int)
-    pv.add_argument("--pairs", type=int)
-    pv.add_argument("--max-vertices", type=int, dest="max_vertices")
-    pv.add_argument("--max-edges", type=int, dest="max_edges")
-    pv.add_argument("--max-m", type=int, dest="max_m")
-    pv.add_argument("--k", type=int, action="append", dest="k_values")
-    pv.add_argument("--t", type=int, action="append", dest="t_values")
+    for flag, name in VERIFY_OPTIONS.items():
+        repeated = name.endswith("_values")
+        pv.add_argument(flag, type=int, dest=name, action="append" if repeated else "store")
     pv.add_argument("--no-timing", action="store_true")
 
     pg = sub.add_parser("gen-fragments", help="enumerate small t-fragments")
@@ -112,20 +120,13 @@ def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     accepted = set(inspect.signature(suite).parameters)
     kwargs = {}
-    for name in (
-        "seed",
-        "count",
-        "trials",
-        "pairs",
-        "max_vertices",
-        "max_edges",
-        "max_m",
-        "k_values",
-        "t_values",
-    ):
-        value = getattr(args, name, None)
-        if value is not None and name in accepted:
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
+    for flag, name in VERIFY_OPTIONS.items():
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in accepted:
+            raise ValueError(f"suite '{args.suite}' does not take {flag}")
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
     report = suite(**kwargs)
     sys.stdout.write(report.render(show_timing=not args.no_timing))
     return 0 if report.all_passed else 1

@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import GaussianRational, I, ONE, ZERO, as_gaussian, dual_basis
-from .evaluator import _SubsetContext, partition_function
+from .algebra import GaussianRational, I, ONE, ZERO, as_gaussian, form_table
+from .evaluator import partition_function, subset_sums
 from .graph import (
     EulerianState,
     Fragment,
@@ -28,7 +28,6 @@ from .graph import (
     eulerian_state,
     glue,
     is_eulerian_subset,
-    is_incoming,
     validate_state,
 )
 from .linalg import matrix_rank
@@ -169,17 +168,13 @@ def fragment_tensor(
     subset = frozenset(subset)
     if not is_eulerian_subset(frag, subset):
         raise ValueError("subset is not Eulerian")
+    model.check_cap(frag.graph)
     if state is None:
         state = eulerian_state(frag, subset, 0)
     else:
         if frozenset(state.subset) != subset:
             raise ValueError("state was built for a different subset")
         validate_state(frag, state)
-
-    k, two_ell = model.k, model.two_ell
-    ell = two_ell // 2
-    base = k + two_ell
-    t = frag.t
 
     circuits, trails = decompose(state, frag)
     prefactor = ONE
@@ -190,57 +185,19 @@ def fragment_tensor(
     if circuits % 2:
         prefactor = -prefactor
 
-    slots = []
-    for pos in range(t):
-        e, side = frag.open_end(pos)
-        if e in subset:
-            kind = "f" if is_incoming(state, (e, side)) else "g"
-        else:
-            kind = "e"
-        slots.append((kind, e))
-
-    coeffs = [ZERO] * base**t
-
-    def collect(colors, product):
-        idx = 0
-        negate = False
-        for kind, e in slots:
-            c = colors[e]
-            if kind == "e":
-                coord = c - 1
-            elif kind == "f":
-                coord = k + c - 1
-            else:
-                s, j = dual_basis(c, ell)
-                if s < 0:
-                    negate = not negate
-                coord = k + j - 1
-            idx = idx * base + coord
-        coeffs[idx] = coeffs[idx] - product if negate else coeffs[idx] + product
-
-    ctx = _SubsetContext(frag, subset, state, k, two_ell)
-    ctx.run(model, collect)
+    [(coeffs, _)] = subset_sums(frag, subset, state, [model])
     if prefactor != 1:
         coeffs = [prefactor * c for c in coeffs]
-    return FragmentTensor(t, k, two_ell, tuple(coeffs))
+    return FragmentTensor(frag.t, model.k, model.two_ell, tuple(coeffs))
 
 
 def gram_pairing(t1: FragmentTensor, t2: FragmentTensor) -> GaussianRational:
     """The supersymmetric form applied factorwise across the t tensor slots."""
     if (t1.t, t1.k, t1.two_ell) != (t2.t, t2.k, t2.two_ell):
         raise ValueError("tensor shape mismatch in Gram pairing")
-    k, two_ell, t = t1.k, t1.two_ell, t1.t
-    ell = two_ell // 2
-    base = k + two_ell
-    partner = list(range(base))
-    sign = [1] * base
-    for j in range(1, two_ell + 1):
-        p = k + j - 1
-        if j <= ell:
-            partner[p] = k + j + ell - 1
-        else:
-            partner[p] = k + j - ell - 1
-            sign[p] = -1
+    t = t1.t
+    base = t1.k + t1.two_ell
+    table = form_table(t1.k, t1.two_ell)
 
     total = ZERO
     for idx, val in enumerate(t1.coeffs):
@@ -255,8 +212,9 @@ def gram_pairing(t1: FragmentTensor, t2: FragmentTensor) -> GaussianRational:
         midx = 0
         s = 1
         for c in coords:
-            midx = midx * base + partner[c]
-            s *= sign[c]
+            partner, sign = table[c]
+            midx = midx * base + partner
+            s *= sign
         other = t2.coeffs[midx]
         if other:
             term = val * other

@@ -4,6 +4,10 @@ Three modes of one engine: ordinary (symmetric colors only), skew (exterior
 colors over the full edge set of an Eulerian graph) and mixed (a sum over all
 Eulerian edge subsets, exterior colors inside, symmetric outside).
 
+One per-subset engine, :func:`subset_sums`, serves every caller: it returns
+a subset's tensor over the (k+2*ell)^t label colors, and a plain graph's
+scalar subset value is the single coefficient of its t=0 tensor.
+
 Coloring enumeration walks the edges in an order that completes vertices as
 early as possible; a vertex whose weight comes out zero aborts the branch
 immediately, which is what makes the sparse built-in models fast.  Vertexless
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GaussianRational, ONE, ZERO, normalize_wedge
+from .algebra import GaussianRational, ONE, ZERO, dual_basis, normalize_wedge
 from .graph import (
     EulerianState,
     Fragment,
@@ -27,6 +31,7 @@ from .graph import (
     enumerate_eulerian_subsets,
     eulerian_state,
     is_eulerian_subset,
+    is_incoming,
     validate_state,
 )
 from .models import EdgeColoringModel
@@ -52,6 +57,11 @@ class _SubsetContext:
     canonical entry key plus a sign; it depends only on (k, two_ell), so
     several models with the same signature share one context and each run
     keeps its own per-model factor cache on top.
+
+    Each label owns one tensor slot (edge, block offset, is_dual): an open
+    end off the subset gives its symmetric color e_c (offset 0); one on the
+    subset gives its exterior color f_c (offset k) where the edge comes in,
+    and the dual g_c, expanded to a signed f, where it goes out.
     """
 
     def __init__(self, frag: Fragment, subset, state: EulerianState, k: int, two_ell: int):
@@ -115,6 +125,13 @@ class _SubsetContext:
             range(1, two_ell + 1) if e in subset else range(1, k + 1) for e in order
         ]
         self._canon = {v: {} for v in internal}
+        self.slots = []
+        for pos in range(frag.t):
+            e, side = frag.open_end(pos)
+            if e in subset:
+                self.slots.append((e, k, not is_incoming(state, (e, side))))
+            else:
+                self.slots.append((e, 0, False))
 
     def _canonize(self, v, key):
         """Canonical (entry key, sign) for an incident-color tuple, or None."""
@@ -141,29 +158,32 @@ class _SubsetContext:
             return None
         return val if keyed[1] > 0 else -val
 
-    def run(self, model: EdgeColoringModel, collect=None):
-        """Sum per-coloring products of internal-vertex weights.
+    def run(self, model: EdgeColoringModel):
+        """Sum per-coloring products of internal-vertex weights by label colors.
 
-        Returns (total, leaves).  When ``collect`` is given it is called with
-        (colors-by-edge-id, product) at every surviving full coloring and the
-        scalar total stays zero.
+        Returns (coefficients, leaves): the (k+2*ell)^t coefficients of the
+        subset's tensor, unsigned (no circuit parity or trail prefactor), and
+        the number of surviving full colorings.  With no labels the single
+        coefficient is the scalar sum.
         """
         entries = model.entries
+        base = self.k + self.two_ell
+        coeffs = [ZERO] * base ** len(self.slots)
         colors = [0] * self.n_edges
         acc0 = ONE
         for v in self.pre_vertices:
             f = self._factor(entries, v, ())
             if f is None:
-                return ZERO, 0
+                return coeffs, 0
             acc0 = acc0 * f
 
-        total = ZERO
         leaves = 0
         m = self.n_edges
-        order, domains = self.order, self.domains
+        order, domains, slots = self.order, self.domains, self.slots
+        ell = self.two_ell // 2
         getitem = colors.__getitem__
         factor_cache = {v: {} for v in self.internal}
-        # per position: (vedges, per-run factor cache, canon cache, vertex)
+        # per position: (vedges, per-run factor cache, vertex)
         comp = [
             tuple(
                 (self.vedges[v], factor_cache[v], v) for v in self.completed[p]
@@ -173,13 +193,18 @@ class _SubsetContext:
         factor = self._factor
 
         def rec(p, acc):
-            nonlocal total, leaves
+            nonlocal leaves
             if p == m:
                 leaves += 1
-                if collect is None:
-                    total = total + acc
-                else:
-                    collect(colors, acc)
+                idx = 0
+                negate = False
+                for e, offset, dual in slots:
+                    c = colors[e]
+                    if dual:
+                        s, c = dual_basis(c, ell)
+                        negate ^= s < 0
+                    idx = idx * base + offset + c - 1
+                coeffs[idx] = coeffs[idx] - acc if negate else coeffs[idx] + acc
                 return
             e = order[p]
             cp = comp[p]
@@ -202,16 +227,26 @@ class _SubsetContext:
                     rec(nxt, f)
 
         rec(0, acc0)
-        return total, leaves
+        return coeffs, leaves
 
 
-def _check_cap(model: EdgeColoringModel, g: MultiGraph):
-    if model.cap is not None:
-        d = g.max_degree()
-        if d > model.cap:
-            raise ValueError(
-                f"graph has a vertex of degree {d} beyond the model's degree cap {model.cap}"
-            )
+def subset_sums(
+    frag: Fragment, subset, state: EulerianState, models: list[EdgeColoringModel]
+) -> list[tuple[list, int]]:
+    """The coloring search of one Eulerian subset, for several models at once.
+
+    Returns one (coefficients, leaves) pair per model: the (k+2*ell)^t
+    coefficients of the subset's tensor over the label colors, in the
+    coordinates of :class:`~mixedpf.connection.FragmentTensor`, and the
+    number of surviving full colorings.  A plain graph gives exactly one
+    coefficient, its subset value.  No sign is applied: callers multiply by
+    the circuit parity and, for labels, the trail prefactor.  Callers also
+    validate once per evaluation what this search assumes: ``state`` is a
+    valid state of ``subset``, and the models share (k, two_ell) and fit the
+    graph's degree caps (:meth:`EdgeColoringModel.check_cap`).
+    """
+    ctx = _SubsetContext(frag, subset, state, models[0].k, models[0].two_ell)
+    return [ctx.run(h) for h in models]
 
 
 def eulerian_sum(
@@ -233,7 +268,7 @@ def eulerian_sum(
     subset = frozenset(subset)
     if not is_eulerian_subset(frag, subset):
         raise ValueError("subset is not Eulerian")
-    _check_cap(model, frag.graph)
+    model.check_cap(frag.graph)
     if state is None:
         state = eulerian_state(frag, subset, 0)
     else:
@@ -241,8 +276,7 @@ def eulerian_sum(
             raise ValueError("state was built for a different subset")
         validate_state(frag, state)
     circuits, _ = decompose(state, frag)
-    ctx = _SubsetContext(frag, subset, state, model.k, model.two_ell)
-    total, _ = ctx.run(model)
+    [((total,), _)] = subset_sums(frag, subset, state, [model])
     return -total if circuits % 2 else total
 
 
@@ -286,7 +320,7 @@ def partition_function_many(
     if mode == "skew" and sig[0] != 0:
         raise ValueError("skew mode needs a purely exterior model (k=0)")
     for h in models:
-        _check_cap(h, g)
+        h.check_cap(g)
 
     frag = as_fragment(g)
     totals = [ZERO] * len(models)
@@ -295,9 +329,8 @@ def partition_function_many(
     for subset in subsets:
         state = eulerian_state(frag, subset, 0)
         circuits, _ = decompose(state, frag)
-        ctx = _SubsetContext(frag, subset, state, sig[0], sig[1])
-        for idx, h in enumerate(models):
-            value, leaves = ctx.run(h)
+        sums = subset_sums(frag, subset, state, models)
+        for idx, ((value,), leaves) in enumerate(sums):
             colorings[idx] += leaves
             totals[idx] = totals[idx] - value if circuits % 2 else totals[idx] + value
 

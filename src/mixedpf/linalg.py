@@ -10,17 +10,17 @@ from __future__ import annotations
 from .algebra import GaussianRational, ONE, ZERO, as_gaussian
 
 
-def _copy(rows):
-    return [[as_gaussian(x) for x in row] for row in rows]
+def _bareiss(rows) -> tuple[int, GaussianRational, int]:
+    """Eliminate a copy of the matrix: (rank, last pivot, sign of the row swaps).
 
-
-def matrix_rank(rows) -> int:
-    """Rank over Q(i) of a rectangular matrix given as nested sequences."""
-    m = _copy(rows)
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
+    For a square matrix of full rank the last pivot times the swap sign is
+    the determinant.
+    """
+    m = [[as_gaussian(x) for x in row] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
     prev = ONE
+    sign = 1
     r = 0
     for c in range(n_cols):
         if r == n_rows:
@@ -30,6 +30,7 @@ def matrix_rank(rows) -> int:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
         pivot = m[r][c]
         for i in range(r + 1, n_rows):
             head = m[i][c]
@@ -38,32 +39,21 @@ def matrix_rank(rows) -> int:
             m[i][c] = ZERO
         prev = pivot
         r += 1
-    return r
+    return r, prev, sign
+
+
+def matrix_rank(rows) -> int:
+    """Rank over Q(i) of a rectangular matrix given as nested sequences."""
+    return _bareiss(rows)[0]
 
 
 def determinant(rows) -> GaussianRational:
     """Exact determinant over Q(i) of a square matrix."""
-    m = _copy(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    rows = list(rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return ONE
-    prev = ONE
-    sign = 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        pivot = m[c][c]
-        for i in range(c + 1, n):
-            head = m[i][c]
-            for j in range(c + 1, n):
-                m[i][j] = (pivot * m[i][j] - head * m[c][j]) / prev
-            m[i][c] = ZERO
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    rank, pivot, sign = _bareiss(rows)
+    if rank < n:
+        return ZERO
+    return pivot if sign > 0 else -pivot

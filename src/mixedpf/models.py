@@ -15,8 +15,6 @@ an error rather than a silent zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     GaussianRational,
@@ -27,18 +25,6 @@ from .algebra import (
     normalize_wedge,
     sym_counts,
 )
-
-
-@dataclass(frozen=True)
-class LocalEvaluationRequest:
-    """One vertex's color pattern: symmetric colors plus flagged wedge word.
-
-    ``ext`` entries are (index, is_dual) pairs; a dual flag requests the
-    g-vector instead of the f-vector at that position.
-    """
-
-    sym: tuple
-    ext: tuple
 
 
 class EdgeColoringModel:
@@ -92,6 +78,14 @@ class EdgeColoringModel:
             f"{len(self.entries)} entries, cap={self.cap})"
         )
 
+    def check_cap(self, graph) -> None:
+        """Refuse a graph with a vertex of degree beyond the degree cap."""
+        d = graph.max_degree()
+        if self.cap is not None and d > self.cap:
+            raise ValueError(
+                f"graph has a vertex of degree {d} beyond the model's degree cap {self.cap}"
+            )
+
     def value(self, sym: tuple, ext: tuple) -> GaussianRational:
         """Raw lookup of a canonical entry (absent means zero)."""
         return self.entries.get((tuple(sym), tuple(ext)), ZERO)
@@ -118,10 +112,6 @@ class EdgeColoringModel:
         if val is None:
             return ZERO
         return val if sign > 0 else -val
-
-
-def evaluate_local(model: EdgeColoringModel, request: LocalEvaluationRequest) -> GaussianRational:
-    return model.evaluate(request.sym, request.ext)
 
 
 # -- built-in models ----------------------------------------------------------

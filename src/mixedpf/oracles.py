@@ -2,11 +2,12 @@
 
 Each function here recomputes, by direct enumeration or textbook linear
 algebra, a quantity that the engine reaches through a partition function:
-Eulerian edge subsets by testing every edge bitmask, characteristic
-polynomials (determinant and subgraph-expansion routes, deliberately
-separate code paths), the circuit partition polynomial via transition
-systems, matching counts, and matching-permutation signs via exhaustive
-search.  Nothing in this module calls the evaluator.
+Eulerian edge subsets by testing every edge bitmask, the coloring sum of one
+subset by trying every coloring, characteristic polynomials (determinant and
+subgraph-expansion routes, deliberately separate code paths), the circuit
+partition polynomial via transition systems, matching counts, and
+matching-permutation signs via exhaustive search.  Nothing in this module
+calls the evaluator.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import GaussianRational, ONE, ZERO, as_gaussian
-from .graph import MultiGraph, as_fragment, is_eulerian_subset
+from .algebra import GaussianRational, ONE, ZERO, as_gaussian, dual_basis
+from .graph import MultiGraph, as_fragment, is_eulerian_subset, is_incoming
 from .linalg import determinant
 
 
@@ -109,6 +110,63 @@ def eulerian_subsets_oracle(frag) -> list[frozenset]:
         if is_eulerian_subset(frag, subset):
             out.append(subset)
     return out
+
+
+def coloring_sum_oracle(frag, subset, state, model) -> tuple[list, int]:
+    """The coloring sum of one Eulerian subset, one coloring at a time.
+
+    Tries every coloring (exterior colors on the subset, symmetric ones off
+    it), weighs each internal vertex through ``model.evaluate`` with its
+    pairing's (incoming, outgoing-as-dual) exterior positions, and adds the
+    product at the labels' coordinate in the (k+2*ell)^t color space: e_c off
+    the subset, f_c where a subset edge comes in, and the dual g_c, expanded
+    to a signed f, where it goes out.  Returns (coefficients, number of
+    colorings with a nonzero product), without circuit or trail signs.
+    """
+    frag = as_fragment(frag)
+    g = frag.graph
+    subset = frozenset(subset)
+    k, two_ell = model.k, model.two_ell
+    base = k + two_ell
+    internal = [v for v in range(g.n_vertices) if v not in frag.labels]
+    domains = [
+        range(1, two_ell + 1) if e in subset else range(1, k + 1)
+        for e in range(g.n_edges)
+    ]
+    coeffs = [ZERO] * base**frag.t
+    nonzero = 0
+    for colors in itertools.product(*domains):
+        product = ONE
+        for v in internal:
+            sym = [
+                colors[e]
+                for e, ends in enumerate(g.edges)
+                if e not in subset
+                for end in ends
+                if end == v
+            ]
+            ext = []
+            for (e_in, _), (e_out, _) in state.pairing.get(v, ()):
+                ext += [(colors[e_in], False), (colors[e_out], True)]
+            product = product * model.evaluate(sym, ext)
+        if not product:
+            continue
+        nonzero += 1
+        idx = 0
+        for pos in range(frag.t):
+            e, side = frag.open_end(pos)
+            c = colors[e]
+            if e not in subset:
+                coord = c - 1
+            elif is_incoming(state, (e, side)):
+                coord = k + c - 1
+            else:
+                s, j = dual_basis(c, two_ell // 2)
+                product = product * s
+                coord = k + j - 1
+            idx = idx * base + coord
+        coeffs[idx] = coeffs[idx] + product
+    return coeffs, nonzero
 
 
 def adjacency_matrix(g: MultiGraph) -> list[list[int]]:

@@ -144,6 +144,22 @@ def test_verify_unknown_suite():
     assert main(["verify", "bogus"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["matchings", "--max-vertices", "-2"], "--max-vertices"),
+        (["dglrs", "--seed", "3"], "--seed"),
+        (["signs", "--t", "2"], "--t"),
+    ],
+)
+def test_verify_refuses_options_the_suite_does_not_take(capsys, argv, flag):
+    assert main(["verify", *argv, "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and flag in line
+
+
 def test_verify_report_byte_stable(capsys):
     assert main(["verify", "signs", "--max-m", "2", "--no-timing"]) == 0
     first = capsys.readouterr().out

@@ -98,6 +98,15 @@ def test_scalar_tensor_is_subset_value():
         assert tensor.coeffs[0] == eulerian_sum(K3, subset, h)
 
 
+def test_tensor_respects_degree_cap():
+    # an internal vertex of degree 6 (two loops and two open ends)
+    frag = Fragment(MultiGraph(3, ((0, 0), (0, 0), (0, 1), (0, 2))), (1, 2))
+    h = charpoly_model(0, cap=2)
+    for subset in enumerate_eulerian_subsets(frag):
+        with pytest.raises(ValueError, match="degree cap"):
+            fragment_tensor(frag, subset, h)
+
+
 def test_open_open_edge_tensor():
     # single edge between labels 1 and 2, subset = that edge:
     # i * sum_c (outgoing g_c) (x) (incoming f_c), duals expanded to signed f's

@@ -10,6 +10,7 @@ from mixedpf.evaluator import (
     invariance_check,
     partition_function,
     partition_function_many,
+    subset_sums,
 )
 from mixedpf.graph import (
     Fragment,
@@ -28,7 +29,8 @@ from mixedpf.models import (
     matchings_model,
     tensor_model,
 )
-from mixedpf.suites import random_multigraph, random_sparse_model
+from mixedpf.oracles import coloring_sum_oracle
+from mixedpf.suites import enumerate_fragments, random_multigraph, random_sparse_model
 
 K3 = cycle_graph(3)
 FIG8 = MultiGraph(1, ((0, 0), (0, 0)))
@@ -147,6 +149,32 @@ def test_counters():
     result = partition_function(K3, matchings_model(cap=4), "ordinary")
     assert result.subsets == 1
     assert result.colorings == 4  # exactly the 4 matchings survive
+
+
+# -- the coloring search against the brute-force oracle -------------------------
+
+ORACLE_FAMILIES = ((0, 3, 5), (1, 3, 5), (2, 3, 5), (3, 2, 5), (4, 2, 4))
+ORACLE_SHAPES = ((1, 2), (2, 2), (0, 2), (2, 0), (1, 4))
+
+
+def test_subset_sums_equal_coloring_oracle():
+    """Coefficients and leaves of every subset of every 7th small fragment."""
+    rng = random.Random(5)
+    checked = 0
+    for family in ORACLE_FAMILIES:
+        for pos, frag in enumerate(enumerate_fragments(*family)):
+            if pos % 7:
+                continue
+            k, two_ell = ORACLE_SHAPES[checked % len(ORACLE_SHAPES)]
+            degree = max(frag.graph.max_degree(), 1)
+            models = [random_sparse_model(rng, k, two_ell, degree) for _ in range(2)]
+            for subset in enumerate_eulerian_subsets(frag):
+                state = eulerian_state(frag, subset, rng.randrange(100))
+                got = subset_sums(frag, subset, state, models)
+                expected = [coloring_sum_oracle(frag, subset, state, h) for h in models]
+                assert got == expected, (frag, subset, k, two_ell)
+            checked += 1
+    assert checked > 300
 
 
 # -- invariance -----------------------------------------------------------------

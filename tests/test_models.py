@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from mixedpf.algebra import GaussianRational, I
 from mixedpf.models import (
     EdgeColoringModel,
-    LocalEvaluationRequest,
     charpoly_model,
     circuit_neg_model,
     circuit_odd_model,
     circuit_pos_model,
-    evaluate_local,
     matchings_model,
     model_from_json,
     model_from_spec,
@@ -34,12 +32,6 @@ def test_evaluate_local_examples():
     assert h.evaluate((1, 1), ((2, False), (1, False))) == -1  # one transposition
     assert h.evaluate((1, 1), ((1, False), (1, True))) == -1  # g_1 = -f_2
     assert h.evaluate((1, 1), ((1, False), (1, False))) == 0  # repeated factor
-
-
-def test_evaluate_local_request_wrapper():
-    h = single_entry_model()
-    req = LocalEvaluationRequest((1, 1), ((1, False), (2, False)))
-    assert evaluate_local(h, req) == 1
 
 
 def test_antisymmetry_under_swaps():
