@@ -9,19 +9,25 @@ a subset's tensor over the (k+2*ell)^t label colors, and a plain graph's
 scalar subset value is the single coefficient of its t=0 tensor.
 
 Coloring enumeration walks the edges in an order that completes vertices as
-early as possible; a vertex whose weight comes out zero aborts the branch
-immediately, which is what makes the sparse built-in models fast.  Vertexless
-circle components never enter the enumeration: they contribute a closed-form
-multiplicative factor per mode.  The exact sum is independent of enumeration
-order, and partial sums combine associatively, so any parallel partitioning
-of the work reproduces the same value bit for bit.
+early as possible, once for all the models of a call; a branch is cut as
+soon as every model weighs a completed vertex zero, which is what makes the
+sparse built-in models fast.  A vertex's weight comes from its canonical
+pattern, kept in one table per local shape that every subset, graph and
+call shares: the table memoises a pure function of shape and colors, so
+sharing it cannot change a value.
+
+Vertexless circle components never enter the enumeration: they contribute a
+closed-form multiplicative factor per mode.  The exact sum is independent of
+enumeration order, and partial sums combine associatively, so any parallel
+partitioning of the work reproduces the same value bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .algebra import GaussianRational, ONE, ZERO, dual_basis, normalize_wedge
+from .algebra import GaussianRational, ONE, ZERO, dual_basis, normalize_wedge, sym_counts
 from .graph import (
     EulerianState,
     Fragment,
@@ -50,13 +56,67 @@ class EvaluationResult:
     colorings: int
 
 
+# Canonical forms per local shape (k, two_ell, n_sym, n_pairs): each maps a
+# slot-ordered color tuple to its (entry key, sign), or None when the wedge
+# vanishes.  A memo of a pure function of shape and colors, so every context,
+# subset, graph and call shares it; it holds only the keys it has met.
+_CANON: dict[tuple, dict] = {}
+# one object per distinct canonical form, shared by every color tuple that reaches it
+_FORMS: dict = {}
+
+
+def _canonical(shape, key):
+    """The canonical (entry key, sign) of a slot-ordered color tuple, or None."""
+    table = _CANON.get(shape)
+    if table is None:
+        table = _CANON[shape] = {}
+    canon = table.get(key, _MISS)
+    if canon is _MISS:
+        k, two_ell, n_sym, _ = shape
+        # the pair slots alternate: f_c where the edge comes in, g_c where it goes out
+        sign, ext = normalize_wedge(
+            [(c, p % 2 == 1) for p, c in enumerate(key[n_sym:])], two_ell
+        )
+        canon = None if sign == 0 else ((sym_counts(key[:n_sym], k), ext), sign)
+        table[key] = canon = _FORMS.setdefault(canon, canon)
+    return canon
+
+
+def _vertex_factors(shape, key, tables):
+    """A vertex's weights under each model's entry table.
+
+    None when every model weighs the pattern zero, else (alive mask,
+    factors): bit i of the mask is set iff model i's weight is nonzero, and
+    factors holds the per-model weights, ONE standing in for the zero ones,
+    or is None when they are all ONE, so that the walk skips the product.
+    """
+    canon = _canonical(shape, key)
+    if canon is None:
+        return None
+    entry, sign = canon
+    mask = 0
+    factors = []
+    for i, entries in enumerate(tables):
+        val = entries.get(entry)
+        if val is None:
+            factors.append(ONE)
+        else:
+            mask |= 1 << i
+            factors.append(val if sign > 0 else -val)
+    if not mask:
+        return None
+    return mask, None if all(f == ONE for f in factors) else tuple(factors)
+
+
 class _SubsetContext:
     """Coloring machinery for one (subset, state) pair.
 
-    The canonicalization cache maps each vertex's incident-color tuple to a
-    canonical entry key plus a sign; it depends only on (k, two_ell), so
-    several models with the same signature share one context and each run
-    keeps its own per-model factor cache on top.
+    Each internal vertex reads its colors in slot order: one symmetric slot
+    per end of an edge off the subset (a loop gives two), then the (in, out)
+    edges of each of its pairings through the subset.  Its canonical
+    (entry key, sign) is then a pure function of its local shape
+    (k, two_ell, n_sym, n_pairs) and the color tuple, looked up in the shared
+    :data:`_CANON` table.
 
     Each label owns one tensor slot (edge, block offset, is_dual): an open
     end off the subset gives its symmetric color e_c (offset 0); one on the
@@ -72,59 +132,38 @@ class _SubsetContext:
         labeled = set(frag.labels)
         internal = [v for v in range(g.n_vertices) if v not in labeled]
 
-        sym_slots = {v: [] for v in internal}
+        slot_edges = {v: [] for v in internal}
         for e, (a, b) in enumerate(g.edges):
             if e in subset:
                 continue
             if a not in labeled:
-                sym_slots[a].append(e)
+                slot_edges[a].append(e)
             if b not in labeled:
-                sym_slots[b].append(e)
-        pair_slots = {
-            v: [(hin[0], hout[0]) for hin, hout in state.pairing.get(v, ())]
-            for v in internal
-        }
-        vedges = {}
+                slot_edges[b].append(e)
+        shapes = {}
         for v in internal:
-            es = set(sym_slots[v])
-            for ein, eout in pair_slots[v]:
-                es.add(ein)
-                es.add(eout)
-            vedges[v] = tuple(sorted(es))
+            pairs = state.pairing.get(v, ())
+            shapes[v] = (k, two_ell, len(slot_edges[v]), len(pairs))
+            for hin, hout in pairs:
+                slot_edges[v] += (hin[0], hout[0])
 
         order = sorted(
             range(self.n_edges), key=lambda e: (max(g.edges[e]), min(g.edges[e]), e)
         )
         pos = {e: p for p, e in enumerate(order)}
-        completed = [[] for _ in range(self.n_edges)]
-        pre = []
+        # per position: the (slot edges, shape) of each vertex it completes
+        self.completed = [[] for _ in range(self.n_edges)]
+        self.pre_shapes = []
         for v in internal:
-            if vedges[v]:
-                completed[max(pos[e] for e in vedges[v])].append(v)
+            if slot_edges[v]:
+                last = max(pos[e] for e in slot_edges[v])
+                self.completed[last].append((tuple(slot_edges[v]), shapes[v]))
             else:
-                pre.append(v)
-
-        # slot positions within each vertex's incident-color tuple
-        self.sym_pos = {
-            v: tuple(vedges[v].index(e) for e in sym_slots[v]) for v in internal
-        }
-        self.pair_pos = {
-            v: tuple(
-                (vedges[v].index(ein), vedges[v].index(eout))
-                for ein, eout in pair_slots[v]
-            )
-            for v in internal
-        }
-
-        self.internal = internal
-        self.vedges = vedges
+                self.pre_shapes.append(shapes[v])
         self.order = order
-        self.completed = completed
-        self.pre_vertices = pre
         self.domains = [
             range(1, two_ell + 1) if e in subset else range(1, k + 1) for e in order
         ]
-        self._canon = {v: {} for v in internal}
         self.slots = []
         for pos in range(frag.t):
             e, side = frag.open_end(pos)
@@ -133,69 +172,45 @@ class _SubsetContext:
             else:
                 self.slots.append((e, 0, False))
 
-    def _canonize(self, v, key):
-        """Canonical (entry key, sign) for an incident-color tuple, or None."""
-        sym = [0] * self.k
-        for p in self.sym_pos[v]:
-            sym[key[p] - 1] += 1
-        positions = []
-        for pin, pout in self.pair_pos[v]:
-            positions.append((key[pin], False))
-            positions.append((key[pout], True))
-        sign, ext = normalize_wedge(positions, self.two_ell)
-        return None if sign == 0 else ((tuple(sym), ext), sign)
-
-    def _factor(self, entries, v, key):
-        canon = self._canon[v]
-        keyed = canon.get(key, _MISS)
-        if keyed is _MISS:
-            keyed = self._canonize(v, key)
-            canon[key] = keyed
-        if keyed is None:
-            return None
-        val = entries.get(keyed[0])
-        if val is None:
-            return None
-        return val if keyed[1] > 0 else -val
-
-    def run(self, model: EdgeColoringModel):
+    def run(self, models):
         """Sum per-coloring products of internal-vertex weights by label colors.
 
-        Returns (coefficients, leaves): the (k+2*ell)^t coefficients of the
-        subset's tensor, unsigned (no circuit parity or trail prefactor), and
-        the number of surviving full colorings.  With no labels the single
-        coefficient is the scalar sum.
+        One walk of the coloring tree serves every model: a branch is cut
+        once every model weighs some completed vertex zero.  Returns one
+        (coefficients, leaves) pair per model: the (k+2*ell)^t coefficients
+        of the subset's tensor, unsigned (no circuit parity or trail
+        prefactor), and the number of full colorings the model weighs
+        nonzero.  With no labels the single coefficient is the scalar sum.
         """
-        entries = model.entries
-        base = self.k + self.two_ell
-        coeffs = [ZERO] * base ** len(self.slots)
+        tables = [h.entries for h in models]
+        n = len(tables)
+        size = (self.k + self.two_ell) ** len(self.slots)
+        coeffs = [[ZERO] * size for _ in range(n)]
+        leaves = [0] * n
+        # per shape: slot-ordered color tuple -> _vertex_factors of it
+        caches = {}
+        mask = (1 << n) - 1
+        acc = (ONE,) * n
+        for shape in self.pre_shapes:
+            hit = _vertex_factors(shape, (), tables)
+            mask &= hit[0] if hit else 0
+            if not mask:
+                return list(zip(coeffs, leaves))
+            if hit[1] is not None:
+                acc = tuple(map(mul, acc, hit[1]))
+        comp = [
+            tuple((es, caches.setdefault(shape, {}), shape) for es, shape in done)
+            for done in self.completed
+        ]
         colors = [0] * self.n_edges
-        acc0 = ONE
-        for v in self.pre_vertices:
-            f = self._factor(entries, v, ())
-            if f is None:
-                return coeffs, 0
-            acc0 = acc0 * f
-
-        leaves = 0
+        getitem = colors.__getitem__
         m = self.n_edges
         order, domains, slots = self.order, self.domains, self.slots
+        base = self.k + self.two_ell
         ell = self.two_ell // 2
-        getitem = colors.__getitem__
-        factor_cache = {v: {} for v in self.internal}
-        # per position: (vedges, per-run factor cache, vertex)
-        comp = [
-            tuple(
-                (self.vedges[v], factor_cache[v], v) for v in self.completed[p]
-            )
-            for p in range(m)
-        ]
-        factor = self._factor
 
-        def rec(p, acc):
-            nonlocal leaves
+        def rec(p, mask, acc):
             if p == m:
-                leaves += 1
                 idx = 0
                 negate = False
                 for e, offset, dual in slots:
@@ -204,30 +219,42 @@ class _SubsetContext:
                         s, c = dual_basis(c, ell)
                         negate ^= s < 0
                     idx = idx * base + offset + c - 1
-                coeffs[idx] = coeffs[idx] - acc if negate else coeffs[idx] + acc
+                for i in range(n):
+                    if mask >> i & 1:
+                        leaves[i] += 1
+                        col = coeffs[i]
+                        col[idx] = col[idx] - acc[i] if negate else col[idx] + acc[i]
                 return
             e = order[p]
             cp = comp[p]
             nxt = p + 1
             for c in domains[p]:
                 colors[e] = c
+                live = mask
                 f = acc
-                dead = False
-                for ves, fcache, v in cp:
-                    key = tuple(map(getitem, ves))
-                    fv = fcache.get(key, _MISS)
-                    if fv is _MISS:
-                        fv = factor(entries, v, key)
-                        fcache[key] = fv
-                    if fv is None:
-                        dead = True
+                for es, cache, shape in cp:
+                    key = tuple(map(getitem, es))
+                    hit = cache.get(key, _MISS)
+                    if hit is _MISS:
+                        hit = cache[key] = _vertex_factors(shape, key, tables)
+                    if hit is None:
+                        live = 0
                         break
-                    f = f * fv
-                if not dead:
-                    rec(nxt, f)
+                    live &= hit[0]
+                    if not live:
+                        break
+                    if hit[1] is not None:
+                        f = tuple(map(mul, f, hit[1]))
+                if live:
+                    rec(nxt, live, f)
 
-        rec(0, acc0)
-        return coeffs, leaves
+        # rec refers to itself; deleting it breaks that cycle, so reference
+        # counting frees the walk's state as soon as it ends
+        try:
+            rec(0, mask, acc)
+        finally:
+            del rec
+        return list(zip(coeffs, leaves))
 
 
 def subset_sums(
@@ -246,7 +273,7 @@ def subset_sums(
     graph's degree caps (:meth:`EdgeColoringModel.check_cap`).
     """
     ctx = _SubsetContext(frag, subset, state, models[0].k, models[0].two_ell)
-    return [ctx.run(h) for h in models]
+    return ctx.run(models)
 
 
 def eulerian_sum(

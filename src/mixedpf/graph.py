@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: a half-edge is (edge id, side) with side 0 at the first endpoint, 1 at the second
 HalfEdge = tuple

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GaussianRational, ZERO
+from .algebra import GaussianRational
 from .connection import (
     DirectedMatching,
     connection_matrix,

@@ -7,9 +7,6 @@ The random families are seeded, so reruns check identical cases.
 
 import random
 
-import pytest
-
-from mixedpf.algebra import GaussianRational
 from mixedpf.evaluator import partition_function
 from mixedpf.graph import circle_graph, disjoint_union
 from mixedpf.models import EdgeColoringModel

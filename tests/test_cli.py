@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mixedpf.cli import main
-from mixedpf.graph import cycle_graph, format_fragment, parse_fragments
+from mixedpf.graph import parse_fragments
 from mixedpf.models import circuit_neg_model, model_to_json
 
 K3_TEXT = "vertices 3\nedge 0 1\nedge 1 2\nedge 2 0\n"

@@ -10,7 +10,6 @@ from mixedpf.algebra import GaussianRational, I
 from mixedpf.connection import (
     ConnectionMatrix,
     DirectedMatching,
-    FragmentTensor,
     canonical_matching_sign,
     connection_matrix,
     dglrs_constraint_sum,

@@ -1,11 +1,16 @@
 """Partition-function engine tests: modes, circles, identities."""
 
+import gc
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from mixedpf.algebra import GaussianRational
+from mixedpf.algebra import ONE, ZERO, GaussianRational
+from mixedpf.connection import fragment_tensor
 from mixedpf.evaluator import (
+    _vertex_factors,
     eulerian_sum,
     invariance_check,
     partition_function,
@@ -30,7 +35,12 @@ from mixedpf.models import (
     tensor_model,
 )
 from mixedpf.oracles import coloring_sum_oracle
-from mixedpf.suites import enumerate_fragments, random_multigraph, random_sparse_model
+from mixedpf.suites import (
+    enumerate_fragments,
+    enumerate_multigraphs,
+    random_multigraph,
+    random_sparse_model,
+)
 
 K3 = cycle_graph(3)
 FIG8 = MultiGraph(1, ((0, 0), (0, 0)))
@@ -158,7 +168,11 @@ ORACLE_SHAPES = ((1, 2), (2, 2), (0, 2), (2, 0), (1, 4))
 
 
 def test_subset_sums_equal_coloring_oracle():
-    """Coefficients and leaves of every subset of every 7th small fragment."""
+    """Coefficients and leaves of every subset of every 7th small fragment.
+
+    Three models share each walk; the empty one is zero on every branch, so
+    each model dies and counts its leaves on its own.
+    """
     rng = random.Random(5)
     checked = 0
     for family in ORACLE_FAMILIES:
@@ -168,6 +182,7 @@ def test_subset_sums_equal_coloring_oracle():
             k, two_ell = ORACLE_SHAPES[checked % len(ORACLE_SHAPES)]
             degree = max(frag.graph.max_degree(), 1)
             models = [random_sparse_model(rng, k, two_ell, degree) for _ in range(2)]
+            models.append(EdgeColoringModel(k, two_ell, {}))
             for subset in enumerate_eulerian_subsets(frag):
                 state = eulerian_state(frag, subset, rng.randrange(100))
                 got = subset_sums(frag, subset, state, models)
@@ -175,6 +190,63 @@ def test_subset_sums_equal_coloring_oracle():
                 assert got == expected, (frag, subset, k, two_ell)
             checked += 1
     assert checked > 300
+
+
+def distinct_pattern_model(k, two_ell, max_degree):
+    """A model that gives every canonical pattern up to max_degree its own value."""
+    entries = []
+    for sym in itertools.product(range(max_degree + 1), repeat=k):
+        for size in range(max_degree - sum(sym) + 1):
+            for ext in itertools.combinations(range(1, two_ell + 1), size):
+                entries.append((sym, ext, len(entries) + 1))
+    return EdgeColoringModel(k, two_ell, entries, cap=max_degree)
+
+
+def test_shape_table_equals_model_evaluate():
+    """The walk's factor for every slot-ordered color tuple of every shape of
+    degree at most 4 is the value that the model's own sym_counts +
+    normalize_wedge path gives, with None meaning ZERO."""
+    checked = 0
+    for k, two_ell in ORACLE_SHAPES:
+        h = distinct_pattern_model(k, two_ell, 4)
+        for n_pairs in range(3):
+            for n_sym in range(5 - 2 * n_pairs):
+                domains = [range(1, k + 1)] * n_sym + [range(1, two_ell + 1)] * (2 * n_pairs)
+                for key in itertools.product(*domains):
+                    ext_positions = [(c, p % 2 == 1) for p, c in enumerate(key[n_sym:])]
+                    expected = h.evaluate(key[:n_sym], ext_positions)
+                    shape = (k, two_ell, n_sym, n_pairs)
+                    hit = _vertex_factors(shape, key, [h.entries])
+                    # a second lookup reads the shared table's stored form
+                    assert _vertex_factors(shape, key, [h.entries]) == hit
+                    if hit is None:
+                        got = ZERO
+                    else:
+                        assert hit[0] == 1
+                        got = ONE if hit[1] is None else hit[1][0]
+                    assert got == expected, (k, two_ell, n_sym, n_pairs, key)
+                    checked += 1
+    assert checked == 469
+
+
+def test_the_walk_leaves_no_reference_cycles():
+    """A coloring walk frees its state without the cycle collector."""
+    prism = MultiGraph(
+        6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5))
+    )
+    # the prism with edge (0, 1) cut into the open ends of labels 6 and 7
+    frag = Fragment(MultiGraph(8, prism.edges[1:] + ((0, 6), (1, 7))), (6, 7))
+    h = charpoly_model(Fraction(3, 2), cap=3)
+    subsets = enumerate_eulerian_subsets(frag)
+    gc.collect()
+    gc.disable()
+    try:
+        partition_function(prism, h, "mixed")
+        for subset in subsets:
+            fragment_tensor(frag, subset, h)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- invariance -----------------------------------------------------------------
@@ -270,9 +342,16 @@ def test_order_independence():
 
 
 def test_many_matches_single():
-    rng = random.Random(21)
-    g = random_multigraph(rng, max_vertices=4, max_edges=5)
-    models = [charpoly_model(t, cap=max(g.max_degree(), 1)) for t in (0, 1, -2)]
-    many = partition_function_many(g, models, "mixed")
-    for h, res in zip(models, many):
-        assert res.value == partition_function(g, h, "mixed").value
+    """One walk for four models equals four one-model walks, value and
+    colorings, on every multigraph with at most 3 vertices and 4 edges;
+    t=0 has a smaller support than the other three."""
+    checked = 0
+    for g in enumerate_multigraphs(3, 4):
+        cap = max(g.max_degree(), 1)
+        models = [charpoly_model(t, cap=cap) for t in (0, 1, -2, Fraction(3, 2))]
+        many = partition_function_many(g, models, "mixed")
+        for h, res in zip(models, many):
+            single = partition_function(g, h, "mixed")
+            assert (res.value, res.colorings) == (single.value, single.colorings), g
+        checked += 1
+    assert checked > 200

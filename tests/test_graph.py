@@ -20,7 +20,6 @@ from mixedpf.graph import (
     format_fragment,
     glue,
     glue_with_maps,
-    is_eulerian_subset,
     parse_fragments,
     parse_graph,
     validate_state,

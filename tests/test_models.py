@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixedpf.algebra import GaussianRational, I
+from mixedpf.algebra import I
 from mixedpf.models import (
     EdgeColoringModel,
     charpoly_model,
