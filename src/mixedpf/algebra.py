@@ -3,19 +3,22 @@
 Everything downstream (partition functions, Gram tensors, matrix ranks) is
 computed in the field Q(i); nothing in this package ever rounds.  This module
 also owns the dual exterior basis, normalization of wedge words into the
-canonical strictly-increasing form, and the supersymmetric bilinear form on
-the mixed color space.
+canonical strictly-increasing form, and the table of the supersymmetric
+bilinear form on the mixed color space, which
+:func:`mixedpf.connection.gram_pairing` applies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
 def _component(x):
     # integral values are kept as plain ints: their arithmetic is an order of
-    # magnitude faster than Fraction's, and most engine values are integers
+    # magnitude faster than Fraction's, and most engine values are integers;
+    # a bool is refused, since it would print as "True"
+    if isinstance(x, bool):
+        raise TypeError("expected int or Fraction, got bool")
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
@@ -25,6 +28,8 @@ def _component(x):
 
 def _fraction(x) -> Fraction:
     """Fraction(x) for parsed input, where every malformed x is a ValueError."""
+    if isinstance(x, bool):
+        raise ValueError(f"not an exact rational: {x!r}")
     try:
         return Fraction(x)
     except (TypeError, ZeroDivisionError, OverflowError):
@@ -89,7 +94,7 @@ class GaussianRational:
     def from_json(cls, obj) -> "GaussianRational":
         if isinstance(obj, str):
             return cls.from_string(obj)
-        if isinstance(obj, int):
+        if isinstance(obj, int) and not isinstance(obj, bool):
             return cls(obj)
         if isinstance(obj, dict):
             return cls(_fraction(obj.get("re", "0")), _fraction(obj.get("im", "0")))
@@ -100,14 +105,8 @@ class GaussianRational:
 
     # -- predicates -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return _gr(self.re, -self.im)
 
     def norm(self):
         """The field norm a^2 + b^2 (a nonnegative rational)."""
@@ -183,7 +182,7 @@ class GaussianRational:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = _gr(Fraction(1), Fraction(0))
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -318,69 +317,16 @@ def sym_counts(colors, k: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class MixedVector:
-    """A vector in the (k + 2*ell)-dimensional mixed color space.
-
-    The first k coordinates live in the symmetric block, the last 2*ell in
-    the exterior block.
-    """
-
-    k: int
-    two_ell: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.k + self.two_ell:
-            raise ValueError("MixedVector entry count does not match k + 2*ell")
-        object.__setattr__(
-            self, "entries", tuple(as_gaussian(x) for x in self.entries)
-        )
-
-    @classmethod
-    def zero(cls, k: int, two_ell: int) -> "MixedVector":
-        return cls(k, two_ell, (ZERO,) * (k + two_ell))
-
-    @classmethod
-    def e_basis(cls, k: int, two_ell: int, i: int) -> "MixedVector":
-        """The i-th symmetric basis vector (1-based)."""
-        if not 1 <= i <= k:
-            raise ValueError(f"symmetric index {i} out of range [1, {k}]")
-        entries = [ZERO] * (k + two_ell)
-        entries[i - 1] = ONE
-        return cls(k, two_ell, tuple(entries))
-
-    @classmethod
-    def f_basis(cls, k: int, two_ell: int, i: int) -> "MixedVector":
-        """The i-th exterior basis vector (1-based)."""
-        if not 1 <= i <= two_ell:
-            raise ValueError(f"exterior index {i} out of range [1, {two_ell}]")
-        entries = [ZERO] * (k + two_ell)
-        entries[k + i - 1] = ONE
-        return cls(k, two_ell, tuple(entries))
-
-    def __add__(self, other):
-        if not isinstance(other, MixedVector):
-            return NotImplemented
-        if (self.k, self.two_ell) != (other.k, other.two_ell):
-            raise ValueError("MixedVector shape mismatch")
-        return MixedVector(
-            self.k,
-            self.two_ell,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def scaled(self, c) -> "MixedVector":
-        c = as_gaussian(c)
-        return MixedVector(self.k, self.two_ell, tuple(c * x for x in self.entries))
-
-
 def form_table(k: int, two_ell: int) -> list[tuple[int, int]]:
     """The supersymmetric form as one (partner, sign) per coordinate.
 
     [x, y] = sum over coordinates a of sign * x[a] * y[partner]: a symmetric
     coordinate pairs with itself, and the exterior f_i with f_j where its
-    dual is g_i = s * f_j (:func:`dual_basis`), with sign -s.
+    dual is g_i = s * f_j (:func:`dual_basis`), with sign -s.  The form is
+    symmetric on the k-block and skew-symplectic on the 2*ell-block, which
+    pairs through ((0, I), (-I, 0)): [f_i, f_{i+ell}] = 1 = -[f_{i+ell}, f_i],
+    so the whole form is nondegenerate.  The coordinates are those of a t=1
+    :class:`mixedpf.connection.FragmentTensor`: e_i at i-1, f_i at k+i-1.
     """
     ell = two_ell // 2
     table = [(a, 1) for a in range(k)]
@@ -388,19 +334,3 @@ def form_table(k: int, two_ell: int) -> list[tuple[int, int]]:
         s, j = dual_basis(i, ell)
         table.append((k + j - 1, -s))
     return table
-
-
-def super_bilinear_form(x: MixedVector, y: MixedVector) -> GaussianRational:
-    """[x, y]: symmetric on the k-block, skew-symplectic on the 2*ell-block.
-
-    The exterior part pairs through the block matrix ((0, I), (-I, 0)), so
-    <f_i, f_{i+ell}> = 1 = -<f_{i+ell}, f_i> and the whole form is
-    nondegenerate.
-    """
-    if (x.k, x.two_ell) != (y.k, y.two_ell):
-        raise ValueError("MixedVector shape mismatch in bilinear form")
-    total = ZERO
-    for a, (partner, sign) in enumerate(form_table(x.k, x.two_ell)):
-        term = x.entries[a] * y.entries[partner]
-        total = total + term if sign > 0 else total - term
-    return total

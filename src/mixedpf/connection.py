@@ -119,7 +119,12 @@ def canonical_matching_sign(m: DirectedMatching) -> int:
 
 @dataclass(frozen=True)
 class FragmentTensor:
-    """A dense vector in the t-fold tensor power of the mixed color space."""
+    """A dense vector in the t-fold tensor power of the mixed color space.
+
+    Each slot has k + 2*ell coordinates, e_i at i-1 and f_i at k+i-1, and the
+    first slot is the most significant digit of a coefficient's index.  A
+    vector of the mixed space itself is the t=1 tensor.
+    """
 
     t: int
     k: int
@@ -192,7 +197,11 @@ def fragment_tensor(
 
 
 def gram_pairing(t1: FragmentTensor, t2: FragmentTensor) -> GaussianRational:
-    """The supersymmetric form applied factorwise across the t tensor slots."""
+    """The supersymmetric form applied factorwise across the t tensor slots.
+
+    At t=1 this is the form on the mixed space itself
+    (:func:`~mixedpf.algebra.form_table`).
+    """
     if (t1.t, t1.k, t1.two_ell) != (t2.t, t2.k, t2.two_ell):
         raise ValueError("tensor shape mismatch in Gram pairing")
     t = t1.t

@@ -209,7 +209,16 @@ class _SubsetContext:
         base = self.k + self.two_ell
         ell = self.two_ell // 2
 
-        def rec(p, mask, acc):
+        # depth-first over an explicit stack, so a graph's edge count is not
+        # bounded by the recursion limit: an entry (p, mask, acc, c) is a
+        # node whose edge at position p-1 has color c, and colors at earlier
+        # positions are still those of its ancestors when it is popped
+        stack = [(0, mask, acc, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            p, mask, acc, c = pop()
+            if p:
+                colors[order[p - 1]] = c
             if p == m:
                 idx = 0
                 negate = False
@@ -224,7 +233,7 @@ class _SubsetContext:
                         leaves[i] += 1
                         col = coeffs[i]
                         col[idx] = col[idx] - acc[i] if negate else col[idx] + acc[i]
-                return
+                continue
             e = order[p]
             cp = comp[p]
             nxt = p + 1
@@ -246,14 +255,7 @@ class _SubsetContext:
                     if hit[1] is not None:
                         f = tuple(map(mul, f, hit[1]))
                 if live:
-                    rec(nxt, live, f)
-
-        # rec refers to itself; deleting it breaks that cycle, so reference
-        # counting frees the walk's state as soon as it ends
-        try:
-            rec(0, mask, acc)
-        finally:
-            del rec
+                    push((nxt, live, f, c))
         return list(zip(coeffs, leaves))
 
 

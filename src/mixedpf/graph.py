@@ -46,15 +46,6 @@ class MultiGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        d = 0
-        for a, b in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
-
     def degrees(self) -> list[int]:
         d = [0] * self.n_vertices
         for a, b in self.edges:
@@ -386,8 +377,6 @@ def walk_decomposition(frag, state: EulerianState) -> list[Walk]:
             h = hout
 
     for pos, v in enumerate(frag.labels):
-        if v not in labeled:
-            continue
         hes = [
             (e, s)
             for e, (a, b) in enumerate(g.edges)

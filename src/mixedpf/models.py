@@ -86,10 +86,6 @@ class EdgeColoringModel:
                 f"graph has a vertex of degree {d} beyond the model's degree cap {self.cap}"
             )
 
-    def value(self, sym: tuple, ext: tuple) -> GaussianRational:
-        """Raw lookup of a canonical entry (absent means zero)."""
-        return self.entries.get((tuple(sym), tuple(ext)), ZERO)
-
     def evaluate(self, sym_colors, ext_positions) -> GaussianRational:
         """Weight of a local pattern, resolving duals and wedge signs.
 
@@ -240,6 +236,8 @@ def model_from_json(obj: dict) -> EdgeColoringModel:
     if not isinstance(obj, dict):
         raise ValueError("model JSON must be an object")
     try:
+        if any(isinstance(obj.get(key), bool) for key in ("k", "two_ell", "cap")):
+            raise ValueError
         k = int(obj["k"])
         two_ell = int(obj["two_ell"])
         cap = None if obj.get("cap") is None else int(obj["cap"])
@@ -256,7 +254,8 @@ def model_from_json(obj: dict) -> EdgeColoringModel:
             raise ValueError(f"model entry {pos} needs 'sym', 'ext' and 'value'")
         sym, ext = item["sym"], item["ext"]
         if not all(
-            isinstance(part, list) and all(isinstance(c, int) for c in part)
+            isinstance(part, list)
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in part)
             for part in (sym, ext)
         ):
             raise ValueError(f"model entry {pos}: 'sym' and 'ext' must be lists of integers")

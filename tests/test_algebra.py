@@ -3,17 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mixedpf.algebra import (
     GaussianRational,
     I,
-    MixedVector,
     double_factorial_odd,
     dual_basis,
     normalize_wedge,
-    super_bilinear_form,
     sym_counts,
 )
 
@@ -81,6 +79,27 @@ def test_i_squared():
     assert I**-1 == -I
 
 
+@given(st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 6))
+def test_powers_of_gaussian_integers_keep_int_components(re, im, n):
+    # integral components are plain ints, and a power must not turn them into
+    # Fractions: x**0 is the int 1
+    p = GaussianRational(re, im) ** n
+    expected = GaussianRational(1)
+    for _ in range(n):
+        expected = expected * GaussianRational(re, im)
+    assert p == expected
+    assert type(p.re) is int and type(p.im) is int
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_bool_is_not_a_component(bad):
+    with pytest.raises(TypeError):
+        GaussianRational(bad)
+    for obj in (bad, {"re": bad}, {"re": "1", "im": bad}):
+        with pytest.raises(ValueError):
+            GaussianRational.from_json(obj)
+
+
 def test_components_always_reduced():
     x = GaussianRational(Fraction(4, 2), Fraction(6, 4))
     assert x.re == 2 and x.im == Fraction(3, 2)
@@ -141,64 +160,6 @@ def test_double_factorial(n, expected):
 def test_double_factorial_domain():
     with pytest.raises(ValueError):
         double_factorial_odd(-2)
-
-
-# -- bilinear form ------------------------------------------------------------
-
-
-def test_bilinear_form_basis_examples():
-    e1 = MixedVector.e_basis(1, 2, 1)
-    assert super_bilinear_form(e1, e1) == 1
-    f1 = MixedVector.f_basis(1, 2, 1)
-    f2 = MixedVector.f_basis(1, 2, 2)
-    assert super_bilinear_form(f1, f2) == 1
-    assert super_bilinear_form(f2, f1) == -1
-    assert super_bilinear_form(f1, f1) == 0
-
-
-def test_symmetry_split_on_basis():
-    k, two_ell = 2, 4
-    for a in range(1, k + 1):
-        for b in range(1, k + 1):
-            x, y = MixedVector.e_basis(k, two_ell, a), MixedVector.e_basis(k, two_ell, b)
-            assert super_bilinear_form(x, y) == super_bilinear_form(y, x)
-    for a in range(1, two_ell + 1):
-        for b in range(1, two_ell + 1):
-            x, y = MixedVector.f_basis(k, two_ell, a), MixedVector.f_basis(k, two_ell, b)
-            assert super_bilinear_form(x, y) == -super_bilinear_form(y, x)
-
-
-def test_f_g_pairing_values():
-    # <f_i, g_i> = -1 and <g_i, f_i> = 1 for every i
-    for ell in (1, 2):
-        two_ell = 2 * ell
-        for i in range(1, two_ell + 1):
-            sign, j = dual_basis(i, ell)
-            f = MixedVector.f_basis(0, two_ell, i)
-            g = MixedVector.f_basis(0, two_ell, j).scaled(sign)
-            assert super_bilinear_form(f, g) == -1
-            assert super_bilinear_form(g, f) == 1
-
-
-@settings(max_examples=40)
-@given(st.data())
-def test_bilinearity(data):
-    k, two_ell = 2, 2
-    dim = k + two_ell
-    vec = st.tuples(*[gaussians for _ in range(dim)])
-    x = MixedVector(k, two_ell, data.draw(vec))
-    xp = MixedVector(k, two_ell, data.draw(vec))
-    y = MixedVector(k, two_ell, data.draw(vec))
-    a = data.draw(gaussians)
-    b = data.draw(gaussians)
-    left = super_bilinear_form(x.scaled(a) + xp.scaled(b), y)
-    right = a * super_bilinear_form(x, y) + b * super_bilinear_form(xp, y)
-    assert left == right
-
-
-def test_bilinear_form_shape_mismatch():
-    with pytest.raises(ValueError):
-        super_bilinear_form(MixedVector.zero(1, 2), MixedVector.zero(2, 2))
 
 
 # -- wedge normalization --------------------------------------------------------

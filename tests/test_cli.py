@@ -86,6 +86,43 @@ def test_eval_malformed_model_file_entry_is_input_error(tmp_path, capsys, entry)
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_eval_long_path(tmp_path, capsys):
+    edges = "".join(f"edge {v} {v + 1}\n" for v in range(1199))
+    path = write(tmp_path, "p1200.graph", f"vertices 1200\n{edges}")
+    assert main(["eval", path, "--model", "charpoly?t=0", "--mode", "mixed"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1"
+
+
+GOOD_MODEL = {"k": 1, "two_ell": 0, "cap": 2, "entries": [{"sym": [2], "ext": [], "value": 1}]}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("k", True),
+        ("two_ell", False),
+        ("cap", True),
+        ("sym", [True]),
+        ("value", True),
+        ("value", {"re": True}),
+    ],
+)
+def test_eval_json_bool_is_input_error(tmp_path, capsys, field, value):
+    graph = write(tmp_path, "k3.graph", K3_TEXT)
+    good = write(tmp_path, "good.json", json.dumps(GOOD_MODEL))
+    assert main(["eval", graph, "--model-file", good, "--mode", "ordinary"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1"
+    obj = json.loads(json.dumps(GOOD_MODEL))
+    if field in obj:
+        obj[field] = value
+    else:
+        obj["entries"][0][field] = value
+    model = write(tmp_path, "bad.json", json.dumps(obj))
+    assert main(["eval", graph, "--model-file", model, "--mode", "ordinary"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_eval_parse_error_reports_line(tmp_path, capsys):
     path = write(tmp_path, "bad.graph", "vertices 1\nedge 0 7\n")
     assert main(["eval", path, "--model", "matchings", "--mode", "ordinary"]) == 2

@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixedpf.algebra import GaussianRational, I
+from mixedpf.algebra import GaussianRational, I, dual_basis
 from mixedpf.connection import (
     ConnectionMatrix,
     DirectedMatching,
+    FragmentTensor,
     canonical_matching_sign,
     connection_matrix,
     dglrs_constraint_sum,
@@ -85,6 +88,92 @@ def test_matching_validation():
         matching_sign(DirectedMatching(((1, 2),)), DirectedMatching(((3, 4),)))
 
 
+# -- the supersymmetric form on the mixed space ----------------------------------------
+#
+# A vector of the (k + 2*ell)-dimensional mixed space is a t=1 tensor:
+# e_i sits at coordinate i-1 and f_i at k+i-1.
+
+
+def e_basis(k, two_ell, i):
+    coeffs = [0] * (k + two_ell)
+    coeffs[i - 1] = 1
+    return FragmentTensor(1, k, two_ell, tuple(coeffs))
+
+
+def f_basis(k, two_ell, i, scale=1):
+    coeffs = [0] * (k + two_ell)
+    coeffs[k + i - 1] = scale
+    return FragmentTensor(1, k, two_ell, tuple(coeffs))
+
+
+def test_bilinear_form_basis_examples():
+    e1 = e_basis(1, 2, 1)
+    assert gram_pairing(e1, e1) == 1
+    f1 = f_basis(1, 2, 1)
+    f2 = f_basis(1, 2, 2)
+    assert gram_pairing(f1, f2) == 1
+    assert gram_pairing(f2, f1) == -1
+    assert gram_pairing(f1, f1) == 0
+    assert gram_pairing(e1, f1) == 0 and gram_pairing(f2, e1) == 0
+
+
+def test_symmetry_split_on_basis():
+    k, two_ell = 2, 4
+    for a in range(1, k + 1):
+        for b in range(1, k + 1):
+            x, y = e_basis(k, two_ell, a), e_basis(k, two_ell, b)
+            assert gram_pairing(x, y) == gram_pairing(y, x)
+    for a in range(1, two_ell + 1):
+        for b in range(1, two_ell + 1):
+            x, y = f_basis(k, two_ell, a), f_basis(k, two_ell, b)
+            assert gram_pairing(x, y) == -gram_pairing(y, x)
+
+
+def test_f_g_pairing_values():
+    # <f_i, g_i> = -1 and <g_i, f_i> = 1 for every i
+    for ell in (1, 2):
+        two_ell = 2 * ell
+        for i in range(1, two_ell + 1):
+            sign, j = dual_basis(i, ell)
+            f = f_basis(0, two_ell, i)
+            g = f_basis(0, two_ell, j, scale=sign)
+            assert gram_pairing(f, g) == -1
+            assert gram_pairing(g, f) == 1
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([1, 2]), st.data())
+def test_bilinearity(t, data):
+    k, two_ell = 2, 2
+    vec = st.lists(gaussians, min_size=(k + two_ell) ** t, max_size=(k + two_ell) ** t)
+    x, xp, y = (data.draw(vec) for _ in range(3))
+    a = data.draw(gaussians)
+    b = data.draw(gaussians)
+
+    def tensor(coeffs):
+        return FragmentTensor(t, k, two_ell, tuple(coeffs))
+
+    combo = tensor(a * u + b * v for u, v in zip(x, xp))
+    left = gram_pairing(combo, tensor(y))
+    right = a * gram_pairing(tensor(x), tensor(y)) + b * gram_pairing(tensor(xp), tensor(y))
+    assert left == right
+    # and linear in the second argument as well
+    left = gram_pairing(tensor(y), combo)
+    right = a * gram_pairing(tensor(y), tensor(x)) + b * gram_pairing(tensor(y), tensor(xp))
+    assert left == right
+
+
+def test_bilinear_form_shape_mismatch():
+    with pytest.raises(ValueError):
+        gram_pairing(FragmentTensor.zero(1, 1, 2), FragmentTensor.zero(1, 2, 2))
+    with pytest.raises(ValueError):
+        gram_pairing(FragmentTensor.zero(1, 1, 2), FragmentTensor.zero(2, 1, 2))
+
+
 # -- fragment tensors ---------------------------------------------------------------
 
 
@@ -115,7 +204,6 @@ def test_open_open_edge_tensor():
     state = eulerian_state(frag, frozenset({0}), 0)
     tensor = fragment_tensor(frag, frozenset({0}), h, state)
 
-    from mixedpf.algebra import dual_basis
     from mixedpf.graph import is_incoming
 
     base = 3  # k + two_ell = 1 + 2

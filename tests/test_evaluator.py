@@ -249,6 +249,31 @@ def test_the_walk_leaves_no_reference_cycles():
         gc.enable()
 
 
+def path_graph(n):
+    return MultiGraph(n, tuple((v, v + 1) for v in range(n - 1)))
+
+
+@pytest.mark.parametrize(
+    "g,model,mode,expected",
+    [
+        # det(-A) of the path P_n: (-1)^(n/2) for even n, 0 for odd n
+        (path_graph(1200), charpoly_model(0, cap=2), "mixed", 1),
+        (path_graph(1201), charpoly_model(0, cap=2), "mixed", 0),
+        # J(C_n, 1) = 1: a cycle has one circuit partition
+        (cycle_graph(1500), circuit_pos_model(1, cap=2), "ordinary", 1),
+    ],
+    ids=["P1200", "P1201", "C1500"],
+)
+def test_long_graphs_are_not_bounded_by_the_recursion_limit(g, model, mode, expected):
+    assert partition_function(g, model, mode).value == expected
+
+
+def test_values_keep_int_components():
+    # det(3I - A) of the triangle: (3 - 2)(3 + 1)^2
+    value = partition_function(K3, charpoly_model(3), "mixed").value
+    assert value == 16 and type(value.re) is int and type(value.im) is int
+
+
 # -- invariance -----------------------------------------------------------------
 
 

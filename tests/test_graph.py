@@ -26,7 +26,12 @@ from mixedpf.graph import (
     walk_decomposition,
 )
 from mixedpf.oracles import eulerian_subsets_oracle
-from mixedpf.suites import enumerate_fragments, enumerate_multigraphs
+from mixedpf.suites import (
+    enumerate_fragments,
+    enumerate_multigraphs,
+    random_fragment,
+    random_multigraph,
+)
 
 K3 = cycle_graph(3)
 FIG8 = MultiGraph(1, ((0, 0), (0, 0)))
@@ -343,11 +348,16 @@ def test_build_G_pi_rejects_non_permutation():
 # -- text format -----------------------------------------------------------------
 
 
-def test_format_parse_roundtrip():
-    frag = Fragment(MultiGraph(3, ((0, 1), (0, 2), (0, 0))), (1, 2))
-    text = format_fragment(frag)
-    (back,) = parse_fragments(text)
+@settings(max_examples=60)
+@given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 3))
+def test_format_parse_roundtrip(seed, t, circles):
+    rng = random.Random(seed)
+    frag = random_fragment(rng, t, max_internal=3, max_edges=6)
+    (back,) = parse_fragments(format_fragment(frag))
     assert back == frag
+    g = random_multigraph(rng)
+    g = MultiGraph(g.n_vertices, g.edges, circles)
+    assert parse_graph(format_fragment(g)) == g
 
 
 def test_parse_graph_with_circles_and_comments():

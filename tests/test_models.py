@@ -1,10 +1,11 @@
 """Model construction, local evaluation and serialization tests."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedpf.algebra import I
@@ -20,6 +21,7 @@ from mixedpf.models import (
     model_to_json,
     tensor_model,
 )
+from mixedpf.suites import random_sparse_model
 
 
 def single_entry_model():
@@ -149,10 +151,20 @@ def test_tensor_model_rejects_mixed_inputs():
 # -- serialization and specs ------------------------------------------------------
 
 
-def test_model_json_roundtrip():
-    h = charpoly_model(Fraction(-5, 3), cap=5)
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([(1, 0), (2, 0), (0, 2), (1, 2), (2, 2), (0, 4), (1, 4)]),
+    st.sampled_from([None, 0, 3, 8]),
+)
+def test_model_json_roundtrip(seed, shape, cap):
+    k, two_ell = shape
+    sparse = random_sparse_model(random.Random(seed), k, two_ell, max_degree=4)
+    h = EdgeColoringModel(k, two_ell, sparse.entries, cap=cap)
     blob = json.dumps(model_to_json(h))
     assert model_from_json(json.loads(blob)) == h
+    h = charpoly_model(Fraction(-5, 3), cap=5)
+    assert model_from_json(json.loads(json.dumps(model_to_json(h)))) == h
 
 
 def test_model_json_format_shape():
