@@ -27,8 +27,13 @@ def _component(x):
 
 
 def _fraction(x) -> Fraction:
-    """Fraction(x) for parsed input, where every malformed x is a ValueError."""
-    if isinstance(x, bool):
+    """Fraction(x) for parsed input, where every malformed x is a ValueError.
+
+    A float is refused, as a bool is: Fraction would read its binary value
+    exactly (0.1 as 3602879701896397/36028797018963968), never what was
+    written.
+    """
+    if isinstance(x, (bool, float)):
         raise ValueError(f"not an exact rational: {x!r}")
     try:
         return Fraction(x)
@@ -116,23 +121,23 @@ class GaussianRational:
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
-            return _gr(self.re + other.re, self.im + other.im)
+            return _gq(self.re + other.re, self.im + other.im)
         if isinstance(other, (int, Fraction)):
-            return _gr(self.re + other, self.im)
+            return _gq(self.re + other, self.im)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, GaussianRational):
-            return _gr(self.re - other.re, self.im - other.im)
+            return _gq(self.re - other.re, self.im - other.im)
         if isinstance(other, (int, Fraction)):
-            return _gr(self.re - other, self.im)
+            return _gq(self.re - other, self.im)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _gr(other - self.re, -self.im)
+            return _gq(other - self.re, -self.im)
         return NotImplemented
 
     def __neg__(self):
@@ -143,14 +148,14 @@ class GaussianRational:
             b, d = self.im, other.im
             if not b:
                 if not d:
-                    return _gr(self.re * other.re, 0)
-                return _gr(self.re * other.re, self.re * d)
+                    return _gq(self.re * other.re, 0)
+                return _gq(self.re * other.re, self.re * d)
             a, c = self.re, other.re
             if not d:
-                return _gr(a * c, b * c)
-            return _gr(a * c - b * d, a * d + b * c)
+                return _gq(a * c, b * c)
+            return _gq(a * c - b * d, a * d + b * c)
         if isinstance(other, (int, Fraction)):
-            return _gr(self.re * other, self.im * other)
+            return _gq(self.re * other, self.im * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -219,11 +224,20 @@ class GaussianRational:
         return f"GaussianRational({str(self)!r})"
 
 
-def _gr(re: Fraction, im: Fraction) -> GaussianRational:
+def _gr(re, im) -> GaussianRational:
     # fast path: skip Fraction coercion when components are already exact
     g = GaussianRational.__new__(GaussianRational)
     g.re = re
     g.im = im
+    return g
+
+
+def _gq(re, im) -> GaussianRational:
+    """_gr for a sum or product, whose Fraction components may be integral."""
+    g = GaussianRational.__new__(GaussianRational)
+    # int arithmetic stays int; only a Fraction result can need reducing
+    g.re = re if re.__class__ is int or re.denominator != 1 else re.numerator
+    g.im = im if im.__class__ is int or im.denominator != 1 else im.numerator
     return g
 
 

@@ -16,6 +16,14 @@ pattern, kept in one table per local shape that every subset, graph and
 call shares: the table memoises a pure function of shape and colors, so
 sharing it cannot change a value.
 
+Work that does not depend on the subset is done once per call: the edge
+order, the internal vertices and the position completing each, and the
+per-shape factor caches over the call's models, which every subset's walk
+reads and fills.  Each subset's state comes from the rng-free
+:func:`~mixedpf.graph.peel`, which counts circuits as it builds the state,
+so the (-1)^(circuits) sign needs no second trace; any valid state gives
+the same signed sum.
+
 Vertexless circle components never enter the enumeration: they contribute a
 closed-form multiplicative factor per mode.  The exact sum is independent of
 enumeration order, and partial sums combine associatively, so any parallel
@@ -38,6 +46,7 @@ from .graph import (
     eulerian_state,
     is_eulerian_subset,
     is_incoming,
+    peel,
     validate_state,
 )
 from .models import EdgeColoringModel
@@ -109,7 +118,15 @@ def _vertex_factors(shape, key, tables):
 
 
 class _SubsetContext:
-    """Coloring machinery for one (subset, state) pair.
+    """Coloring machinery for one call: a graph or fragment and its models.
+
+    What does not depend on the subset is set up once per call and serves
+    every subset :meth:`run` searches: the edge order, the position that
+    completes each internal vertex (its incident edges are its slots
+    whatever the subset), the labels' open ends, the weight of isolated
+    vertices, and the factor caches, one per local shape, from a
+    slot-ordered color tuple to its :func:`_vertex_factors`.  The caches
+    are keyed by the call's models, so they hold for all its subsets.
 
     Each internal vertex reads its colors in slot order: one symmetric slot
     per end of an edge off the subset (a loop gives two), then the (in, out)
@@ -124,55 +141,45 @@ class _SubsetContext:
     and the dual g_c, expanded to a signed f, where it goes out.
     """
 
-    def __init__(self, frag: Fragment, subset, state: EulerianState, k: int, two_ell: int):
+    def __init__(self, frag: Fragment, models: list[EdgeColoringModel]):
         g = frag.graph
+        k, two_ell = models[0].k, models[0].two_ell
         self.k = k
         self.two_ell = two_ell
-        self.n_edges = g.n_edges
+        self.edges = g.edges
+        self.tables = [h.entries for h in models]
+        self.caches = {}
+        self.sym_colors = range(1, k + 1)
+        self.ext_colors = range(1, two_ell + 1)
         labeled = set(frag.labels)
-        internal = [v for v in range(g.n_vertices) if v not in labeled]
-
-        slot_edges = {v: [] for v in internal}
-        for e, (a, b) in enumerate(g.edges):
-            if e in subset:
-                continue
-            if a not in labeled:
-                slot_edges[a].append(e)
-            if b not in labeled:
-                slot_edges[b].append(e)
-        shapes = {}
-        for v in internal:
-            pairs = state.pairing.get(v, ())
-            shapes[v] = (k, two_ell, len(slot_edges[v]), len(pairs))
-            for hin, hout in pairs:
-                slot_edges[v] += (hin[0], hout[0])
-
-        order = sorted(
-            range(self.n_edges), key=lambda e: (max(g.edges[e]), min(g.edges[e]), e)
+        self.order = sorted(
+            range(g.n_edges), key=lambda e: (max(g.edges[e]), min(g.edges[e]), e)
         )
-        pos = {e: p for p, e in enumerate(order)}
-        # per position: the (slot edges, shape) of each vertex it completes
-        self.completed = [[] for _ in range(self.n_edges)]
-        self.pre_shapes = []
-        for v in internal:
-            if slot_edges[v]:
-                last = max(pos[e] for e in slot_edges[v])
-                self.completed[last].append((tuple(slot_edges[v]), shapes[v]))
-            else:
-                self.pre_shapes.append(shapes[v])
-        self.order = order
-        self.domains = [
-            range(1, two_ell + 1) if e in subset else range(1, k + 1) for e in order
+        # the position of each vertex's last edge, which completes it
+        last = {}
+        for p, e in enumerate(self.order):
+            for v in g.edges[e]:
+                last[v] = p
+        self.internal = [
+            (v, last[v]) for v in range(g.n_vertices) if v not in labeled and v in last
         ]
-        self.slots = []
-        for pos in range(frag.t):
-            e, side = frag.open_end(pos)
-            if e in subset:
-                self.slots.append((e, k, not is_incoming(state, (e, side))))
-            else:
-                self.slots.append((e, 0, False))
+        self.open_ends = [frag.open_end(pos) for pos in range(frag.t)]
+        # the weight of the isolated internal vertices, common to every subset
+        mask = (1 << len(models)) - 1
+        acc = (ONE,) * len(models)
+        isolated = (k, two_ell, 0, 0)
+        for v in range(g.n_vertices):
+            if v in labeled or v in last:
+                continue
+            hit = _vertex_factors(isolated, (), self.tables)
+            mask &= hit[0] if hit else 0
+            if not mask:
+                break
+            if hit[1] is not None:
+                acc = tuple(map(mul, acc, hit[1]))
+        self.start = mask, acc
 
-    def run(self, models):
+    def run(self, subset, state: EulerianState):
         """Sum per-coloring products of internal-vertex weights by label colors.
 
         One walk of the coloring tree serves every model: a branch is cut
@@ -182,32 +189,47 @@ class _SubsetContext:
         prefactor), and the number of full colorings the model weighs
         nonzero.  With no labels the single coefficient is the scalar sum.
         """
-        tables = [h.entries for h in models]
+        k, two_ell, tables = self.k, self.two_ell, self.tables
         n = len(tables)
-        size = (self.k + self.two_ell) ** len(self.slots)
-        coeffs = [[ZERO] * size for _ in range(n)]
+        base = k + two_ell
+        coeffs = [[ZERO] * base ** len(self.open_ends) for _ in range(n)]
         leaves = [0] * n
-        # per shape: slot-ordered color tuple -> _vertex_factors of it
-        caches = {}
-        mask = (1 << n) - 1
-        acc = (ONE,) * n
-        for shape in self.pre_shapes:
-            hit = _vertex_factors(shape, (), tables)
-            mask &= hit[0] if hit else 0
-            if not mask:
-                return list(zip(coeffs, leaves))
-            if hit[1] is not None:
-                acc = tuple(map(mul, acc, hit[1]))
-        comp = [
-            tuple((es, caches.setdefault(shape, {}), shape) for es, shape in done)
-            for done in self.completed
-        ]
-        colors = [0] * self.n_edges
+        mask, acc = self.start
+        if not mask:
+            return list(zip(coeffs, leaves))
+
+        slot_edges = {v: [] for v, _ in self.internal}
+        for e, (a, b) in enumerate(self.edges):
+            if e not in subset:
+                if a in slot_edges:
+                    slot_edges[a].append(e)
+                if b in slot_edges:
+                    slot_edges[b].append(e)
+        m = len(self.edges)
+        # per position: the (slot edges, factor cache, shape) of each vertex it completes
+        comp = [[] for _ in range(m)]
+        caches = self.caches
+        for v, last in self.internal:
+            es = slot_edges[v]
+            pairs = state.pairing.get(v, ())
+            shape = (k, two_ell, len(es), len(pairs))
+            for hin, hout in pairs:
+                es += (hin[0], hout[0])
+            cache = caches.get(shape)
+            if cache is None:
+                cache = caches[shape] = {}
+            comp[last].append((tuple(es), cache, shape))
+        order = self.order
+        domains = [self.ext_colors if e in subset else self.sym_colors for e in order]
+        slots = []
+        for e, side in self.open_ends:
+            if e in subset:
+                slots.append((e, k, not is_incoming(state, (e, side))))
+            else:
+                slots.append((e, 0, False))
+        colors = [0] * m
         getitem = colors.__getitem__
-        m = self.n_edges
-        order, domains, slots = self.order, self.domains, self.slots
-        base = self.k + self.two_ell
-        ell = self.two_ell // 2
+        ell = two_ell // 2
 
         # depth-first over an explicit stack, so a graph's edge count is not
         # bounded by the recursion limit: an entry (p, mask, acc, c) is a
@@ -274,8 +296,7 @@ def subset_sums(
     valid state of ``subset``, and the models share (k, two_ell) and fit the
     graph's degree caps (:meth:`EdgeColoringModel.check_cap`).
     """
-    ctx = _SubsetContext(frag, subset, state, models[0].k, models[0].two_ell)
-    return ctx.run(models)
+    return _SubsetContext(frag, models).run(subset, state)
 
 
 def eulerian_sum(
@@ -352,13 +373,13 @@ def partition_function_many(
         h.check_cap(g)
 
     frag = as_fragment(g)
+    ctx = _SubsetContext(frag, models)
     totals = [ZERO] * len(models)
     colorings = [0] * len(models)
     subsets = _mode_subsets(g, mode)
     for subset in subsets:
-        state = eulerian_state(frag, subset, 0)
-        circuits, _ = decompose(state, frag)
-        sums = subset_sums(frag, subset, state, models)
+        state, circuits, _ = peel(frag, subset)
+        sums = ctx.run(subset, state)
         for idx, ((value,), leaves) in enumerate(sums):
             colorings[idx] += leaves
             totals[idx] = totals[idx] - value if circuits % 2 else totals[idx] + value

@@ -206,90 +206,98 @@ def _vertex_of(graph: MultiGraph, he: HalfEdge) -> int:
     return graph.edges[e][side]
 
 
+def _last(n: int) -> int:
+    return n - 1
+
+
+def peel(frag, subset, rng=None) -> tuple[EulerianState, int, tuple]:
+    """Peel an Eulerian subset into directed trails and circuits.
+
+    Returns ``(state, circuits, trails)``, where ``(circuits, trails)`` is
+    what :func:`decompose` gives for ``state``, counted while peeling
+    instead of traced again.  Trails start at the labels whose open end lies
+    in the subset; circuits then take up the remaining half-edges.
+
+    Without ``rng`` every choice follows vertex and edge order: a walk
+    leaves a vertex by its last unused half-edge, a circuit starts at the
+    last vertex that still has one, and a circuit closes only when its start
+    vertex has no other unused half-edge.  With ``rng`` (a
+    :class:`random.Random`) the same walk draws these choices, so different
+    generators reach different valid states.  The subset must be Eulerian
+    (:func:`is_eulerian_subset`); that is not checked here.
+    """
+    frag = as_fragment(frag)
+    edges = frag.graph.edges
+    label_no = {v: pos + 1 for pos, v in enumerate(frag.labels)}
+    unused = {}
+    for e in sorted(subset):
+        a, b = edges[e]
+        unused.setdefault(a, []).append((e, 0))
+        unused.setdefault(b, []).append((e, 1))
+    # trail starts, popped from the end, so in label order without rng
+    starts = [v for v in reversed(frag.labels) if v in unused]
+    vertices = sorted(unused)
+    pick = _last
+    if rng is not None:
+        pick = rng.randrange
+        for hes in unused.values():
+            rng.shuffle(hes)
+        rng.shuffle(starts)
+
+    orientation = {}
+    pairing = {}
+    circuits = 0
+    trails = []
+    while True:
+        if starts:
+            v0 = starts.pop()
+            if not unused[v0]:
+                continue  # already reached as the far end of an earlier trail
+        else:
+            rem = [v for v in vertices if unused[v]]
+            if not rem:
+                break
+            v0 = rem[pick(len(rem))]
+        hes = unused[v0]
+        h0 = h = hes.pop(pick(len(hes)))
+        orientation[h[0]] = h[1] == 0
+        while True:
+            e, side = h
+            hp = (e, 1 - side)
+            w = edges[e][1 - side]
+            hes = unused[w]
+            hes.remove(hp)
+            if w in label_no:
+                trails.append((label_no[v0], label_no[w]))
+                break
+            if w == v0 and (
+                not hes or rng is not None and rng.randrange(len(hes) + 1) == 0
+            ):
+                pairing.setdefault(w, []).append((hp, h0))
+                circuits += 1
+                break
+            h = hes.pop(pick(len(hes)))
+            pairing.setdefault(w, []).append((hp, h))
+            orientation[h[0]] = h[1] == 0
+
+    state = EulerianState(
+        frozenset(subset), orientation, {v: tuple(ps) for v, ps in pairing.items()}
+    )
+    return state, circuits, tuple(sorted(trails))
+
+
 def eulerian_state(frag, subset, seed: int = 0) -> EulerianState:
     """Build a valid orientation and compatible pairing for an Eulerian subset.
 
-    The walk peels directed trails between labeled vertices first and then
-    circuits; the seed permutes half-edge visit order, so different seeds
-    reach different valid states (which is what the invariance tests need).
+    This is :func:`peel` driven by ``random.Random(seed)``, so different
+    seeds reach different valid states (which is what the invariance tests
+    need).
     """
     frag = as_fragment(frag)
-    g = frag.graph
     subset = frozenset(subset)
     if not is_eulerian_subset(frag, subset):
         raise ValueError("subset is not Eulerian: some unlabeled vertex has odd degree")
-    rng = random.Random(seed)
-    labeled = set(frag.labels)
-
-    unused = defaultdict(list)
-    for e in sorted(subset):
-        a, b = g.edges[e]
-        unused[a].append((e, 0))
-        unused[b].append((e, 1))
-    for v in unused:
-        rng.shuffle(unused[v])
-
-    orientation = {}
-    pairing = defaultdict(list)
-
-    def orient_out(he):
-        e, side = he
-        orientation[e] = side == 0
-
-    def partner(he):
-        return (he[0], 1 - he[1])
-
-    # trails: start at labeled vertices whose open end lies in the subset
-    starts = [v for v in frag.labels if unused[v]]
-    rng.shuffle(starts)
-    for v0 in starts:
-        if not unused[v0]:
-            continue  # already consumed as the far end of an earlier trail
-        h = unused[v0].pop()
-        orient_out(h)
-        while True:
-            hp = partner(h)
-            w = _vertex_of(g, hp)
-            unused[w].remove(hp)
-            if w in labeled:
-                break
-            hn = rng.choice(unused[w])
-            unused[w].remove(hn)
-            pairing[w].append((hp, hn))
-            orient_out(hn)
-            h = hn
-
-    # circuits on the remaining half-edges (all at unlabeled vertices now)
-    while True:
-        rem = sorted(v for v in unused if unused[v])
-        if not rem:
-            break
-        v0 = rng.choice(rem)
-        h0 = rng.choice(unused[v0])
-        unused[v0].remove(h0)
-        orient_out(h0)
-        h = h0
-        while True:
-            hp = partner(h)
-            w = _vertex_of(g, hp)
-            unused[w].remove(hp)
-            if w == v0:
-                # closing with the reserved start half-edge is always an option
-                pick = rng.randrange(len(unused[w]) + 1)
-                if pick == len(unused[w]):
-                    pairing[w].append((hp, h0))
-                    break
-                hn = unused[w][pick]
-            else:
-                hn = rng.choice(unused[w])
-            unused[w].remove(hn)
-            pairing[w].append((hp, hn))
-            orient_out(hn)
-            h = hn
-
-    return EulerianState(
-        subset, orientation, {v: tuple(ps) for v, ps in pairing.items()}
-    )
+    return peel(frag, subset, random.Random(seed))[0]
 
 
 def validate_state(frag, state: EulerianState) -> None:

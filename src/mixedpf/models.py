@@ -236,7 +236,8 @@ def model_from_json(obj: dict) -> EdgeColoringModel:
     if not isinstance(obj, dict):
         raise ValueError("model JSON must be an object")
     try:
-        if any(isinstance(obj.get(key), bool) for key in ("k", "two_ell", "cap")):
+        # int() would read true as 1 and truncate 2.7 to 2
+        if any(isinstance(obj.get(key), (bool, float)) for key in ("k", "two_ell", "cap")):
             raise ValueError
         k = int(obj["k"])
         two_ell = int(obj["two_ell"])

@@ -100,6 +100,22 @@ def test_bool_is_not_a_component(bad):
             GaussianRational.from_json(obj)
 
 
+def test_integral_fraction_results_are_ints():
+    half = GaussianRational(Fraction(1, 2))
+    assert type((half * 2).re) is int
+    assert type((half + half).re) is int
+    assert type((half - GaussianRational(Fraction(-1, 2))).re) is int
+    assert type((GaussianRational(0, Fraction(1, 3)) * 3).im) is int
+    assert type((1 - half - half).re) is int
+
+
+@given(gaussians, gaussians)
+def test_sums_and_products_keep_components_reduced(a, b):
+    for x in (a + b, a - b, a * b, 1 - a, a * Fraction(2, 3)):
+        for c in (x.re, x.im):
+            assert type(c) is int or c.denominator != 1
+
+
 def test_components_always_reduced():
     x = GaussianRational(Fraction(4, 2), Fraction(6, 4))
     assert x.re == 2 and x.im == Fraction(3, 2)

@@ -96,6 +96,18 @@ def test_eval_long_path(tmp_path, capsys):
 GOOD_MODEL = {"k": 1, "two_ell": 0, "cap": 2, "entries": [{"sym": [2], "ext": [], "value": 1}]}
 
 
+def eval_model_with(tmp_path, field, value):
+    """Exit code of ``eval`` on K3 with one field of GOOD_MODEL replaced."""
+    graph = write(tmp_path, "k3.graph", K3_TEXT)
+    obj = json.loads(json.dumps(GOOD_MODEL))
+    if field in obj:
+        obj[field] = value
+    else:
+        obj["entries"][0][field] = value
+    model = write(tmp_path, "bad.json", json.dumps(obj))
+    return main(["eval", graph, "--model-file", model, "--mode", "ordinary"])
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -112,15 +124,28 @@ def test_eval_json_bool_is_input_error(tmp_path, capsys, field, value):
     good = write(tmp_path, "good.json", json.dumps(GOOD_MODEL))
     assert main(["eval", graph, "--model-file", good, "--mode", "ordinary"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "1"
-    obj = json.loads(json.dumps(GOOD_MODEL))
-    if field in obj:
-        obj[field] = value
-    else:
-        obj["entries"][0][field] = value
-    model = write(tmp_path, "bad.json", json.dumps(obj))
-    assert main(["eval", graph, "--model-file", model, "--mode", "ordinary"]) == 2
+    assert eval_model_with(tmp_path, field, value) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("k", 1.5),
+        ("two_ell", 0.5),
+        ("cap", 2.9),
+        ("cap", 2.0),
+        ("value", {"re": 0.5}),
+        ("value", {"re": "1", "im": 0.25}),
+    ],
+)
+def test_eval_json_float_is_input_error(tmp_path, capsys, field, value):
+    # a JSON float would be truncated (k, cap) or read in binary (values)
+    assert eval_model_with(tmp_path, field, value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_eval_parse_error_reports_line(tmp_path, capsys):

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedpf.algebra import ONE, ZERO, GaussianRational
 from mixedpf.connection import fragment_tensor
@@ -23,6 +25,7 @@ from mixedpf.graph import (
     circle_graph,
     cycle_graph,
     disjoint_union,
+    decompose,
     enumerate_eulerian_subsets,
     eulerian_state,
 )
@@ -30,6 +33,7 @@ from mixedpf.models import (
     EdgeColoringModel,
     charpoly_model,
     circuit_neg_model,
+    circuit_odd_model,
     circuit_pos_model,
     matchings_model,
     tensor_model,
@@ -380,3 +384,103 @@ def test_many_matches_single():
             assert (res.value, res.colorings) == (single.value, single.colorings), g
         checked += 1
     assert checked > 200
+
+
+# -- the per-call fast path against the simple path -------------------------------
+
+
+def builtin_models(cap):
+    """Every built-in model with the modes it allows."""
+    yield [matchings_model(cap=cap)], ("ordinary", "mixed")
+    yield [charpoly_model(t, cap=cap) for t in (0, 1, -2, Fraction(3, 2))], ("mixed",)
+    for k in (1, 2, 3):
+        yield [circuit_pos_model(k, cap=cap)], ("ordinary", "mixed")
+    for ell in (1, 2):
+        yield [circuit_neg_model(ell)], ("skew", "mixed")
+        yield [circuit_odd_model(ell, cap=cap)], ("mixed",)
+
+
+def simple_path(g, model, mode):
+    """Value, subsets and colorings from seeded states traced by decompose."""
+    if mode == "ordinary":
+        subsets = [frozenset()]
+    elif mode == "skew":
+        subsets = [frozenset(range(g.n_edges))] if g.is_eulerian() else []
+    else:
+        subsets = enumerate_eulerian_subsets(g)
+    value, colorings = ZERO, 0
+    for subset in subsets:
+        state = eulerian_state(g, subset, 0)
+        circuits, _ = decompose(state, g)
+        [((total,), leaves)] = subset_sums(Fragment(g), subset, state, [model])
+        value = value - total if circuits % 2 else value + total
+        colorings += leaves
+    return value, len(subsets), colorings
+
+
+def test_partition_function_many_equals_the_simple_path():
+    """Every built-in model in every mode it allows, on every multigraph
+    with at most 3 vertices and 4 edges: the call-wide context and the
+    rng-free peel give what seeded states and decompose give."""
+    checked = 0
+    for g in enumerate_multigraphs(3, 4):
+        for models, modes in builtin_models(max(g.max_degree(), 1)):
+            for mode in modes:
+                for h, res in zip(models, partition_function_many(g, models, mode)):
+                    got = (res.value, res.subsets, res.colorings)
+                    assert got == simple_path(g, h, mode), (g, h, mode)
+                    checked += 1
+    assert checked > 3000
+
+
+MODEL_SHAPES = (
+    ("ordinary", 2, 0),
+    ("ordinary", 1, 0),
+    ("skew", 0, 2),
+    ("skew", 0, 4),
+    ("mixed", 1, 2),
+    ("mixed", 2, 2),
+    ("mixed", 0, 2),
+)
+
+
+@st.composite
+def multigraphs(draw, max_vertices=4, max_edges=6):
+    n = draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    return MultiGraph(n, tuple(edges), draw(st.integers(0, 1)))
+
+
+def sparse_model(seed, shape, max_degree):
+    _, k, two_ell = shape
+    return random_sparse_model(random.Random(seed), k, two_ell, max(max_degree, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), st.sampled_from(MODEL_SHAPES), st.integers(0, 2**32), st.data())
+def test_partition_function_follows_vertex_renaming_and_edge_permutation(g, shape, seed, data):
+    model = sparse_model(seed, shape, g.max_degree())
+    rename = data.draw(st.permutations(range(g.n_vertices)))
+    order = data.draw(st.permutations(range(g.n_edges)))
+    moved = MultiGraph(
+        g.n_vertices,
+        tuple((rename[g.edges[e][1]], rename[g.edges[e][0]]) for e in order),
+        g.n_circles,
+    )
+    mode = shape[0]
+    assert partition_function(moved, model, mode) == partition_function(g, model, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    multigraphs(3, 4), multigraphs(3, 3), st.sampled_from(MODEL_SHAPES), st.integers(0, 2**32)
+)
+def test_partition_function_is_multiplicative_over_disjoint_union(g, h, shape, seed):
+    model = sparse_model(seed, shape, max(g.max_degree(), h.max_degree()))
+    mode = shape[0]
+    left = partition_function(disjoint_union(g, h), model, mode)
+    a, b = partition_function(g, model, mode), partition_function(h, model, mode)
+    assert left.value == a.value * b.value
+    assert left.subsets == a.subsets * b.subsets
+    assert left.colorings == a.colorings * b.colorings

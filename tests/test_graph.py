@@ -22,6 +22,7 @@ from mixedpf.graph import (
     glue_with_maps,
     parse_fragments,
     parse_graph,
+    peel,
     validate_state,
     walk_decomposition,
 )
@@ -177,6 +178,30 @@ def test_open_open_edge_trail():
     circuits, trails = decompose(state, frag)
     assert circuits == 0
     assert trails in (((1, 2),), ((2, 1),))
+
+
+def test_peel_counts_what_decompose_traces():
+    """The peel's state is valid and its counts are decompose's, with and
+    without a generator, on every subset of every small fragment."""
+    checked = 0
+    for t in range(5):
+        for frag in enumerate_fragments(t, 2, 5):
+            for subset in enumerate_eulerian_subsets(frag):
+                for rng in (None, random.Random(checked)):
+                    state, circuits, trails = peel(frag, subset, rng)
+                    validate_state(frag, state)
+                    assert (circuits, trails) == decompose(state, frag), (frag, subset)
+                    checked += 1
+    assert checked > 10000
+
+
+def test_peel_without_rng_is_deterministic_and_closes_late():
+    # FIG8's walk passes its start vertex once before closing: one circuit
+    assert peel(FIG8, frozenset({0, 1}))[1:] == (1, ())
+    frag = Fragment(MultiGraph(4, ((0, 1), (0, 2), (0, 3), (0, 0))), (1, 2, 3))
+    runs = [peel(frag, frozenset({0, 1, 3})) for _ in range(3)]
+    assert all(run == runs[0] for run in runs)
+    assert runs[0][1:] == (0, ((1, 2),))
 
 
 def test_non_eulerian_subset_rejected():
