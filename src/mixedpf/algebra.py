@@ -31,9 +31,10 @@ def _fraction(x) -> Fraction:
 
     A float is refused, as a bool is: Fraction would read its binary value
     exactly (0.1 as 3602879701896397/36028797018963968), never what was
-    written.
+    written.  So is a string with an exponent, which Fraction would expand
+    in full ("1e999999999" is a billion-digit integer).
     """
-    if isinstance(x, (bool, float)):
+    if isinstance(x, (bool, float)) or isinstance(x, str) and "e" in x.lower():
         raise ValueError(f"not an exact rational: {x!r}")
     try:
         return Fraction(x)

@@ -98,16 +98,11 @@ def cmd_eval(args) -> int:
 def cmd_connrank(args) -> int:
     with open(args.fragments) as fh:
         fragments = parse_fragments(fh.read())
-    ts = {f.t for f in fragments}
-    if len(ts) > 1:
-        raise ValueError(f"fragments must share one t, found {sorted(ts)}")
-    t = ts.pop() if ts else 0
     max_deg = max((f.graph.max_degree() for f in fragments), default=0)
     model = _load_model(args, default_cap=max_deg)
     matrix = connection_matrix(fragments, model, args.mode)
     rank = exact_rank(matrix)
-    base = model.k if args.mode == "ordinary" else model.k + model.two_ell
-    bound = base**t
+    bound = (model.k + model.two_ell) ** matrix.t
     verdict = "PASS" if rank <= bound else "FAIL"
     print(f"rank={rank} bound={bound} {verdict}")
     if args.csv:

@@ -24,10 +24,10 @@ from .graph import (
     EulerianState,
     Fragment,
     as_fragment,
+    build_G_pi,
     decompose,
     eulerian_state,
     glue,
-    is_eulerian_subset,
     validate_state,
 )
 from .linalg import matrix_rank
@@ -171,8 +171,6 @@ def fragment_tensor(
     """
     frag = as_fragment(frag)
     subset = frozenset(subset)
-    if not is_eulerian_subset(frag, subset):
-        raise ValueError("subset is not Eulerian")
     model.check_cap(frag.graph)
     if state is None:
         state = eulerian_state(frag, subset, 0)
@@ -254,9 +252,9 @@ def connection_matrix(
     fragments = tuple(as_fragment(f) for f in fragments)
     if not fragments:
         return ConnectionMatrix(0, (), ())
-    t = fragments[0].t
-    if any(f.t != t for f in fragments):
-        raise ValueError("all fragments must share the same number of labels")
+    ts = sorted({f.t for f in fragments})
+    if len(ts) > 1:
+        raise ValueError(f"fragments must share one t, found {ts}")
     n = len(fragments)
     rows = [[ZERO] * n for _ in range(n)]
     for a in range(n):
@@ -264,7 +262,7 @@ def connection_matrix(
             value = partition_function(glue(fragments[a], fragments[b]), model, mode).value
             rows[a][b] = value
             rows[b][a] = value
-    return ConnectionMatrix(t, fragments, tuple(tuple(row) for row in rows))
+    return ConnectionMatrix(ts[0], fragments, tuple(tuple(row) for row in rows))
 
 
 def exact_rank(matrix: ConnectionMatrix) -> int:
@@ -282,8 +280,6 @@ def dglrs_constraint_sum(f, k: int) -> GaussianRational:
     it, which is the certificate that they are not ordinary partition
     functions.
     """
-    from .graph import build_G_pi
-
     total = ZERO
     for pi in itertools.permutations(range(k + 1)):
         value = as_gaussian(f(build_G_pi(k, pi)))

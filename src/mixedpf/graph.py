@@ -384,18 +384,10 @@ def walk_decomposition(frag, state: EulerianState) -> list[Walk]:
             edges.append(hout[0])
             h = hout
 
-    for pos, v in enumerate(frag.labels):
-        hes = [
-            (e, s)
-            for e, (a, b) in enumerate(g.edges)
-            for s, u in ((0, a), (1, b))
-            if u == v and e in state.subset
-        ]
-        if not hes:
-            continue
-        (he,) = hes
-        if is_incoming(state, he):
-            continue  # trail is traced from its start label
+    for pos in range(frag.t):
+        he = frag.open_end(pos)
+        if he[0] not in state.subset or is_incoming(state, he):
+            continue  # off the subset, or a trail traced from its start label
         edges, steps, end = trace(he)
         walks.append(Walk("trail", pos + 1, end, tuple(edges), tuple(steps)))
 
@@ -612,6 +604,9 @@ def build_G_pi(k: int, pi) -> MultiGraph:
 
 # -- text format --------------------------------------------------------------
 
+#: the most vertices a block of the text format may declare
+MAX_VERTICES = 10**6
+
 
 def parse_fragments(text: str) -> list[Fragment]:
     """Parse the one-declaration-per-line graph format, '#' starting comments.
@@ -619,7 +614,8 @@ def parse_fragments(text: str) -> list[Fragment]:
     Each block begins with ``vertices N`` and may contain ``edge u v``,
     ``circle`` and ``label v`` lines; a new ``vertices`` line starts the next
     block.  Parsing is strict: unknown keywords, out-of-range ids, labels of
-    degree != 1, and circles declared inside fragments are all errors.
+    degree != 1, circles declared inside fragments and blocks of more than
+    :data:`MAX_VERTICES` vertices are all errors.
     """
     blocks = []
     current = None
@@ -646,8 +642,11 @@ def parse_fragments(text: str) -> list[Fragment]:
         kw, args = parts[0], parts[1:]
         if kw == "vertices":
             close(lineno)
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not args[0].isdecimal():
                 raise ValueError(f"line {lineno}: expected 'vertices N'")
+            # count digits first, so that a huge count is never converted
+            if len(args[0].lstrip("0")) > len(str(MAX_VERTICES)) or int(args[0]) > MAX_VERTICES:
+                raise ValueError(f"line {lineno}: more than {MAX_VERTICES} vertices")
             current = [int(args[0]), [], 0, []]
             continue
         if current is None:

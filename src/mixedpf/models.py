@@ -43,12 +43,9 @@ class EdgeColoringModel:
         self.two_ell = two_ell
         self.cap = cap
         table = {}
-        items = entries.items() if isinstance(entries, dict) else entries
-        for item in items:
-            if isinstance(entries, dict):
-                (sym, ext), value = item
-            else:
-                sym, ext, value = item
+        if isinstance(entries, dict):
+            entries = [(sym, ext, value) for (sym, ext), value in entries.items()]
+        for sym, ext, value in entries:
             sym = tuple(int(c) for c in sym)
             ext = tuple(int(i) for i in ext)
             if len(sym) != k or any(c < 0 for c in sym):
@@ -151,29 +148,43 @@ def circuit_pos_model(k: int, cap: int = 8) -> EdgeColoringModel:
 
     Weight is the product of (alpha_i - 1)!! over the color multiplicities,
     with the even-argument double factorial defined as zero, so only
-    all-even patterns survive.
+    all-even patterns survive; they are the only ones built, twice the
+    compositions of half their degree.
     """
     if k < 1:
         raise ValueError("circuit_pos_model needs k >= 1")
     entries = []
-    for total in range(0, cap + 1, 2):
-        for alpha in _compositions(total, k):
+    for half in range(cap // 2 + 1):
+        for beta in _compositions(half, k):
             weight = 1
-            for a in alpha:
-                weight *= double_factorial_odd(a - 1)
-            if weight:
-                entries.append((alpha, (), weight))
+            for b in beta:
+                weight *= double_factorial_odd(2 * b - 1)
+            entries.append((tuple(2 * b for b in beta), (), weight))
     return EdgeColoringModel(k, 0, entries, cap=cap)
 
 
 def _compositions(total, parts):
+    """The tuples of ``parts`` nonnegative ints summing to ``total`` >= 0, in
+    lexicographic order.  Iterative, so ``parts`` is not bounded by the
+    recursion limit."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    c = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(c)
+        # the successor moves one unit of the last nonzero part one place
+        # left, and the rest of that part to the end
+        r = parts - 1
+        while r and not c[r]:
+            r -= 1
+        if not r:
+            return
+        rest = c[r] - 1
+        c[r] = 0
+        c[r - 1] += 1
+        c[-1] = rest
 
 
 def circuit_neg_model(ell: int) -> EdgeColoringModel:
@@ -266,12 +277,37 @@ def model_from_json(obj: dict) -> EdgeColoringModel:
 
 BUILTIN_MODELS = ("matchings", "charpoly", "circuit-pos", "circuit-neg", "circuit-odd")
 
+#: the most numbers a built-in model's table may hold (its entries times its
+#: k + 2l colors); model_from_spec counts them before building anything
+MAX_MODEL_SIZE = 10**6
+
+
+def _capped_binomial(n: int, r: int) -> int:
+    """C(n, r), or MAX_MODEL_SIZE + 1 as soon as it is larger."""
+    r = min(r, n - r)
+    value = 1
+    for i in range(1, r + 1):
+        # C(n - r + i, i), which grows with i
+        value = value * (n - r + i) // i
+        if value > MAX_MODEL_SIZE:
+            return MAX_MODEL_SIZE + 1
+    return value
+
+
+def _check_size(entries: int, colors: int) -> None:
+    if entries * colors > MAX_MODEL_SIZE:
+        raise ValueError(
+            f"model table too large: more than {MAX_MODEL_SIZE} numbers "
+            "(entries times k + 2l colors)"
+        )
+
 
 def model_from_spec(spec: str, cap: int = 8) -> EdgeColoringModel:
     """Build a named model from a CLI spec like "charpoly?t=3/2".
 
     Known names: matchings, charpoly?t=..., circuit-pos?k=...,
-    circuit-neg?l=..., circuit-odd?l=... .
+    circuit-neg?l=..., circuit-odd?l=... .  A table of more than
+    :data:`MAX_MODEL_SIZE` numbers is refused before it is built.
     """
     name, _, query = spec.partition("?")
     params = {}
@@ -284,19 +320,29 @@ def model_from_spec(spec: str, cap: int = 8) -> EdgeColoringModel:
     try:
         if name == "matchings":
             _expect_keys(params, ())
+            _check_size(2 * cap + 1, 2)
             return matchings_model(cap=cap)
         if name == "charpoly":
             _expect_keys(params, ("t",))
-            return charpoly_model(GaussianRational.from_string(params["t"]), cap=cap)
+            t = GaussianRational.from_string(params["t"])
+            _check_size(3 * cap + 1, 4)
+            return charpoly_model(t, cap=cap)
         if name == "circuit-pos":
             _expect_keys(params, ("k",))
-            return circuit_pos_model(int(params["k"]), cap=cap)
+            k = int(params["k"])
+            _check_size(_capped_binomial(cap // 2 + k, k), k)
+            return circuit_pos_model(k, cap=cap)
+        # 2^l entries: the clamp keeps a huge l cheap, and the builders refuse l < 1
         if name == "circuit-neg":
             _expect_keys(params, ("l",))
-            return circuit_neg_model(int(params["l"]))
+            ell = int(params["l"])
+            _check_size(2 ** max(0, min(ell, 64)), 2 * ell)
+            return circuit_neg_model(ell)
         if name == "circuit-odd":
             _expect_keys(params, ("l",))
-            return circuit_odd_model(int(params["l"]), cap=cap)
+            ell = int(params["l"])
+            _check_size((cap // 2 + 1) * 2 ** max(0, min(ell, 64)), 1 + 2 * ell)
+            return circuit_odd_model(ell, cap=cap)
     except KeyError as exc:
         raise ValueError(f"model '{name}' is missing parameter {exc}") from None
     raise ValueError(f"unknown model '{name}' (known: {', '.join(BUILTIN_MODELS)})")

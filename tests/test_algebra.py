@@ -73,6 +73,15 @@ def test_parse_rejects_garbage():
             GaussianRational.from_string(bad)
 
 
+@pytest.mark.parametrize("text", ["1e3", "2E-1", "1/2+3e2i", "1e999999999"])
+def test_exponents_are_refused(text):
+    # Fraction would expand an exponent in full: 1e999999999 has 10^9 digits
+    with pytest.raises(ValueError, match="not an exact rational"):
+        GaussianRational.from_string(text)
+    with pytest.raises(ValueError, match="not an exact rational"):
+        GaussianRational.from_json({"re": text})
+
+
 def test_i_squared():
     assert I * I == -1
     assert I**2 == GaussianRational(-1)

@@ -1,6 +1,7 @@
 """Command-line interface tests (exit codes, formats, byte stability)."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -148,6 +149,43 @@ def test_eval_json_float_is_input_error(tmp_path, capsys, field, value):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+ONE_EDGE_TEXT = "vertices 2\nedge 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        ("vertices 1000000000000\n", ["--model", "matchings"]),
+        (ONE_EDGE_TEXT, ["--model", "circuit-pos?k=2000", "--cap", "2"]),
+        (ONE_EDGE_TEXT, ["--model", "circuit-neg?l=40"]),
+        (ONE_EDGE_TEXT, ["--model", "charpoly?t=0", "--cap", "1000000000"]),
+        (ONE_EDGE_TEXT, ["--model", "charpoly?t=1e99999999"]),
+    ],
+    ids=["vertices", "circuit-pos", "circuit-neg", "cap", "exponent"],
+)
+def test_eval_oversized_input_is_input_error(tmp_path, capsys, text, argv):
+    """Refused up front: tracing the allocations shows that neither the
+    graph nor the model table was built."""
+    path = write(tmp_path, "big.graph", text)
+    tracemalloc.start()
+    try:
+        code = main(["eval", path, *argv, "--mode", "mixed"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert peak < 2**20
+
+
+def test_eval_many_colors_do_not_recurse(tmp_path, capsys):
+    # cap 1 leaves a one-entry table, and its 2000 parts once meant 2000 frames
+    path = write(tmp_path, "edge.graph", ONE_EDGE_TEXT)
+    assert main(["eval", path, "--model", "circuit-pos?k=2000", "--mode", "ordinary"]) == 0
+    assert capsys.readouterr().out == "0\n# subsets=1 colorings=0\n"
+
+
 def test_eval_parse_error_reports_line(tmp_path, capsys):
     path = write(tmp_path, "bad.graph", "vertices 1\nedge 0 7\n")
     assert main(["eval", path, "--model", "matchings", "--mode", "ordinary"]) == 2
@@ -192,6 +230,7 @@ def test_connrank_t_mismatch(tmp_path, capsys):
     text = "vertices 2\nedge 0 1\nlabel 0\n" + FRAGMENTS_TEXT
     frags = write(tmp_path, "frags.graph", text)
     assert main(["connrank", frags, "--model", "matchings", "--mode", "ordinary"]) == 2
+    assert capsys.readouterr().err == "error: fragments must share one t, found [1, 2]\n"
 
 
 def test_verify_small_suite(capsys):

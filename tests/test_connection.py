@@ -328,6 +328,24 @@ def test_connection_matrix_symmetry_against_direct_evaluation():
             assert matrix.entries[a][b] == matrix.entries[b][a]
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.sampled_from([("mixed", 1, 2), ("mixed", 2, 2), ("ordinary", 1, 0), ("ordinary", 2, 0)]),
+    st.integers(0, 2**32),
+)
+def test_gluing_is_symmetric(t, shape, seed):
+    """connection_matrix evaluates its upper triangle only, which assumes
+    Z(F1 * F2) = Z(F2 * F1)."""
+    rng = random.Random(seed)
+    f1, f2 = (random_fragment(rng, t, max_internal=2, max_edges=4) for _ in range(2))
+    mode, k, two_ell = shape
+    h = random_sparse_model(rng, k, two_ell, max(f1.graph.max_degree(), f2.graph.max_degree()))
+    one = partition_function(glue(f1, f2), h, mode)
+    other = partition_function(glue(f2, f1), h, mode)
+    assert (one.value, one.subsets) == (other.value, other.subsets)
+
+
 def test_connection_matrix_t_mismatch():
     with pytest.raises(ValueError):
         connection_matrix(

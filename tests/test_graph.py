@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedpf.graph import (
+    MAX_VERTICES,
     Fragment,
     MultiGraph,
     build_G_pi,
@@ -415,6 +416,56 @@ def test_parse_errors(text, message):
 def test_parse_error_reports_line_number():
     with pytest.raises(ValueError, match="line 3"):
         parse_fragments("vertices 2\nedge 0 1\nedge 9 0\n")
+
+
+# stray lines: the format's keywords with odd or malformed arguments
+TOKENS = st.one_of(
+    st.sampled_from(["vertices", "edge", "label", "circle", "#", "1000001", "x"]),
+    st.integers(-1, 3).map(str),
+    st.text(max_size=3),
+)
+KEYWORDS = st.sampled_from([("edge", 2), ("edge", 2), ("label", 1), ("circle", 0)])
+
+
+@st.composite
+def graph_texts(draw):
+    """Blocks of the text format, with at most one stray line."""
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 4))
+        lines.append(f"vertices {n}")
+        vertex = st.integers(0, max(n - 1, 0)).map(str)
+        for _ in range(draw(st.integers(0, 5))):
+            kw, arity = draw(KEYWORDS)
+            lines.append(" ".join([kw] + [draw(vertex) for _ in range(arity)]))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), " ".join(draw(st.lists(TOKENS, max_size=4))))
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts() | st.text(max_size=60))
+def test_parsers_parse_or_refuse(text):
+    """Every text either parses, and then formats back to itself, or is
+    refused with ValueError."""
+    try:
+        blocks = parse_fragments(text)
+    except ValueError:
+        blocks = None
+    if blocks is not None:
+        assert parse_fragments("".join(map(format_fragment, blocks))) == blocks
+    try:
+        g = parse_graph(text)
+    except ValueError:
+        return
+    assert blocks == [Fragment(g)]
+
+
+def test_vertex_counts_past_the_limit_are_refused():
+    assert parse_graph(f"vertices {MAX_VERTICES}\n").n_vertices == MAX_VERTICES
+    for count in (MAX_VERTICES + 1, "0" * 20 + str(MAX_VERTICES + 1), "9" * 5000):
+        with pytest.raises(ValueError, match=f"more than {MAX_VERTICES} vertices"):
+            parse_fragments(f"vertices {count}\n")
 
 
 def test_fragment_validation():

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from mixedpf.algebra import I
 from mixedpf.models import (
+    BUILTIN_MODELS,
+    MAX_MODEL_SIZE,
     EdgeColoringModel,
+    _compositions,
     charpoly_model,
     circuit_neg_model,
     circuit_odd_model,
@@ -191,3 +194,135 @@ def test_model_spec_errors():
         model_from_spec("charpoly")  # missing t
     with pytest.raises(ValueError):
         model_from_spec("matchings?bogus=1")
+
+
+# -- readers of outside input ------------------------------------------------------
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10),
+    st.just(10**30),
+    st.floats(allow_nan=False),
+    st.sampled_from(["0", "1/2", "-i", "1/0", "2e3", "x", ""]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["re", "im", "k", "x"]), inner, max_size=3),
+    max_leaves=8,
+)
+VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "-i", "2-3/4i"]),
+    st.fixed_dictionaries(
+        {"re": st.sampled_from(["1", "-1/3"]), "im": st.sampled_from(["0", "2"])}
+    ),
+)
+
+
+@st.composite
+def model_objects(draw):
+    """Valid model JSON, with up to two fields replaced by any JSON or deleted."""
+    k = draw(st.integers(0, 2))
+    two_ell = draw(st.sampled_from([0, 2, 4]))
+    entries = [
+        {
+            "sym": draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)),
+            "ext": sorted(draw(st.sets(st.integers(1, max(two_ell, 1)), max_size=two_ell))),
+            "value": draw(VALUES),
+        }
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    cap = draw(st.none() | st.integers(0, 8))
+    obj = {"k": k, "two_ell": two_ell, "cap": cap, "entries": entries}
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from([obj] + entries))
+        if not target:
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(JSON_VALUES)
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(model_objects() | JSON_VALUES)
+def test_model_from_json_reads_or_refuses(obj):
+    """Every JSON value is a model, which survives a round trip, or a ValueError."""
+    try:
+        h = model_from_json(obj)
+    except ValueError:
+        return
+    assert model_from_json(json.loads(json.dumps(model_to_json(h)))) == h
+
+
+PARAMETERS = st.one_of(
+    st.integers(-1, 4).map(str),
+    st.sampled_from(["16", "40", "2000", "9" * 30, "1/2", "-i", "1/0", "1e999999999", "x", ""]),
+    st.text(max_size=4),
+)
+SPEC_KEYS = {
+    "matchings": (),
+    "charpoly": ("t",),
+    "circuit-pos": ("k",),
+    "circuit-neg": ("l",),
+    "circuit-odd": ("l",),
+}
+
+
+@st.composite
+def specs(draw):
+    """Built-in specs with their own parameters, and maybe one stray one."""
+    name = draw(st.sampled_from(BUILTIN_MODELS))
+    pairs = [f"{key}={draw(PARAMETERS)}" for key in SPEC_KEYS[name]]
+    if draw(st.integers(0, 3)) == 0:
+        pairs.append(draw(st.text(max_size=4)))
+    return "?".join([name, "&".join(pairs)]) if pairs else name
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs() | st.text(max_size=20), st.integers(-1, 12))
+def test_model_from_spec_builds_or_refuses(spec, cap):
+    """Every spec is a model within MAX_MODEL_SIZE, or a ValueError."""
+    try:
+        h = model_from_spec(spec, cap=cap)
+    except ValueError:
+        return
+    assert len(h.entries) * (h.k + h.two_ell) <= MAX_MODEL_SIZE
+
+
+def test_model_spec_sizes_are_counted_before_building():
+    # circuit-pos?k=K holds C(cap/2 + K, K) entries of K colors
+    assert len(model_from_spec("circuit-pos?k=999", cap=2).entries) == 1000
+    for spec, cap in [
+        ("circuit-pos?k=1000", 2),
+        ("circuit-neg?l=16", 0),
+        ("circuit-odd?l=15", 2),
+        ("charpoly?t=1", 83334),
+        ("matchings", 250000),
+        ("circuit-neg?l=" + "9" * 30, 0),
+    ]:
+        with pytest.raises(ValueError, match="model table too large"):
+            model_from_spec(spec, cap=cap)
+
+
+def recursive_compositions(total, parts):
+    """The recursion that _compositions replaced, kept as its reference."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_keep_the_recursive_order():
+    # random_sparse_model's draws follow this order
+    for total in range(7):
+        for parts in range(5):
+            assert list(_compositions(total, parts)) == list(recursive_compositions(total, parts))
+    assert list(_compositions(1, 3000))[-1] == (1,) + (0,) * 2999
