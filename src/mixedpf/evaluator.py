@@ -24,6 +24,16 @@ reads and fills.  Each subset's state comes from the rng-free
 so the (-1)^(circuits) sign needs no second trace; any valid state gives
 the same signed sum.
 
+The walk multiplies Gaussian integers, not Fractions: each model carries
+its weights scaled by their common denominator D
+(:class:`~mixedpf.models.EdgeColoringModel`), so a real factor is a plain
+int and ``operator.mul`` stays in C until an i appears.  Every vertex but
+the labels gives one weight per coloring, so a subset's sum is
+D^(n_vertices - t) times the true one; :func:`subset_sums` divides each
+coefficient by that power once, and :func:`partition_function_many` each
+model's total once per call, skipping the division when D = 1.  The
+result is exact, with the same canonical components as any Q(i) value.
+
 Vertexless circle components never enter the enumeration: each contributes
 the closed-form factor k - 2*ell, which is k in ordinary mode (2*ell = 0)
 and -2*ell in skew mode (k = 0).  The exact sum is independent of
@@ -36,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .algebra import GaussianRational, ONE, ZERO, dual_basis, normalize_wedge, sym_counts
+from .algebra import ZERO, GaussianRational, as_gaussian, dual_basis, normalize_wedge, sym_counts
 from .graph import (
     EulerianState,
     Fragment,
@@ -92,12 +102,14 @@ def _canonical(shape, key):
 
 
 def _vertex_factors(shape, key, tables):
-    """A vertex's weights under each model's entry table.
+    """A vertex's weights under each model's table of weights.
 
     None when every model weighs the pattern zero, else (alive mask,
     factors): bit i of the mask is set iff model i's weight is nonzero, and
-    factors holds the per-model weights, ONE standing in for the zero ones,
-    or is None when they are all ONE, so that the walk skips the product.
+    factors holds the signed per-model weights, 1 standing in for the zero
+    ones, or is None when they are all 1, so that the walk skips the
+    product.  The walk passes each model's ``scaled`` table, whose real
+    weights are plain ints.
     """
     canon = _canonical(shape, key)
     if canon is None:
@@ -108,13 +120,13 @@ def _vertex_factors(shape, key, tables):
     for i, entries in enumerate(tables):
         val = entries.get(entry)
         if val is None:
-            factors.append(ONE)
+            factors.append(1)
         else:
             mask |= 1 << i
             factors.append(val if sign > 0 else -val)
     if not mask:
         return None
-    return mask, None if all(f == ONE for f in factors) else tuple(factors)
+    return mask, None if all(f == 1 for f in factors) else tuple(factors)
 
 
 class _SubsetContext:
@@ -127,6 +139,10 @@ class _SubsetContext:
     vertices, and the factor caches, one per local shape, from a
     slot-ordered color tuple to its :func:`_vertex_factors`.  The caches
     are keyed by the call's models, so they hold for all its subsets.
+
+    The walk multiplies each model's ``scaled`` weights, so :meth:`run`
+    sums D^(n_vertices - t) times the true values; ``scales`` holds that
+    power for each model, isolated vertices counted.
 
     Each internal vertex reads its colors in slot order: one symmetric slot
     per end of an edge off the subset (a loop gives two), then the (in, out)
@@ -147,7 +163,7 @@ class _SubsetContext:
         self.k = k
         self.two_ell = two_ell
         self.edges = g.edges
-        self.tables = [h.entries for h in models]
+        self.tables = [h.scaled for h in models]
         self.caches = {}
         self.sym_colors = range(1, k + 1)
         self.ext_colors = range(1, two_ell + 1)
@@ -166,7 +182,7 @@ class _SubsetContext:
         self.open_ends = [frag.open_end(pos) for pos in range(frag.t)]
         # the weight of the isolated internal vertices, common to every subset
         mask = (1 << len(models)) - 1
-        acc = (ONE,) * len(models)
+        acc = (1,) * len(models)
         isolated = (k, two_ell, 0, 0)
         for v in range(g.n_vertices):
             if v in labeled or v in last:
@@ -178,6 +194,8 @@ class _SubsetContext:
             if hit[1] is not None:
                 acc = tuple(map(mul, acc, hit[1]))
         self.start = mask, acc
+        weighed = g.n_vertices - len(labeled)
+        self.scales = [h.denominator**weighed for h in models]
 
     def run(self, subset, state: EulerianState):
         """Sum per-coloring products of internal-vertex weights by label colors.
@@ -188,11 +206,13 @@ class _SubsetContext:
         of the subset's tensor, unsigned (no circuit parity or trail
         prefactor), and the number of full colorings the model weighs
         nonzero.  With no labels the single coefficient is the scalar sum.
+        Coefficients are Gaussian integers, ints when real, each model's
+        times its entry of ``scales``.
         """
         k, two_ell, tables = self.k, self.two_ell, self.tables
         n = len(tables)
         base = k + two_ell
-        coeffs = [[ZERO] * base ** len(self.open_ends) for _ in range(n)]
+        coeffs = [[0] * base ** len(self.open_ends) for _ in range(n)]
         leaves = [0] * n
         mask, acc = self.start
         if not mask:
@@ -296,7 +316,19 @@ def subset_sums(
     valid state of ``subset``, and the models share (k, two_ell) and fit the
     graph's degree caps (:meth:`EdgeColoringModel.check_cap`).
     """
-    return _SubsetContext(frag, models).run(subset, state)
+    ctx = _SubsetContext(frag, models)
+    return [
+        ([_unscale(c, scale) for c in coeffs], leaves)
+        for (coeffs, leaves), scale in zip(ctx.run(subset, state), ctx.scales)
+    ]
+
+
+def _unscale(value, scale: int) -> GaussianRational:
+    """A sum of scaled products back in Q(i), with canonical components."""
+    if not value:
+        return ZERO
+    value = as_gaussian(value)
+    return value if scale == 1 else value / scale
 
 
 def eulerian_sum(
@@ -364,7 +396,7 @@ def partition_function_many(
 
     frag = as_fragment(g)
     ctx = _SubsetContext(frag, models)
-    totals = [ZERO] * len(models)
+    totals = [0] * len(models)
     colorings = [0] * len(models)
     subsets = _mode_subsets(g, mode)
     for subset in subsets:
@@ -376,7 +408,10 @@ def partition_function_many(
 
     # the mode checks above make k - 2*ell the circle factor of every mode
     factor = GaussianRational(sig[0] - sig[1]) ** g.n_circles
-    return [EvaluationResult(v * factor, len(subsets), n) for v, n in zip(totals, colorings)]
+    return [
+        EvaluationResult(_unscale(v, scale) * factor, len(subsets), n)
+        for v, scale, n in zip(totals, ctx.scales, colorings)
+    ]
 
 
 def partition_function(

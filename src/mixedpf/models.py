@@ -15,6 +15,7 @@ an error rather than a silent zero.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from .algebra import (
     GaussianRational,
@@ -27,16 +28,38 @@ from .algebra import (
 )
 
 
-class EdgeColoringModel:
-    """A finitely supported functional on (k, 2*ell) color patterns."""
+#: the most colors k + 2l a model may have: the coloring search builds a
+#: k-vector of counts for each color a vertex sees, so one edge alone costs
+#: (k + 2l)^2 numbers, about 32 MB at this limit
+MAX_COLORS = 2048
 
-    __slots__ = ("k", "two_ell", "entries", "cap")
+
+def _check_colors(colors: int) -> None:
+    if colors > MAX_COLORS:
+        raise ValueError(f"too many colors: k + 2l = {colors} exceeds {MAX_COLORS}")
+
+
+class EdgeColoringModel:
+    """A finitely supported functional on (k, 2*ell) color patterns.
+
+    ``entries`` maps each canonical pattern to its nonzero weight.  The
+    model also keeps, from construction on, the least common ``denominator``
+    D of every weight's two components, and the table ``scaled`` of the
+    Gaussian integers D * w: a plain int for a real weight, else a
+    GaussianRational with int components.  The coloring search multiplies
+    scaled weights, so its products need no Fraction; a vertex gives one
+    weight per coloring, so a sum over the colorings of n weighed vertices
+    is D^n times the true one.
+    """
+
+    __slots__ = ("k", "two_ell", "entries", "cap", "denominator", "scaled")
 
     def __init__(self, k: int, two_ell: int, entries, cap: int | None = None):
         if k < 0:
             raise ValueError("k must be nonnegative")
         if two_ell < 0 or two_ell % 2:
             raise ValueError("two_ell must be even and nonnegative")
+        _check_colors(k + two_ell)
         if cap is not None and cap < 0:
             raise ValueError("degree cap must be nonnegative")
         self.k = k
@@ -58,6 +81,14 @@ class EdgeColoringModel:
             if value:
                 table[(sym, ext)] = value
         self.entries = table
+        d = 1
+        for value in table.values():
+            d = lcm(d, value.re.denominator, value.im.denominator)
+        self.denominator = d
+        self.scaled = {}
+        for key, value in table.items():
+            value = value * d
+            self.scaled[key] = value if value.im else value.re
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoringModel):
@@ -300,6 +331,7 @@ def _check_size(entries: int, colors: int) -> None:
             f"model table too large: more than {MAX_MODEL_SIZE} numbers "
             "(entries times k + 2l colors)"
         )
+    _check_colors(colors)
 
 
 def model_from_spec(spec: str, cap: int = 8) -> EdgeColoringModel:
@@ -307,7 +339,8 @@ def model_from_spec(spec: str, cap: int = 8) -> EdgeColoringModel:
 
     Known names: matchings, charpoly?t=..., circuit-pos?k=...,
     circuit-neg?l=..., circuit-odd?l=... .  A table of more than
-    :data:`MAX_MODEL_SIZE` numbers is refused before it is built.
+    :data:`MAX_MODEL_SIZE` numbers, or a model of more than
+    :data:`MAX_COLORS` colors, is refused before it is built.
     """
     name, _, query = spec.partition("?")
     params = {}

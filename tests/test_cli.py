@@ -179,6 +179,37 @@ def test_eval_oversized_input_is_input_error(tmp_path, capsys, text, argv):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "model,argv",
+    [
+        ({"k": 10**12, "two_ell": 0, "entries": []}, []),
+        ({"k": 3_000_000, "two_ell": 0, "entries": []}, []),
+        ({"k": 0, "two_ell": 2050, "entries": []}, []),
+        ({"k": 2000, "two_ell": 50, "entries": []}, []),
+        (None, ["--model", "circuit-pos?k=1000000", "--cap", "1"]),
+        (None, ["--model", "circuit-pos?k=2049", "--cap", "1"]),
+    ],
+    ids=["k-1e12", "k-3e6", "two-ell", "sum", "spec", "spec-at-limit"],
+)
+def test_eval_too_many_colors_is_input_error(tmp_path, capsys, model, argv):
+    """A model of more than MAX_COLORS colors is refused before its search
+    builds a k-vector, and a built-in one before its table is built."""
+    path = write(tmp_path, "edge.graph", ONE_EDGE_TEXT)
+    if model is not None:
+        argv = ["--model-file", write(tmp_path, "big.json", json.dumps(model))]
+    tracemalloc.start()
+    try:
+        code = main(["eval", path, *argv, "--mode", "ordinary"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "too many colors" in err
+    assert peak < 2**20
+
+
 def test_eval_many_colors_do_not_recurse(tmp_path, capsys):
     # cap 1 leaves a one-entry table, and its 2000 parts once meant 2000 frames
     path = write(tmp_path, "edge.graph", ONE_EDGE_TEXT)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedpf.algebra import ONE, ZERO, GaussianRational
-from mixedpf.connection import fragment_tensor
+from mixedpf.algebra import I, ONE, ZERO, GaussianRational
+from mixedpf.connection import DirectedMatching, canonical_matching_sign, fragment_tensor
 from mixedpf.evaluator import (
     _vertex_factors,
     eulerian_sum,
@@ -299,6 +299,124 @@ def test_values_keep_int_components():
     # det(3I - A) of the triangle: (3 - 2)(3 + 1)^2
     value = partition_function(K3, charpoly_model(3), "mixed").value
     assert value == 16 and type(value.re) is int and type(value.im) is int
+
+
+# -- the scaled walk: one division by D^(n_vertices - t) per call ---------------
+
+
+def scaled_family(rng, k, two_ell, max_degree):
+    """Four models of one random integer table, with common denominators
+    1, 2, 6 and 6: the table itself, and its weights times 1/2, 5/6 and
+    1/3 + i/2.  The empty pattern weighs 1 in the table, so an isolated
+    vertex's weight is fractional in the other three."""
+    entries = []
+    for ext_size in range(two_ell + 1):
+        for ext in itertools.combinations(range(1, two_ell + 1), ext_size):
+            for sym in itertools.product(range(max_degree + 1), repeat=k):
+                if sum(sym) + ext_size <= max_degree:
+                    weight = 1 if not any(sym) and not ext else rng.choice((-3, -2, -1, 1, 2, 3))
+                    entries.append((sym, ext, weight))
+    factors = (1, Fraction(1, 2), Fraction(5, 6), GaussianRational(Fraction(1, 3), Fraction(1, 2)))
+    models = [
+        EdgeColoringModel(k, two_ell, [(sym, ext, w * f) for sym, ext, w in entries])
+        for f in factors
+    ]
+    assert [h.denominator for h in models] == [1, 2, 6, 6]
+    return models
+
+
+def oracle_value(g, h, mode="mixed"):
+    """The partition function from coloring_sum_oracle, one coloring at a time
+    through ``h.evaluate``, with no scaled weight anywhere."""
+    value = ZERO
+    for subset in enumerate_eulerian_subsets(g):
+        state = eulerian_state(g, subset, 0)
+        circuits, _ = decompose(state, Fragment(g))
+        (total,), _ = coloring_sum_oracle(g, subset, state, h)
+        value = value - total if circuits % 2 else value + total
+    return value * GaussianRational(h.k - h.two_ell) ** g.n_circles
+
+
+def oracle_tensor(frag, subset, state, h):
+    """fragment_tensor's coefficients from coloring_sum_oracle and the
+    tensor's prefactor: i^(trails), the trail matching's sign and the
+    circuit parity."""
+    circuits, trails = decompose(state, frag)
+    prefactor = I ** len(trails) * canonical_matching_sign(DirectedMatching(trails))
+    if circuits % 2:
+        prefactor = -prefactor
+    coeffs, _ = coloring_sum_oracle(frag, subset, state, h)
+    return tuple(prefactor * c for c in coeffs)
+
+
+def test_scaled_values_equal_the_unscaled_oracle():
+    """Four models of common denominators 1, 2, 6 and 6 share each call, on
+    every multigraph with at most 3 vertices and 4 edges, isolated vertices
+    included: one division per model gives the oracle's values."""
+    rng = random.Random(11)
+    checked = 0
+    for pos, g in enumerate(enumerate_multigraphs(3, 4)):
+        k, two_ell = ((2, 2), (1, 2))[pos % 2]
+        models = scaled_family(rng, k, two_ell, max(g.max_degree(), 1))
+        for h, res in zip(models, partition_function_many(g, models, "mixed")):
+            assert res.value == oracle_value(g, h), (g, h)
+            checked += 1
+    assert checked == 4 * 251
+
+
+def test_scaled_tensors_equal_the_unscaled_oracle():
+    """fragment_tensor of every Eulerian subset of every fragment with t <= 3
+    labels, at most 2 internal vertices and 5 edges, under the four models
+    (k = 1, so that the oracle stays cheap): the labels weigh in at no
+    vertex, so they do not count in the power of D that is divided out."""
+    rng = random.Random(12)
+    checked = 0
+    for t in range(4):
+        for frag in enumerate_fragments(t, 2, 5):
+            models = scaled_family(rng, 1, 2, max(frag.graph.max_degree(), 1))
+            for subset in enumerate_eulerian_subsets(frag):
+                state = eulerian_state(frag, subset, 0)
+                for h in models:
+                    got = fragment_tensor(frag, subset, h, state).coeffs
+                    assert got == oracle_tensor(frag, subset, state, h), (frag, subset, h)
+                    checked += 1
+    assert checked == 4 * (736 + 511 + 1116 + 1642)
+
+
+def assert_canonical(value):
+    """A GaussianRational whose integral components are ints and whose other
+    ones are Fractions in lowest terms (which Fraction keeps by itself)."""
+    assert type(value) is GaussianRational
+    for part in (value.re, value.im):
+        if part.denominator == 1:
+            assert type(part) is int
+        else:
+            assert type(part) is Fraction
+
+
+def test_divided_values_have_canonical_components():
+    # a loop's vertex weighs 2/3 and an isolated one 3/2: the value is 1
+    h = EdgeColoringModel(1, 0, [((0,), (), Fraction(3, 2)), ((2,), (), Fraction(2, 3))])
+    assert h.denominator == 6
+    value = partition_function(MultiGraph(2, ((0, 0),)), h, "ordinary").value
+    assert value == 1 and type(value.re) is int and type(value.im) is int
+    # det(3/2 I - A) of the triangle: (3/2 - 2)(3/2 + 1)^2
+    value = partition_function(K3, charpoly_model(Fraction(3, 2)), "mixed").value
+    assert value == Fraction(-25, 8) and type(value.re) is Fraction and type(value.im) is int
+    # one isolated vertex of weight 1 + i/2, scaled to 2 + i
+    h = EdgeColoringModel(1, 0, [((0,), (), GaussianRational(1, Fraction(1, 2)))])
+    value = partition_function(MultiGraph(1, ()), h, "ordinary").value
+    assert (type(value.re), value.im) == (int, Fraction(1, 2))
+    for frag in enumerate_fragments(2, 2, 3):
+        models = [charpoly_model(0, cap=4), charpoly_model(Fraction(1, 3), cap=4)]
+        for subset in enumerate_eulerian_subsets(frag):
+            state = eulerian_state(frag, subset, 0)
+            for coeffs, _ in subset_sums(frag, subset, state, models):
+                for c in coeffs:
+                    assert_canonical(c)
+            for h in models:
+                for c in fragment_tensor(frag, subset, h, state).coeffs:
+                    assert_canonical(c)
 
 
 # -- invariance -----------------------------------------------------------------

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedpf.algebra import I
+from mixedpf.algebra import I, GaussianRational
 from mixedpf.models import (
     BUILTIN_MODELS,
+    MAX_COLORS,
     MAX_MODEL_SIZE,
     EdgeColoringModel,
     _compositions,
@@ -307,6 +308,35 @@ def test_model_spec_sizes_are_counted_before_building():
     ]:
         with pytest.raises(ValueError, match="model table too large"):
             model_from_spec(spec, cap=cap)
+
+
+def test_color_count_is_limited():
+    # the limit is on k + 2l, checked before any entry is read
+    assert EdgeColoringModel(MAX_COLORS, 0, []).k == MAX_COLORS
+    assert EdgeColoringModel(MAX_COLORS - 2, 2, []).two_ell == 2
+    for k, two_ell in [(MAX_COLORS + 1, 0), (0, MAX_COLORS + 2), (MAX_COLORS - 1, 2)]:
+        with pytest.raises(ValueError, match="too many colors"):
+            EdgeColoringModel(k, two_ell, [((0,) * 5, (), 1)])
+        with pytest.raises(ValueError, match="too many colors"):
+            model_from_json({"k": k, "two_ell": two_ell, "entries": []})
+    assert model_from_spec(f"circuit-pos?k={MAX_COLORS}", cap=1).k == MAX_COLORS
+    with pytest.raises(ValueError, match="too many colors"):
+        model_from_spec(f"circuit-pos?k={MAX_COLORS + 1}", cap=1)
+
+
+def test_weights_are_scaled_by_their_common_denominator():
+    h = EdgeColoringModel(
+        1, 2, [((0,), (), Fraction(3, 4)), ((1,), (), GaussianRational(2, Fraction(-1, 6)))]
+    )
+    assert h.denominator == 12
+    assert h.scaled == {((0,), ()): 9, ((1,), ()): GaussianRational(24, -2)}
+    assert type(h.scaled[((0,), ())]) is int
+    assert [type(c) for c in (h.scaled[((1,), ())].re, h.scaled[((1,), ())].im)] == [int, int]
+    # integral weights: D = 1, and the real ones become plain ints
+    h = charpoly_model(0, cap=2)
+    assert h.denominator == 1
+    assert {type(v) for v in h.scaled.values()} == {int, GaussianRational}
+    assert EdgeColoringModel(1, 0, []).denominator == 1
 
 
 def recursive_compositions(total, parts):
