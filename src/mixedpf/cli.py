@@ -111,6 +111,13 @@ def cmd_connrank(args) -> int:
     return 0 if verdict == "PASS" else 1
 
 
+def _refuse_negative(flag, value):
+    """Raise ValueError naming the flag if its value (or any repeat) is negative."""
+    for v in value if isinstance(value, list) else [value]:
+        if v < 0:
+            raise ValueError(f"{flag} must not be negative, got {v}")
+
+
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     accepted = set(inspect.signature(suite).parameters)
@@ -121,6 +128,9 @@ def cmd_verify(args) -> int:
             continue
         if name not in accepted:
             raise ValueError(f"suite '{args.suite}' does not take {flag}")
+        # sizes may not be negative; the seed and charpoly's --t, a model parameter, may
+        if name != "seed" and (args.suite, name) != ("charpoly", "t_values"):
+            _refuse_negative(flag, value)
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     report = suite(**kwargs)
     sys.stdout.write(report.render(show_timing=not args.no_timing))
@@ -128,6 +138,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_fragments(args) -> int:
+    for flag, value in (("--t", args.t), ("--max-internal", args.max_internal),
+                        ("--max-edges", args.max_edges), ("--limit", args.limit or 0)):
+        _refuse_negative(flag, value)
     count = 0
     for frag in enumerate_fragments(args.t, args.max_internal, args.max_edges):
         if args.limit is not None and count >= args.limit:

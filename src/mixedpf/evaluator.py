@@ -59,7 +59,7 @@ from .graph import (
     peel,
     validate_state,
 )
-from .models import EdgeColoringModel
+from .models import MAX_MODEL_SIZE, EdgeColoringModel
 
 MODES = ("ordinary", "skew", "mixed")
 
@@ -82,10 +82,14 @@ class EvaluationResult:
 _CANON: dict[tuple, dict] = {}
 # one object per distinct canonical form, shared by every color tuple that reaches it
 _FORMS: dict = {}
+# the numbers both hold: each key's colors, and each form's counts and exterior
+# colors.  An insertion that would pass MAX_MODEL_SIZE empties both first.
+_held = 0
 
 
 def _canonical(shape, key):
     """The canonical (entry key, sign) of a slot-ordered color tuple, or None."""
+    global _held
     table = _CANON.get(shape)
     if table is None:
         table = _CANON[shape] = {}
@@ -97,6 +101,14 @@ def _canonical(shape, key):
             [(c, p % 2 == 1) for p, c in enumerate(key[n_sym:])], two_ell
         )
         canon = None if sign == 0 else ((sym_counts(key[:n_sym], k), ext), sign)
+        form_size = 0 if canon is None else k + len(ext)
+        size = len(key) + (0 if canon in _FORMS else form_size)
+        if _held + size > MAX_MODEL_SIZE:
+            _CANON.clear()
+            _FORMS.clear()
+            table = _CANON[shape] = {}
+            _held, size = 0, len(key) + form_size
+        _held += size
         table[key] = canon = _FORMS.setdefault(canon, canon)
     return canon
 

@@ -6,6 +6,10 @@ incident edges are its open ends.  Half-edges (edge id, side) are the
 primitive incidence objects: orientations and local pairings of loops are
 ill-defined on plain edge lists.
 
+A state's trails and circuits are read off its pairing (:func:`decompose`).
+Gluing joins the two open edges that meet at each label into one class,
+which becomes one edge between its internal ends, or a circle if it has none.
+
 All structures are immutable after construction; every operation returns
 fresh values, so everything here is safe for data-parallel use.
 """
@@ -340,109 +344,38 @@ def validate_state(frag, state: EulerianState) -> None:
             raise ValueError(f"pairing at vertex {v} does not partition its half-edges")
 
 
-@dataclass(frozen=True)
-class Walk:
-    """One circuit or trail of a pairing's walk decomposition."""
-
-    kind: str  # "trail" | "circuit"
-    start_label: int | None  # 1-based label numbers, None for circuits
-    end_label: int | None
-    edges: tuple
-    steps: tuple  # ((vertex, (in_he, out_he)), ...) at interior vertices
-
-
-def walk_decomposition(frag, state: EulerianState) -> list[Walk]:
-    """Trace the circuits and labeled-to-labeled trails of a state."""
-    frag = as_fragment(frag)
-    g = frag.graph
-    labeled = set(frag.labels)
-    label_no = {v: i + 1 for i, v in enumerate(frag.labels)}
-    out_of = {}
-    for v, pairs in state.pairing.items():
-        for hin, hout in pairs:
-            out_of[hin] = (v, hout)
-    used_pairs = set()
-    walks = []
-
-    def trace(h_start):
-        """Follow pairings from an outgoing half-edge until a trail ends or
-        the walk returns to h_start."""
-        edges = [h_start[0]]
-        steps = []
-        h = h_start
-        while True:
-            hp = (h[0], 1 - h[1])
-            w = _vertex_of(g, hp)
-            if w in labeled:
-                return edges, steps, label_no[w]
-            v, hout = out_of[hp]
-            if hout == h_start:
-                steps.append((v, (hp, hout)))
-                return edges, steps, None
-            used_pairs.add((v, hp, hout))
-            steps.append((v, (hp, hout)))
-            edges.append(hout[0])
-            h = hout
-
-    for pos in range(frag.t):
-        he = frag.open_end(pos)
-        if he[0] not in state.subset or is_incoming(state, he):
-            continue  # off the subset, or a trail traced from its start label
-        edges, steps, end = trace(he)
-        walks.append(Walk("trail", pos + 1, end, tuple(edges), tuple(steps)))
-
-    for v in sorted(state.pairing):
-        for hin, hout in state.pairing[v]:
-            if (v, hin, hout) in used_pairs:
-                continue
-            # an unused pair belongs to a circuit; start the walk at hout
-            edges, steps, end = trace(hout)
-            assert end is None
-            for s_v, (s_in, s_out) in steps:
-                used_pairs.add((s_v, s_in, s_out))
-            walks.append(Walk("circuit", None, None, tuple(edges), tuple(steps)))
-
-    return walks
-
-
 def decompose(state: EulerianState, frag) -> tuple[int, tuple]:
     """Count circuits and list the directed label-to-label trails.
 
     Returns (number of circuits, ((from_label, to_label), ...)) with labels
-    1-based; the trail arcs form the directed perfect matching induced on the
-    labels touched by the subset.
-    """
-    walks = walk_decomposition(frag, state)
-    circuits = sum(1 for w in walks if w.kind == "circuit")
-    trails = tuple(
-        (w.start_label, w.end_label) for w in walks if w.kind == "trail"
-    )
-    return circuits, trails
-
-
-def flip_walk(frag, state: EulerianState, walk: Walk) -> EulerianState:
-    """Invert one walk: reverse its arcs and swap its pairings.
-
-    The result is again a valid state for the same subset (the reversed walk
-    is traversed in the opposite direction).
+    1-based and trails in the order of their start labels; the trail arcs
+    form the directed perfect matching induced on the labels touched by the
+    subset.  Each trail is followed from its outgoing open end through the
+    pairing; the pairs left over are then taken up circuit by circuit.
     """
     frag = as_fragment(frag)
-    orientation = dict(state.orientation)
-    for e in walk.edges:
-        orientation[e] = not orientation[e]
-    flipped = {(v, pair) for v, pair in walk.steps}
-    pairing = {}
-    for v, pairs in state.pairing.items():
-        new_pairs = []
-        for hin, hout in pairs:
-            if (v, (hin, hout)) in flipped:
-                new_pairs.append((hout, hin))
-            else:
-                new_pairs.append((hin, hout))
-        pairing[v] = tuple(new_pairs)
-    new_state = EulerianState(state.subset, orientation, pairing)
-    validate_state(frag, new_state)
-    return new_state
+    edges = frag.graph.edges
+    label_no = {v: pos + 1 for pos, v in enumerate(frag.labels)}
+    out_of = {hin: hout for pairs in state.pairing.values() for hin, hout in pairs}
+    trails = []
+    for pos in range(frag.t):
+        h = frag.open_end(pos)
+        if h[0] not in state.subset or is_incoming(state, h):
+            continue  # off the subset, or a trail traced from its start label
+        while True:
+            e, side = h
+            w = edges[e][1 - side]
+            if w in label_no:
+                break
+            h = out_of.pop((e, 1 - side))
+        trails.append((pos + 1, label_no[w]))
+    circuits = 0
+    while out_of:
+        h = out_of.popitem()[1]
+        while h is not None:  # until the walk is back at the popped pair
+            h = out_of.pop((h[0], 1 - h[1]), None)
+        circuits += 1
+    return circuits, tuple(trails)
 
 
 # -- gluing and unions ------------------------------------------------------
@@ -466,9 +399,12 @@ class GlueResult:
 def glue_with_maps(f1: Fragment, f2: Fragment) -> GlueResult:
     """Glue equal labels of two t-fragments, tracking edge provenance.
 
-    Labeled vertices disappear; open ends with equal labels fuse into single
-    edges, and chains of open-open edges that close up through labels alone
-    become circles.
+    Labeled vertices disappear.  The two open ends that meet at each label
+    join one class of open edges; a class with internal ends becomes one
+    edge between them, and a class that closes up through labels alone
+    becomes a circle.  Edges off the labels keep their order in front;
+    classes are numbered, and an edge is oriented, from the first of their
+    open edges in (fragment, edge) order that has an internal end.
     """
     f1, f2 = as_fragment(f1), as_fragment(f2)
     if f1.t != f2.t:
@@ -483,82 +419,46 @@ def glue_with_maps(f1: Fragment, f2: Fragment) -> GlueResult:
             if v not in lab:
                 vmap[fi][v] = nxt
                 nxt += 1
-    label_pos = [{v: i for i, v in enumerate(fr.labels)} for fr in frags]
-
-    def end_desc(fi, e, side):
-        v = frags[fi].graph.edges[e][side]
-        if v in label_pos[fi]:
-            return ("p", (fi, label_pos[fi][v]))
-        return ("v", vmap[fi][v])
-
-    attach = {}
-    open_edges = set()
-    for fi, fr in enumerate(frags):
-        for e, (a, b) in enumerate(fr.graph.edges):
-            for side, v in ((0, a), (1, b)):
-                if v in label_pos[fi]:
-                    attach[(fi, label_pos[fi][v])] = (fi, e, side)
-                    open_edges.add((fi, e))
 
     new_edges = []
     emap = [{}, {}]
+    parent = {}  # union-find over the open edges (fragment, edge)
     for fi, fr in enumerate(frags):
         for e, (a, b) in enumerate(fr.graph.edges):
-            if (fi, e) not in open_edges:
+            if a in vmap[fi] and b in vmap[fi]:
                 emap[fi][e] = ("edge", len(new_edges))
                 new_edges.append((vmap[fi][a], vmap[fi][b]))
+            else:
+                parent[fi, e] = (fi, e)
 
-    visited = set()
-    # chains anchored at an internal vertex become single edges
-    for fi in (0, 1):
-        for e in range(frags[fi].graph.n_edges):
-            if (fi, e) not in open_edges or (fi, e) in visited:
-                continue
-            d0, d1 = end_desc(fi, e, 0), end_desc(fi, e, 1)
-            if d0[0] == "p" and d1[0] == "p":
-                continue
-            enter_side = 0 if d0[0] == "v" else 1
-            start_v = end_desc(fi, e, enter_side)[1]
-            chain = [(fi, e)]
-            cur, side = (fi, e), enter_side
-            while True:
-                dd = end_desc(cur[0], cur[1], 1 - side)
-                if dd[0] == "v":
-                    end_v = dd[1]
-                    break
-                pfi, ppos = dd[1]
-                nfi, ne, nside = attach[(1 - pfi, ppos)]
-                cur, side = (nfi, ne), nside
-                chain.append(cur)
-            nid = len(new_edges)
-            new_edges.append((start_v, end_v))
-            for item in chain:
-                visited.add(item)
-                emap[item[0]][item[1]] = ("edge", nid)
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    # what remains are pure label cycles: each one closes into a circle
-    created = 0
-    for fi in (0, 1):
-        for e in range(frags[fi].graph.n_edges):
-            if (fi, e) not in open_edges or (fi, e) in visited:
-                continue
-            cyc = [(fi, e)]
-            cur, side = (fi, e), 0
-            while True:
-                pfi, ppos = end_desc(cur[0], cur[1], 1 - side)[1]
-                nfi, ne, nside = attach[(1 - pfi, ppos)]
-                if (nfi, ne) == (fi, e):
-                    break
-                cyc.append((nfi, ne))
-                cur, side = (nfi, ne), nside
-            for item in cyc:
-                visited.add(item)
-                emap[item[0]][item[1]] = ("circle", created)
-            created += 1
+    for pos in range(f1.t):
+        parent[find((0, f1.open_end(pos)[0]))] = find((1, f2.open_end(pos)[0]))
 
-    n_circles = f1.graph.n_circles + f2.graph.n_circles + created
+    members = defaultdict(list)
+    ends = {}  # class -> its internal ends, in order of its first open edge with one
+    for fi, e in sorted(parent):
+        root = find((fi, e))
+        members[root].append((fi, e))
+        for v in frags[fi].graph.edges[e]:
+            if v in vmap[fi]:
+                ends.setdefault(root, []).append(vmap[fi][v])
+    for root, (a, b) in ends.items():
+        for fi, e in members[root]:
+            emap[fi][e] = ("edge", len(new_edges))
+        new_edges.append((a, b))
+    circles = [cls for root, cls in members.items() if root not in ends]
+    for index, cls in enumerate(circles):
+        for fi, e in cls:
+            emap[fi][e] = ("circle", index)
+
+    n_circles = f1.graph.n_circles + f2.graph.n_circles + len(circles)
     graph = MultiGraph(nxt, tuple(new_edges), n_circles)
-    return GlueResult(graph, emap[0], emap[1], created)
+    return GlueResult(graph, emap[0], emap[1], len(circles))
 
 
 def glue(f1: Fragment, f2: Fragment) -> MultiGraph:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from mixedpf import evaluator
 from mixedpf.cli import main
 from mixedpf.graph import parse_fragments
 from mixedpf.models import circuit_neg_model, model_to_json
@@ -217,6 +218,24 @@ def test_eval_many_colors_do_not_recurse(tmp_path, capsys):
     assert capsys.readouterr().out == "0\n# subsets=1 colorings=0\n"
 
 
+def test_eval_many_colors_leave_the_canonical_table_bounded(tmp_path, capsys, monkeypatch):
+    # 2000 forms of a 2000-count vector each once stayed held: 31 MiB
+    monkeypatch.setattr(evaluator, "_CANON", {})
+    monkeypatch.setattr(evaluator, "_FORMS", {})
+    monkeypatch.setattr(evaluator, "_held", 0)
+    path = write(tmp_path, "edge.graph", ONE_EDGE_TEXT)
+    tracemalloc.start()
+    try:
+        code = main(["eval", path, "--model", "circuit-pos?k=2000", "--mode", "ordinary"])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == "0\n# subsets=1 colorings=0\n"
+    assert held < 10 * 2**20
+    assert evaluator._held <= evaluator.MAX_MODEL_SIZE
+
+
 def test_eval_parse_error_reports_line(tmp_path, capsys):
     path = write(tmp_path, "bad.graph", "vertices 1\nedge 0 7\n")
     assert main(["eval", path, "--model", "matchings", "--mode", "ordinary"]) == 2
@@ -290,6 +309,39 @@ def test_verify_refuses_options_the_suite_does_not_take(capsys, argv, flag):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error:") and flag in line
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "dglrs", "--k", "-3"], "--k"),
+        (["verify", "dglrs", "--k", "1", "--k", "-3"], "--k"),
+        (["verify", "signs", "--max-m", "-1"], "--max-m"),
+        (["verify", "invariance", "--count", "-2"], "--count"),
+        (["verify", "invariance", "--trials", "-1"], "--trials"),
+        (["verify", "gram", "--pairs", "-1"], "--pairs"),
+        (["verify", "circuitpoly", "--max-vertices", "-1"], "--max-vertices"),
+        (["verify", "circuitpoly", "--max-edges", "-1"], "--max-edges"),
+        (["verify", "rank", "--t", "-1"], "--t"),
+        (["gen-fragments", "--t", "-1"], "--t"),
+        (["gen-fragments", "--t", "1", "--max-internal", "-1"], "--max-internal"),
+        (["gen-fragments", "--t", "1", "--max-edges", "-1"], "--max-edges"),
+        (["gen-fragments", "--t", "1", "--limit", "-2"], "--limit"),
+    ],
+)
+def test_negative_sizes_are_input_errors(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and flag in line
+
+
+def test_verify_charpoly_takes_negative_t(capsys):
+    # charpoly's --t is the model's parameter, not a size; its default set has t = -2
+    argv = ["verify", "charpoly", "--t", "-2", "--max-vertices", "1", "--max-edges", "2"]
+    assert main([*argv, "--no-timing"]) == 0
+    assert "summary" in capsys.readouterr().out
 
 
 def test_verify_report_byte_stable(capsys):

@@ -27,11 +27,10 @@ from mixedpf.graph import (
     Fragment,
     MultiGraph,
     cycle_graph,
+    decompose,
     enumerate_eulerian_subsets,
     eulerian_state,
-    flip_walk,
     glue,
-    walk_decomposition,
 )
 from mixedpf.models import charpoly_model, matchings_model
 from mixedpf.oracles import adjacency_determinant, permutation_sign_oracle
@@ -256,7 +255,10 @@ def test_gram_open_open_circle():
 
 
 def test_path_flip_invariance():
+    """A subset's tensor is the same from every seeded state, including
+    states whose trails run the other way."""
     rng = random.Random(8)
+    reversed_trails = 0
     for trial in range(12):
         t = rng.choice((1, 2, 3))
         frag = random_fragment(rng, t, max_internal=2, max_edges=4)
@@ -264,13 +266,13 @@ def test_path_flip_invariance():
         h = random_sparse_model(rng, k, two_ell, max(frag.graph.max_degree(), 1))
         subsets = enumerate_eulerian_subsets(frag)
         subset = rng.choice(subsets)
-        state = eulerian_state(frag, subset, trial)
-        tensor = fragment_tensor(frag, subset, h, state)
-        for walk in walk_decomposition(frag, state):
-            if walk.kind != "trail":
-                continue
-            flipped = flip_walk(frag, state, walk)
-            assert fragment_tensor(frag, subset, h, flipped) == tensor
+        states = [eulerian_state(frag, subset, seed) for seed in range(8)]
+        tensor = fragment_tensor(frag, subset, h, states[0])
+        trails = set(decompose(states[0], frag)[1])
+        for state in states[1:]:
+            assert fragment_tensor(frag, subset, h, state) == tensor
+            reversed_trails += len({(b, a) for a, b in decompose(state, frag)[1]} & trails)
+    assert reversed_trails > 0
 
 
 def test_gram_identity_random():

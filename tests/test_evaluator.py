@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedpf import evaluator
 from mixedpf.algebra import I, ONE, ZERO, GaussianRational
 from mixedpf.connection import DirectedMatching, canonical_matching_sign, fragment_tensor
 from mixedpf.evaluator import (
@@ -274,6 +275,48 @@ def test_the_walk_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def canon_numbers():
+    """The numbers the canonical table holds, counted from its contents."""
+    keys = sum(len(key) for table in evaluator._CANON.values() for key in table)
+    forms = sum(len(form[0][0]) + len(form[0][1]) for form in evaluator._FORMS if form)
+    return keys + forms
+
+
+def test_canonical_table_holds_a_charpoly_pass(monkeypatch):
+    """The charpoly family under its four models stays far under the bound,
+    so no table is ever emptied: every key and form it met is still held."""
+    monkeypatch.setattr(evaluator, "_CANON", {})
+    monkeypatch.setattr(evaluator, "_FORMS", {})
+    monkeypatch.setattr(evaluator, "_held", 0)
+    models = [charpoly_model(t, cap=12) for t in (0, 1, -2, Fraction(3, 2))]
+    for g in enumerate_multigraphs(3, 6):
+        partition_function_many(g, models, "mixed")
+    assert sum(map(len, evaluator._CANON.values())) == 4415
+    assert len(evaluator._FORMS) == 147
+    assert evaluator._held == canon_numbers() < evaluator.MAX_MODEL_SIZE
+
+
+def test_canonical_table_is_emptied_at_its_bound(monkeypatch):
+    """Past the bound the table starts over, and the values stay the same."""
+    graphs = [
+        MultiGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1))),
+        MultiGraph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (0, 0))),
+    ]
+    h = charpoly_model(Fraction(3, 2), cap=6)
+
+    def values(bound):
+        monkeypatch.setattr(evaluator, "_CANON", {})
+        monkeypatch.setattr(evaluator, "_FORMS", {})
+        monkeypatch.setattr(evaluator, "_held", 0)
+        monkeypatch.setattr(evaluator, "MAX_MODEL_SIZE", bound)
+        return [partition_function(g, h, "mixed").value for g in graphs]
+
+    unbounded = values(evaluator.MAX_MODEL_SIZE)
+    assert canon_numbers() > 400
+    assert values(40) == unbounded
+    assert evaluator._held == canon_numbers() <= 40
 
 
 def path_graph(n):

@@ -17,7 +17,6 @@ from mixedpf.graph import (
     disjoint_union,
     enumerate_eulerian_subsets,
     eulerian_state,
-    flip_walk,
     format_fragment,
     glue,
     glue_with_maps,
@@ -25,7 +24,6 @@ from mixedpf.graph import (
     parse_graph,
     peel,
     validate_state,
-    walk_decomposition,
 )
 from mixedpf.oracles import eulerian_subsets_oracle
 from mixedpf.suites import (
@@ -245,22 +243,6 @@ def test_pairing_conservation():
         assert len(touched) % 2 == 0
 
 
-def test_flip_walk_preserves_validity_and_counts():
-    frag = Fragment(MultiGraph(3, ((0, 1), (0, 1), (0, 2))), (2,))
-    subset = frozenset({0, 1})
-    state = eulerian_state(frag, subset, 1)
-    walks = walk_decomposition(frag, state)
-    for walk in walks:
-        flipped = flip_walk(frag, state, walk)
-        circuits0, trails0 = decompose(state, frag)
-        circuits1, trails1 = decompose(flipped, frag)
-        assert circuits0 == circuits1
-        if walk.kind == "trail":
-            assert set(trails1) == (set(trails0) - {(walk.start_label, walk.end_label)}) | {
-                (walk.end_label, walk.start_label)
-            }
-
-
 # -- gluing -----------------------------------------------------------------------
 
 
@@ -294,18 +276,61 @@ def test_glue_t_mismatch():
 
 
 def test_glue_counts():
+    """Sampled pairs of small fragments: the counts, every internal vertex's
+    degree, and where each old edge goes.  Edges off the labels keep their
+    ends and order; each class of open edges becomes one edge between its
+    internal ends, numbered and oriented from the first of its open edges
+    that has one, or a circle of label-to-label edges."""
     rng = random.Random(11)
-    from mixedpf.suites import random_fragment
+    for t in range(5):
+        family = list(enumerate_fragments(t, 2, 4))
+        for _ in range(150):
+            f1, f2 = rng.choice(family), rng.choice(family)
+            res = glue_with_maps(f1, f2)
+            g = res.graph
+            assert g.n_vertices == (f1.graph.n_vertices - t) + (f2.graph.n_vertices - t)
+            assert g.n_edges == f1.graph.n_edges + f2.graph.n_edges - t
+            assert g.n_circles == f1.graph.n_circles + f2.graph.n_circles + res.new_circles
+            vmap = {}  # (fragment, internal vertex) -> glued vertex
+            for fi, fr in enumerate((f1, f2)):
+                for v in range(fr.graph.n_vertices):
+                    if v not in fr.labels:
+                        vmap[fi, v] = len(vmap)
+            degrees = (f1.graph.degrees(), f2.graph.degrees(), g.degrees())
+            assert all(degrees[2][w] == degrees[fi][v] for (fi, v), w in vmap.items())
+            fixed, chains, linked, circles = [], {}, set(), set()
+            for fi, (fr, emap) in enumerate(((f1, res.edge_map1), (f2, res.edge_map2))):
+                assert set(emap) == set(range(fr.graph.n_edges))
+                for e, (a, b) in enumerate(fr.graph.edges):
+                    ends = [vmap[fi, v] for v in (a, b) if (fi, v) in vmap]
+                    kind, idx = emap[e]
+                    if kind == "circle":
+                        assert not ends
+                        circles.add(idx)
+                    elif len(ends) == 2:
+                        assert g.edges[idx] == tuple(ends)
+                        fixed.append(idx)
+                    else:
+                        linked.add(idx)
+                        if ends:
+                            chains.setdefault(idx, []).extend(ends)
+            assert fixed == list(range(len(fixed)))
+            assert list(chains) == list(range(len(fixed), g.n_edges))
+            assert linked == set(chains)
+            assert all(tuple(ends) == g.edges[idx] for idx, ends in chains.items())
+            assert circles == set(range(res.new_circles))
 
-    for _ in range(30):
-        t = rng.randint(0, 3)
-        f1 = random_fragment(rng, t)
-        f2 = random_fragment(rng, t)
-        res = glue_with_maps(f1, f2)
-        g = res.graph
-        assert g.n_vertices == (f1.graph.n_vertices - t) + (f2.graph.n_vertices - t)
-        assert g.n_edges == f1.graph.n_edges + f2.graph.n_edges - t
-        assert g.n_circles == f1.graph.n_circles + f2.graph.n_circles + res.new_circles
+
+def test_glue_numbers_chains_at_their_first_internal_end():
+    # f1's label-to-label edge 0 comes first, but its chain's first internal
+    # end is f2's vertex 0, after f1's edge 1 starts the other chain at a
+    f1 = Fragment(MultiGraph(4, ((1, 2), (0, 3))), (1, 2, 3))
+    f2 = Fragment(MultiGraph(5, ((0, 2), (1, 3), (1, 4))), (2, 3, 4))
+    res = glue_with_maps(f1, f2)
+    assert res.graph == MultiGraph(3, ((0, 2), (1, 2)))
+    assert res.edge_map1 == {0: ("edge", 1), 1: ("edge", 0)}
+    assert res.edge_map2 == {0: ("edge", 1), 1: ("edge", 1), 2: ("edge", 0)}
+    assert res.new_circles == 0
 
 
 # -- unions and cycle families ------------------------------------------------------
