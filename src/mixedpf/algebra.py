@@ -2,15 +2,18 @@
 
 Everything downstream (partition functions, Gram tensors, matrix ranks) is
 computed in the field Q(i); nothing in this package ever rounds.  This module
-also owns the dual exterior basis, normalization of wedge words into the
-canonical strictly-increasing form, and the table of the supersymmetric
-bilinear form on the mixed color space, which
-:func:`mixedpf.connection.gram_pairing` applies.
+also owns the dual exterior basis, the one permutation parity every engine
+sign comes from (wedge words here, directed matchings in
+:mod:`mixedpf.connection`), normalization of wedge words into the canonical
+strictly-increasing form, and the table of the supersymmetric bilinear form
+on the mixed color space, which :func:`mixedpf.connection.gram_pairing`
+applies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def _component(x):
@@ -287,14 +290,24 @@ def dual_basis(i: int, ell: int) -> tuple[int, int]:
     return (1, i - ell)
 
 
+def permutation_sign(perm) -> int:
+    """Parity of a sequence of distinct values, +1 or -1, by inversion count.
+
+    A tuple of 0-based images gives the sign of that permutation; any other
+    sequence gives the sign of the permutation that sorts it.
+    """
+    inversions = sum(a > b for a, b in combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
 def normalize_wedge(positions, two_ell: int) -> tuple[int, tuple[int, ...]]:
     """Normalize a wedge word into canonical strictly-increasing form.
 
     ``positions`` is a sequence of (index, is_dual) pairs; dual entries are
     expanded through :func:`dual_basis` first.  Returns (sign, indices) where
-    sign is +-1 and carries both the dual expansion and the sorting
-    transpositions; sign 0 (with an empty tuple) means a factor repeats and
-    the wedge vanishes.
+    sign is +-1 and carries both the dual expansion and the parity of the
+    sorting permutation; sign 0 (with an empty tuple) means a factor repeats
+    and the wedge vanishes.
     """
     ell = two_ell // 2
     sign = 1
@@ -307,19 +320,9 @@ def normalize_wedge(positions, two_ell: int) -> tuple[int, tuple[int, ...]]:
         elif not 1 <= j <= two_ell:
             raise ValueError(f"exterior index {j} out of range [1, {two_ell}]")
         idx.append(j)
-    # insertion sort, counting transpositions
-    for a in range(1, len(idx)):
-        val = idx[a]
-        b = a - 1
-        while b >= 0 and idx[b] > val:
-            idx[b + 1] = idx[b]
-            b -= 1
-            sign = -sign
-        idx[b + 1] = val
-    for a in range(len(idx) - 1):
-        if idx[a] == idx[a + 1]:
-            return 0, ()
-    return sign, tuple(idx)
+    if len(set(idx)) < len(idx):
+        return 0, ()
+    return sign * permutation_sign(idx), tuple(sorted(idx))
 
 
 def sym_counts(colors, k: int) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ import inspect
 import json
 import sys
 
+from .algebra import GaussianRational
 from .connection import connection_matrix, exact_rank
 from .evaluator import MODES, partition_function
 from .graph import format_fragment, parse_fragments, parse_graph
@@ -18,7 +19,8 @@ from .models import model_from_json, model_from_spec
 from .suites import SUITES, enumerate_fragments
 
 
-#: verify's suite options, flag -> suite parameter; a ``*_values`` one repeats
+#: verify's suite options, flag -> suite parameter; a ``*_values`` one repeats.
+#: Each is an int but ``--t``, which :func:`_read_t` reads per suite.
 VERIFY_OPTIONS = {
     "--seed": "seed",
     "--count": "count",
@@ -32,8 +34,16 @@ VERIFY_OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are ValueErrors, which main
+    reports in one ``error:`` line; ``--help`` still prints usage, exit 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixedpf",
         description="Exact partition functions of edge-coloring models.",
     )
@@ -54,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", choices=sorted(SUITES))
     for flag, name in VERIFY_OPTIONS.items():
         repeated = name.endswith("_values")
-        pv.add_argument(flag, type=int, dest=name, action="append" if repeated else "store")
+        kind = str if flag == "--t" else int
+        pv.add_argument(flag, type=kind, dest=name, action="append" if repeated else "store")
     pv.add_argument("--no-timing", action="store_true")
 
     pg = sub.add_parser("gen-fragments", help="enumerate small t-fragments")
@@ -118,6 +129,17 @@ def _refuse_negative(flag, value):
             raise ValueError(f"{flag} must not be negative, got {v}")
 
 
+def _read_t(suite: str, text: str):
+    """A ``verify --t`` value: charpoly's is its model's t, any element of
+    Q(i) as ``charpoly?t=`` reads it; every other suite's is a size, an int."""
+    try:
+        if suite == "charpoly":
+            return GaussianRational.from_string(text)
+        return int(text)
+    except ValueError as exc:
+        raise ValueError(f"argument --t: {exc}") from None
+
+
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     accepted = set(inspect.signature(suite).parameters)
@@ -128,6 +150,8 @@ def cmd_verify(args) -> int:
             continue
         if name not in accepted:
             raise ValueError(f"suite '{args.suite}' does not take {flag}")
+        if flag == "--t":
+            value = [_read_t(args.suite, v) for v in value]
         # sizes may not be negative; the seed and charpoly's --t, a model parameter, may
         if name != "seed" and (args.suite, name) != ("charpoly", "t_values"):
             _refuse_negative(flag, value)
@@ -151,11 +175,6 @@ def cmd_gen_fragments(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     handlers = {
         "eval": cmd_eval,
         "connrank": cmd_connrank,
@@ -163,7 +182,10 @@ def main(argv=None) -> int:
         "gen-fragments": cmd_gen_fragments,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,9 @@ The rank story: the connection matrix of a mixed partition function is the
 Gram matrix, under the supersymmetric bilinear form, of one tensor per
 fragment living in the (k+2*ell)^t-dimensional mixed color space.  This
 module builds those tensors, the signs of directed perfect matchings they
-need, the pairing itself, and exact ranks of finite connection submatrices.
+need (each the parity :func:`~mixedpf.algebra.permutation_sign` of arcs
+listed end to end), the pairing itself, and exact ranks of finite
+connection submatrices.
 
 One convention deserves a note: the tensor prefactor attached to a subset
 touching |S| labels is i^(|S|/2) (principal root).  For |S| divisible by 4
@@ -18,7 +20,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import GaussianRational, I, ONE, ZERO, as_gaussian, form_table
+from .algebra import (
+    GaussianRational,
+    I,
+    ONE,
+    ZERO,
+    as_gaussian,
+    form_table,
+    permutation_sign,
+)
 from .evaluator import partition_function, subset_sums
 from .graph import (
     EulerianState,
@@ -32,18 +42,6 @@ from .graph import (
 )
 from .linalg import matrix_rank
 from .models import EdgeColoringModel
-
-
-def permutation_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of images (0-based)."""
-    perm = tuple(perm)
-    inversions = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -68,53 +66,25 @@ class DirectedMatching:
         return frozenset(x for arc in self.arcs for x in arc)
 
 
+def canonical_matching_sign(m: DirectedMatching) -> int:
+    """Sign of m against (s1,s2),(s3,s4),... on its sorted ground set.
+
+    That is the parity of m's arcs listed end to end.
+    """
+    return permutation_sign([x for arc in m.arcs for x in arc])
+
+
 def matching_sign(m: DirectedMatching, n: DirectedMatching) -> int:
     """Sign of any permutation sending one matching's arc set to the other's.
 
-    Computed without searching permutations: (-1)^(c + o) where c counts
-    components of the arc union and o is the flip parity needed to make the
-    union an Eulerian digraph (well defined because every component is an
-    even cycle).
+    A permutation that sends n's arcs onto m's also sends n's arcs, listed
+    end to end, onto m's listed in some arc order; reordering arcs moves
+    whole pairs, an even permutation.  So the sign is the product of the two
+    canonical signs.
     """
     if m.ground_set() != n.ground_set():
         raise ValueError("matchings live on different ground sets")
-    arcs = list(m.arcs) + list(n.arcs)
-    if not arcs:
-        return 1
-    incident = {}
-    for idx, (u, v) in enumerate(arcs):
-        incident.setdefault(u, []).append(idx)
-        incident.setdefault(v, []).append(idx)
-    visited = [False] * len(arcs)
-    components = 0
-    flips = 0
-    for start in range(len(arcs)):
-        if visited[start]:
-            continue
-        components += 1
-        visited[start] = True
-        u0, v0 = arcs[start]
-        cur, prev = v0, start
-        while cur != u0:
-            (nxt,) = [a for a in incident[cur] if a != prev]
-            visited[nxt] = True
-            x, y = arcs[nxt]
-            if x == cur:
-                cur = y
-            else:
-                flips += 1
-                cur = x
-            prev = nxt
-    return -1 if (components + flips) % 2 else 1
-
-
-def canonical_matching_sign(m: DirectedMatching) -> int:
-    """Sign of m against (s1,s2),(s3,s4),... on its sorted ground set."""
-    elements = sorted(m.ground_set())
-    canonical = DirectedMatching(
-        tuple((elements[a], elements[a + 1]) for a in range(0, len(elements), 2))
-    )
-    return matching_sign(m, canonical)
+    return canonical_matching_sign(m) * canonical_matching_sign(n)
 
 
 @dataclass(frozen=True)
@@ -202,24 +172,17 @@ def gram_pairing(t1: FragmentTensor, t2: FragmentTensor) -> GaussianRational:
     """
     if (t1.t, t1.k, t1.two_ell) != (t2.t, t2.k, t2.two_ell):
         raise ValueError("tensor shape mismatch in Gram pairing")
-    t = t1.t
     base = t1.k + t1.two_ell
-    table = form_table(t1.k, t1.two_ell)
+    # the product's order is the coefficients' order, first slot most significant
+    slots = itertools.product(form_table(t1.k, t1.two_ell), repeat=t1.t)
 
     total = ZERO
-    for idx, val in enumerate(t1.coeffs):
+    for val, coords in zip(t1.coeffs, slots):
         if not val:
             continue
-        rem = idx
-        coords = []
-        for _ in range(t):
-            coords.append(rem % base)
-            rem //= base
-        coords.reverse()
         midx = 0
         s = 1
-        for c in coords:
-            partner, sign = table[c]
+        for partner, sign in coords:
             midx = midx * base + partner
             s *= sign
         other = t2.coeffs[midx]

@@ -9,6 +9,7 @@ from mixedpf import evaluator
 from mixedpf.cli import main
 from mixedpf.graph import parse_fragments
 from mixedpf.models import circuit_neg_model, model_to_json
+from mixedpf.suites import SUITES
 
 K3_TEXT = "vertices 3\nedge 0 1\nedge 1 2\nedge 2 0\n"
 CIRCLE_TEXT = "vertices 0\ncircle\n"
@@ -342,6 +343,60 @@ def test_verify_charpoly_takes_negative_t(capsys):
     argv = ["verify", "charpoly", "--t", "-2", "--max-vertices", "1", "--max-edges", "2"]
     assert main([*argv, "--no-timing"]) == 0
     assert "summary" in capsys.readouterr().out
+
+
+def test_verify_charpoly_takes_rational_t(capsys):
+    # charpoly's --t is read as charpoly?t= reads it; its default set has t = 3/2
+    argv = ["verify", "charpoly", "--t", "3/2", "--max-vertices", "1", "--max-edges", "2"]
+    assert main([*argv, "--no-timing"]) == 0
+    out = capsys.readouterr().out
+    assert "t=3/2:" in out and out.splitlines()[-1] == "summary 4 cases, 0 failed"
+
+
+def test_verify_charpoly_integer_t_output_is_unchanged(capsys):
+    sizes = {"max_vertices": 2, "max_edges": 3}
+    expected = SUITES["charpoly"](t_values=(2, -2), **sizes).render(show_timing=False)
+    argv = ["verify", "charpoly", "--t", "2", "--t", "-2", "--max-vertices", "2", "--max-edges", "3"]
+    assert main([*argv, "--no-timing"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "charpoly", "--t", "1e5"],
+        ["verify", "charpoly", "--t", "3/"],
+        ["verify", "rank", "--t", "3/2"],
+    ],
+)
+def test_malformed_t_is_input_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: argument --t:")
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (["verify", "bogus"], "invalid choice: 'bogus'"),
+        (["verify", "signs", "--max-m", "two"], "--max-m"),
+        (["eval", "k3.graph", "--model", "matchings"], "--mode"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ],
+)
+def test_usage_errors_are_one_line(capsys, argv, words):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and words in line
+
+
+def test_help_prints_usage(capsys):
+    assert main(["verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: mixedpf verify")
 
 
 def test_verify_report_byte_stable(capsys):

@@ -32,9 +32,14 @@ from mixedpf.graph import (
     eulerian_state,
     glue,
 )
-from mixedpf.models import charpoly_model, matchings_model
+from mixedpf.models import charpoly_model, circuit_odd_model, matchings_model
 from mixedpf.oracles import adjacency_determinant, permutation_sign_oracle
-from mixedpf.suites import _directed_matchings, random_fragment, random_sparse_model
+from mixedpf.suites import (
+    _directed_matchings,
+    enumerate_fragments,
+    random_fragment,
+    random_sparse_model,
+)
 
 K3 = cycle_graph(3)
 
@@ -294,6 +299,46 @@ def test_gram_identity_random():
             total2 = tensor if total2 is None else total2 + tensor
         glued = glue(f1, f2)
         assert gram_pairing(total1, total2) == partition_function(glued, h, "mixed").value
+
+
+def _multi_arc_label_sets(frag, states):
+    """The label sets of the states whose trail matching has two or more arcs."""
+    label_sets = set()
+    for state in states:
+        trails = decompose(state, frag)[1]
+        if len(trails) >= 2:
+            label_sets.add(frozenset(x for arc in trails for x in arc))
+    return label_sets
+
+
+@pytest.mark.parametrize("t", [4, 5])
+def test_gram_identity_with_multi_arc_trail_matchings(t):
+    """[sum T(F1), sum T(F2)] = Z(F1 * F2) on pairs of small t-fragments whose
+    pairing meets the signs of trail matchings of two or more arcs: each
+    fragment has such a subset on one shared label set."""
+    rng = random.Random(t)
+    frags = list(enumerate_fragments(t, 2, t + 1))
+    pairs = 0
+    while pairs < 12:
+        f1, f2 = rng.choice(frags), rng.choice(frags)
+        states1, states2 = (
+            [eulerian_state(f, subset, 0) for subset in enumerate_eulerian_subsets(f)]
+            for f in (f1, f2)
+        )
+        if not _multi_arc_label_sets(f1, states1) & _multi_arc_label_sets(f2, states2):
+            continue
+        pairs += 1
+        glued = glue(f1, f2)
+        cap = max(glued.max_degree(), 1)
+        for h in (
+            charpoly_model(0, cap=cap),
+            circuit_odd_model(1, cap=cap),
+            random_sparse_model(rng, 1, 2, cap),
+        ):
+            zero = FragmentTensor.zero(t, h.k, h.two_ell)
+            total1 = sum((fragment_tensor(f1, s.subset, h, s) for s in states1), zero)
+            total2 = sum((fragment_tensor(f2, s.subset, h, s) for s in states2), zero)
+            assert gram_pairing(total1, total2) == partition_function(glued, h, "mixed").value
 
 
 # -- connection matrices and rank ------------------------------------------------
