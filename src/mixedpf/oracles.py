@@ -6,12 +6,14 @@ Eulerian edge subsets by testing every edge bitmask, the coloring sum of one
 subset by trying every coloring, characteristic polynomials (determinant and
 subgraph-expansion routes, deliberately separate code paths), the circuit
 partition polynomial via transition systems, matching counts, and
-matching-permutation signs via exhaustive search.  Nothing in this module
-calls the evaluator.
+matching-permutation signs via exhaustive search.  The subgraph expansion
+classifies a graph's edge subsets once, as a polynomial in t, and evaluates
+it at each t.  Nothing in this module calls the evaluator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -223,36 +225,39 @@ def _interpolate(points) -> Polynomial:
 
 
 def sachs_oracle(g: MultiGraph, t) -> GaussianRational:
-    """The subgraph expansion of det(tI - A).
+    """The subgraph expansion of det(tI - A), evaluated at t.
 
-    Sums (-1)^(edge components) * (-2)^(cycle components) * t^(uncovered
-    vertices) over the edge subsets whose components are single edges or
-    cycles; loops count as cycles and parallel pairs as 2-cycles.
+    Evaluates ``sachs_polynomial(g)``, so the edge subsets of a graph are
+    classified once however many t values it is asked for.
+    """
+    return sachs_polynomial(g).evaluate(t)
+
+
+@functools.lru_cache(maxsize=1)
+def sachs_polynomial(g: MultiGraph) -> Polynomial:
+    """The subgraph expansion of det(tI - A) as a polynomial in t.
+
+    Classifies every edge subset once, and adds (-1)^(edge components) *
+    (-2)^(cycle components) to the coefficient of t^(uncovered vertices) for
+    each subset whose components are single edges or cycles; loops count as
+    cycles and parallel pairs as 2-cycles.  The memo holds the last graph
+    only, which serves the t values asked for one graph in a row.
     """
     if g.n_circles:
         raise ValueError("Sachs expansion undefined for circle components")
-    t = as_gaussian(t)
     m = g.n_edges
     n = g.n_vertices
-    t_pow = [ONE]
-    minus2_pow = [ONE]
-    for _ in range(n):
-        t_pow.append(t_pow[-1] * t)
-        minus2_pow.append(minus2_pow[-1] * GaussianRational(-2))
-    total = ZERO
+    coeffs = [0] * (n + 1)
     for mask in range(1 << m):
         chosen = [e for e in range(m) if mask >> e & 1]
         kinds = _sachs_components(g, chosen)
         if kinds is None:
             continue
-        n_edge = kinds.count("edge")
-        n_cycle = kinds.count("cycle")
         covered = set()
         for e in chosen:
             covered.update(g.edges[e])
-        term = t_pow[n - len(covered)] * minus2_pow[n_cycle]
-        total = total - term if n_edge % 2 else total + term
-    return total
+        coeffs[n - len(covered)] += (-1) ** kinds.count("edge") * (-2) ** kinds.count("cycle")
+    return Polynomial(tuple(coeffs))
 
 
 def _sachs_components(g: MultiGraph, chosen):

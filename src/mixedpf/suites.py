@@ -252,8 +252,7 @@ def suite_circuitpoly(max_vertices: int = 4, max_edges: int = 6) -> RunReport:
     neg = circuit_neg_model(1)
     odd = circuit_odd_model(1, cap=cap)
 
-    def check(g, idx, tag):
-        poly = circuit_partition_oracle(g)
+    def check(g, poly, idx, tag):
         checks = []
         ok = True
         for k, h in pos.items():
@@ -274,8 +273,10 @@ def suite_circuitpoly(max_vertices: int = 4, max_edges: int = 6) -> RunReport:
         for g in enumerate_multigraphs(max_vertices, max_edges):
             if not g.is_eulerian():
                 continue
-            yield check(g, idx, "a")
-            yield check(disjoint_union(g, circle_graph()), idx, "b")
+            poly = circuit_partition_oracle(g)
+            yield check(g, poly, idx, "a")
+            # a circle component multiplies the circuit partition polynomial by x
+            yield check(disjoint_union(g, circle_graph()), poly.shift(1), idx, "b")
             idx += 1
 
     return _report(
@@ -324,8 +325,14 @@ def _directed_matchings(m: int):
     return out
 
 
+#: m = 4 would check 1,680^2 pairs of matchings, each over up to 8! permutations
+MAX_SIGNS_M = 3
+
+
 def suite_signs(max_m: int = 3) -> RunReport:
     """Matching signs vs exhaustive permutation search, all pairs per size."""
+    if max_m > MAX_SIGNS_M:
+        raise ValueError(f"max_m must be at most {MAX_SIGNS_M}, got {max_m}")
 
     def cases():
         for m in range(1, max_m + 1):

@@ -338,6 +338,15 @@ def test_negative_sizes_are_input_errors(capsys, argv, flag):
     assert line.startswith("error:") and flag in line
 
 
+def test_verify_signs_refuses_sizes_past_its_budget(capsys):
+    # m = 4 would search 1,680^2 pairs of matchings over up to 8! permutations
+    assert main(["verify", "signs", "--max-m", "4", "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and "max_m" in line
+
+
 def test_verify_charpoly_takes_negative_t(capsys):
     # charpoly's --t is the model's parameter, not a size; its default set has t = -2
     argv = ["verify", "charpoly", "--t", "-2", "--max-vertices", "1", "--max-edges", "2"]

@@ -15,8 +15,9 @@ from mixedpf.oracles import (
     circuit_partition_oracle,
     matching_count_oracle,
     sachs_oracle,
+    sachs_polynomial,
 )
-from mixedpf.suites import random_multigraph
+from mixedpf.suites import enumerate_multigraphs, random_multigraph
 
 K3 = cycle_graph(3)
 FIG8 = MultiGraph(1, ((0, 0), (0, 0)))
@@ -83,6 +84,32 @@ def test_sachs_agrees_with_charpoly():
             assert sachs_oracle(g, t) == poly.evaluate(t)
 
 
+def test_sachs_polynomial_is_charpoly():
+    for g in enumerate_multigraphs(3, 6):
+        assert sachs_polynomial(g) == charpoly_oracle(g), g
+
+
+@pytest.mark.parametrize("g", [circle_graph(), disjoint_union(K3, circle_graph())])
+def test_sachs_rejects_circles(g):
+    with pytest.raises(ValueError):
+        sachs_oracle(g, 1)
+
+
+def test_sachs_memo_is_bounded_and_never_stale():
+    sachs_polynomial.cache_clear()
+    path = MultiGraph(2, ((0, 1),))
+    for g, t, value in ((K3, 0, -2), (path, 2, 3), (K3, 0, -2), (path, 0, -1)):
+        assert sachs_oracle(g, t) == value
+    for g in enumerate_multigraphs(2, 3):
+        sachs_oracle(g, 1)
+        assert sachs_polynomial.cache_info().currsize <= 1
+    sachs_polynomial.cache_clear()
+    for t in (0, 1, -2, Fraction(3, 2)):
+        assert sachs_oracle(FIG8, t) == charpoly_oracle(FIG8).evaluate(t)
+    info = sachs_polynomial.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_circuit_partition_examples():
     assert circuit_partition_oracle(FIG8) == Polynomial((0, 2, 1))  # x^2 + 2x
     assert circuit_partition_oracle(cycle_graph(2)) == Polynomial((0, 1))
@@ -133,3 +160,11 @@ def test_oracles_multiplicative():
 )
 def test_matching_counts(graph, count):
     assert matching_count_oracle(graph) == count
+
+
+def test_circle_shifts_circuit_partition():
+    # the suites check g plus a circle against the oracle of g times x
+    for g in enumerate_multigraphs(3, 5):
+        if g.is_eulerian():
+            with_circle = disjoint_union(g, circle_graph())
+            assert circuit_partition_oracle(with_circle) == circuit_partition_oracle(g).shift(1)
