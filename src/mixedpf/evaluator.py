@@ -17,9 +17,20 @@ call shares: the table memoises a pure function of shape and colors, so
 sharing it cannot change a value.
 
 Work that does not depend on the subset is done once per call: the edge
-order, the internal vertices and the position completing each, and the
-per-shape factor caches over the call's models, which every subset's walk
-reads and fills.  Each subset's state comes from the rng-free
+order, the internal vertices and the position completing each, the models
+alive at each vertex bidegree, and the per-shape factor caches over the
+call's models, which every subset's walk reads and fills.
+
+A vertex with x of its d half-edges in a subset reads d - x symmetric
+colors and x exterior ones, so a model with no pattern of that bidegree
+(d - x, x) weighs every coloring of the subset zero.  Each subset is
+checked this way before its state is built: a subset that no model
+survives is skipped, and the walk starts from the models that do.  Under
+the charpoly models only disjoint unions of cycles survive.  A skipped
+subset adds zero to every value and coloring count, and it still counts
+in ``subsets``, which is every Eulerian subset of the mode.
+
+Each subset's state comes from the rng-free
 :func:`~mixedpf.graph.peel`, which counts circuits as it builds the state,
 so the (-1)^(circuits) sign needs no second trace; any valid state gives
 the same signed sum.
@@ -147,10 +158,15 @@ class _SubsetContext:
     What does not depend on the subset is set up once per call and serves
     every subset :meth:`run` searches: the edge order, the position that
     completes each internal vertex (its incident edges are its slots
-    whatever the subset), the labels' open ends, the weight of isolated
-    vertices, and the factor caches, one per local shape, from a
+    whatever the subset) and its degree, the labels' open ends, the weight
+    of isolated vertices, the mask of models with a pattern of each
+    bidegree, and the factor caches, one per local shape, from a
     slot-ordered color tuple to its :func:`_vertex_factors`.  The caches
     are keyed by the call's models, so they hold for all its subsets.
+
+    :meth:`alive` is the bidegree check of a subset: callers skip a subset
+    it finds dead, before its state is built, yet still count it in
+    ``subsets``; otherwise :meth:`run` starts its walk from its mask.
 
     The walk multiplies each model's ``scaled`` weights, so :meth:`run`
     sums D^(n_vertices - t) times the true values; ``scales`` holds that
@@ -191,6 +207,15 @@ class _SubsetContext:
         self.internal = [
             (v, last[v]) for v in range(g.n_vertices) if v not in labeled and v in last
         ]
+        self.n_vertices = g.n_vertices
+        degrees = g.degrees()
+        self.degrees = [(v, degrees[v]) for v, _ in self.internal]
+        # bit i of bidegrees[(s, x)] is set iff model i weighs some pattern of
+        # s symmetric colors and x exterior ones
+        self.bidegrees = {}
+        for i, h in enumerate(models):
+            for key in h.bidegrees:
+                self.bidegrees[key] = self.bidegrees.get(key, 0) | 1 << i
         self.open_ends = [frag.open_end(pos) for pos in range(frag.t)]
         # the weight of the isolated internal vertices, common to every subset
         mask = (1 << len(models)) - 1
@@ -209,11 +234,32 @@ class _SubsetContext:
         weighed = g.n_vertices - len(labeled)
         self.scales = [h.denominator**weighed for h in models]
 
-    def run(self, subset, state: EulerianState):
+    def alive(self, subset) -> int:
+        """The mask of the models that weigh the isolated vertices nonzero
+        and have a pattern of each other internal vertex's bidegree (d - x,
+        x) on ``subset``, x of its d half-edges being in the subset.  Labels
+        are not weighed."""
+        inner = [0] * self.n_vertices
+        edges = self.edges
+        for e in subset:
+            a, b = edges[e]
+            inner[a] += 1
+            inner[b] += 1
+        mask = self.start[0]
+        bidegrees = self.bidegrees
+        for v, degree in self.degrees:
+            if not mask:
+                break
+            x = inner[v]
+            mask &= bidegrees.get((degree - x, x), 0)
+        return mask
+
+    def run(self, subset, state: EulerianState, mask: int):
         """Sum per-coloring products of internal-vertex weights by label colors.
 
-        One walk of the coloring tree serves every model: a branch is cut
-        once every model weighs some completed vertex zero.  Returns one
+        ``mask`` is :meth:`alive` of the subset.  One walk of the coloring
+        tree serves every model it holds: a branch is cut once every model
+        weighs some completed vertex zero.  Returns one
         (coefficients, leaves) pair per model: the (k+2*ell)^t coefficients
         of the subset's tensor, unsigned (no circuit parity or trail
         prefactor), and the number of full colorings the model weighs
@@ -226,7 +272,7 @@ class _SubsetContext:
         base = k + two_ell
         coeffs = [[0] * base ** len(self.open_ends) for _ in range(n)]
         leaves = [0] * n
-        mask, acc = self.start
+        acc = self.start[1]
         if not mask:
             return list(zip(coeffs, leaves))
 
@@ -329,9 +375,10 @@ def subset_sums(
     graph's degree caps (:meth:`EdgeColoringModel.check_cap`).
     """
     ctx = _SubsetContext(frag, models)
+    sums = ctx.run(subset, state, ctx.alive(subset))
     return [
         ([_unscale(c, scale) for c in coeffs], leaves)
-        for (coeffs, leaves), scale in zip(ctx.run(subset, state), ctx.scales)
+        for (coeffs, leaves), scale in zip(sums, ctx.scales)
     ]
 
 
@@ -412,8 +459,11 @@ def partition_function_many(
     colorings = [0] * len(models)
     subsets = _mode_subsets(g, mode)
     for subset in subsets:
+        mask = ctx.alive(subset)
+        if not mask:
+            continue  # every model weighs it zero; it still counts in subsets
         state, circuits, _ = peel(frag, subset)
-        sums = ctx.run(subset, state)
+        sums = ctx.run(subset, state, mask)
         for idx, ((value,), leaves) in enumerate(sums):
             colorings[idx] += leaves
             totals[idx] = totals[idx] - value if circuits % 2 else totals[idx] + value

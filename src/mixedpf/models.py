@@ -49,10 +49,12 @@ class EdgeColoringModel:
     GaussianRational with int components.  The coloring search multiplies
     scaled weights, so its products need no Fraction; a vertex gives one
     weight per coloring, so a sum over the colorings of n weighed vertices
-    is D^n times the true one.
+    is D^n times the true one.  ``bidegrees`` holds the (symmetric,
+    exterior) degrees of the patterns, so the search can tell which vertices
+    the model weighs zero whatever their colors.
     """
 
-    __slots__ = ("k", "two_ell", "entries", "cap", "denominator", "scaled")
+    __slots__ = ("k", "two_ell", "entries", "cap", "denominator", "scaled", "bidegrees")
 
     def __init__(self, k: int, two_ell: int, entries, cap: int | None = None):
         if k < 0:
@@ -89,6 +91,7 @@ class EdgeColoringModel:
         for key, value in table.items():
             value = value * d
             self.scaled[key] = value if value.im else value.re
+        self.bidegrees = frozenset((sum(sym), len(ext)) for sym, ext in table)
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoringModel):

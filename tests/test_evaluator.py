@@ -29,6 +29,7 @@ from mixedpf.graph import (
     decompose,
     enumerate_eulerian_subsets,
     eulerian_state,
+    peel,
 )
 from mixedpf.models import (
     EdgeColoringModel,
@@ -293,7 +294,7 @@ def test_canonical_table_holds_a_charpoly_pass(monkeypatch):
     models = [charpoly_model(t, cap=12) for t in (0, 1, -2, Fraction(3, 2))]
     for g in enumerate_multigraphs(3, 6):
         partition_function_many(g, models, "mixed")
-    assert sum(map(len, evaluator._CANON.values())) == 4415
+    assert sum(map(len, evaluator._CANON.values())) == 1947
     assert len(evaluator._FORMS) == 147
     assert evaluator._held == canon_numbers() < evaluator.MAX_MODEL_SIZE
 
@@ -589,14 +590,18 @@ def builtin_models(cap):
         yield [circuit_odd_model(ell, cap=cap)], ("mixed",)
 
 
+def mode_subsets(g, mode):
+    """The Eulerian subsets a mode sums over."""
+    if mode == "ordinary":
+        return [frozenset()]
+    if mode == "skew":
+        return [frozenset(range(g.n_edges))] if g.is_eulerian() else []
+    return enumerate_eulerian_subsets(g)
+
+
 def simple_path(g, model, mode):
     """Value, subsets and colorings from seeded states traced by decompose."""
-    if mode == "ordinary":
-        subsets = [frozenset()]
-    elif mode == "skew":
-        subsets = [frozenset(range(g.n_edges))] if g.is_eulerian() else []
-    else:
-        subsets = enumerate_eulerian_subsets(g)
+    subsets = mode_subsets(g, mode)
     value, colorings = ZERO, 0
     for subset in subsets:
         state = eulerian_state(g, subset, 0)
@@ -620,6 +625,136 @@ def test_partition_function_many_equals_the_simple_path():
                     assert got == simple_path(g, h, mode), (g, h, mode)
                     checked += 1
     assert checked > 3000
+
+
+# -- the bidegree check: subsets no model can weigh nonzero are skipped ---------
+
+
+def holed_models(rng, k, two_ell, max_degree):
+    """Three models of one random table, with holes in their bidegree support.
+
+    A pattern's bidegree is (symmetric colors, exterior colors).  The table
+    itself, the table without one or two bidegrees, and the table's patterns
+    of one bidegree only: on many subsets some of them cannot weigh a vertex
+    nonzero while the others can.
+    """
+    full = random_sparse_model(rng, k, two_ell, max_degree, density=0.6)
+    while not full.entries:
+        full = random_sparse_model(rng, k, two_ell, max_degree, density=0.6)
+    by_bidegree = {}
+    for (sym, ext), value in full.entries.items():
+        by_bidegree.setdefault((sum(sym), len(ext)), []).append((sym, ext, value))
+    bidegrees = sorted(by_bidegree)
+    holes = rng.sample(bidegrees, min(rng.randint(1, 2), len(bidegrees)))
+    kept = [e for b in bidegrees if b not in holes for e in by_bidegree[b]]
+    return [
+        full,
+        EdgeColoringModel(k, two_ell, kept),
+        EdgeColoringModel(k, two_ell, by_bidegree[rng.choice(bidegrees)]),
+    ]
+
+
+# one shape each mode allows; in mixed mode k = 1 keeps the oracle cheap
+HOLED_SHAPES = {"ordinary": (2, 0), "skew": (0, 4), "mixed": (1, 2)}
+
+
+def oracle_results(g, models, mode, rng):
+    """Value, subsets and colorings of each model, summed from
+    coloring_sum_oracle over seeded states, and how many subsets some
+    model weighs zero while another does not."""
+    subsets = mode_subsets(g, mode)
+    values, colorings = [ZERO] * len(models), [0] * len(models)
+    split = 0
+    for subset in subsets:
+        state = eulerian_state(g, subset, rng.randrange(100))
+        circuits, _ = decompose(state, g)
+        alive = set()
+        for i, h in enumerate(models):
+            (total,), leaves = coloring_sum_oracle(g, subset, state, h)
+            values[i] = values[i] - total if circuits % 2 else values[i] + total
+            colorings[i] += leaves
+            alive.add(leaves > 0)
+        split += len(alive) == 2
+    factor = GaussianRational(models[0].k - models[0].two_ell) ** g.n_circles
+    return [(v * factor, len(subsets), n) for v, n in zip(values, colorings)], split
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "skew", "mixed"])
+def test_the_bidegree_check_keeps_every_value(mode):
+    """Models with holes in their bidegree support share each call, on every
+    multigraph with at most 3 vertices and 5 edges: values, subsets and
+    surviving colorings are the oracle's, also where one subset is dead
+    under some models and alive under others."""
+    rng = random.Random(13)
+    k, two_ell = HOLED_SHAPES[mode]
+    split = 0
+    for g in enumerate_multigraphs(3, 5):
+        models = holed_models(rng, k, two_ell, max(g.max_degree(), 1))
+        expected, split_here = oracle_results(g, models, mode, rng)
+        got = [(r.value, r.subsets, r.colorings) for r in partition_function_many(g, models, mode)]
+        assert got == expected, (g, mode)
+        split += split_here
+    assert split > 50
+
+
+def test_the_bidegree_check_keeps_every_tensor():
+    """subset_sums of the holed models together, and fragment_tensor of each,
+    on every Eulerian subset of every fragment with t <= 3 labels, at most 2
+    internal vertices and 4 edges: labels are not weighed, so the check
+    must not read their degrees."""
+    rng = random.Random(14)
+    checked = 0
+    for t in range(4):
+        for frag in enumerate_fragments(t, 2, 4):
+            models = holed_models(rng, 2, 2, max(frag.graph.max_degree(), 1))
+            for subset in enumerate_eulerian_subsets(frag):
+                state = eulerian_state(frag, subset, rng.randrange(100))
+                expected = [coloring_sum_oracle(frag, subset, state, h) for h in models]
+                assert subset_sums(frag, subset, state, models) == expected, (frag, subset)
+                for h in models:
+                    got = fragment_tensor(frag, subset, h, state).coeffs
+                    assert got == oracle_tensor(frag, subset, state, h), (frag, subset, h)
+                checked += 1
+    assert checked == 272 + 175 + 364 + 474
+
+
+def test_peel_runs_only_on_subsets_some_model_can_weigh(monkeypatch):
+    """Under the four charpoly models a vertex weighs nonzero only with 0 or
+    2 of its half-edges in the subset, so only disjoint unions of cycles
+    are peeled; the others still count in ``subsets``."""
+    peeled = []
+
+    def spy(frag, subset, rng=None):
+        peeled.append(subset)
+        return peel(frag, subset, rng)
+
+    monkeypatch.setattr(evaluator, "peel", spy)
+    models = [charpoly_model(t, cap=12) for t in (0, 1, -2, Fraction(3, 2))]
+    subsets = peeled_total = 0
+    for g in enumerate_multigraphs(3, 6):
+        del peeled[:]
+        [res, *_] = partition_function_many(g, models, "mixed")
+        cycles = []
+        for s in enumerate_eulerian_subsets(g):
+            sub = MultiGraph(g.n_vertices, tuple(g.edges[e] for e in s))
+            if set(sub.degrees()) <= {0, 2}:
+                cycles.append(s)
+        assert peeled == cycles, g
+        subsets += res.subsets
+        peeled_total += len(peeled)
+    assert (peeled_total, subsets) == (7987, 17921)
+
+
+def test_dead_subsets_are_not_walked(monkeypatch):
+    """eulerian_sum and fragment_tensor start their walk from the same check:
+    the figure eight's full subset gives its vertex 4 exterior half-edges,
+    which no charpoly pattern has, so no vertex is weighed."""
+    weighed = []
+    monkeypatch.setattr(evaluator, "_vertex_factors", lambda *args: weighed.append(args))
+    h = charpoly_model(1)
+    assert eulerian_sum(FIG8, {0, 1}, h) == ZERO
+    assert fragment_tensor(Fragment(FIG8), {0, 1}, h).coeffs == (ZERO,)
+    assert weighed == []
 
 
 MODEL_SHAPES = (

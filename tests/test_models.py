@@ -339,6 +339,14 @@ def test_weights_are_scaled_by_their_common_denominator():
     assert EdgeColoringModel(1, 0, []).denominator == 1
 
 
+def test_bidegrees_are_the_patterns_degrees():
+    """(symmetric, exterior) degrees of the patterns: charpoly at t = 0 has
+    no pure e_1 power, so no pattern of degree (0, 0)."""
+    assert charpoly_model(0, cap=3).bidegrees == {(1, 0), (2, 0), (3, 0), (0, 2), (1, 2)}
+    assert charpoly_model(1, cap=3).bidegrees == {(0, 0), (1, 0), (2, 0), (3, 0), (0, 2), (1, 2)}
+    assert EdgeColoringModel(1, 2, [((0,), (1,), 0)]).bidegrees == frozenset()
+
+
 def recursive_compositions(total, parts):
     """The recursion that _compositions replaced, kept as its reference."""
     if parts == 0:
