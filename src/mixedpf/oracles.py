@@ -3,12 +3,12 @@
 Each function here recomputes, by direct enumeration or textbook linear
 algebra, a quantity that the engine reaches through a partition function:
 Eulerian edge subsets by testing every edge bitmask, the coloring sum of one
-subset by trying every coloring, characteristic polynomials (determinant and
-subgraph-expansion routes, deliberately separate code paths), the circuit
-partition polynomial via transition systems, matching counts, and
-matching-permutation signs via exhaustive search.  The subgraph expansion
-classifies a graph's edge subsets once, as a polynomial in t, and evaluates
-it at each t.  Nothing in this module calls the evaluator.
+subset by trying every coloring, characteristic polynomials (an integer
+trace recurrence and the subgraph expansion, deliberately separate code
+paths), the circuit partition polynomial via transition systems, matching
+counts, and matching-permutation signs via exhaustive search.  The subgraph
+expansion classifies a graph's edge subsets once, as a polynomial in t, and
+evaluates it at each t.  Nothing in this module calls the evaluator.
 """
 
 from __future__ import annotations
@@ -48,17 +48,6 @@ class Polynomial:
             total = total * x + c
         return total
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for a in range(n):
-            s = self.coeffs[a] if a < len(self.coeffs) else ZERO
-            t = other.coeffs[a] if a < len(other.coeffs) else ZERO
-            out.append(s + t)
-        return Polynomial(tuple(out))
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -71,10 +60,6 @@ class Polynomial:
             for b, cb in enumerate(other.coeffs):
                 out[a + b] = out[a + b] + ca * cb
         return Polynomial(tuple(out))
-
-    def scale(self, c) -> "Polynomial":
-        c = as_gaussian(c)
-        return Polynomial(tuple(c * x for x in self.coeffs))
 
     def shift(self, n: int) -> "Polynomial":
         """Multiply by x^n."""
@@ -191,37 +176,34 @@ def adjacency_determinant(g: MultiGraph) -> GaussianRational:
 
 
 def charpoly_oracle(g: MultiGraph) -> Polynomial:
-    """det(tI - A) as an exact polynomial, via interpolation.
+    """det(tI - A) as an exact polynomial, by the Faddeev-LeVerrier recurrence.
 
-    Evaluates the determinant at n+1 integer points with fraction-free
-    elimination and interpolates; the result has integer coefficients.
+    Over plain ints on the adjacency matrix: with M_0 = 0 and c_n = 1, step
+    k = 1..n forms M_k = A*M_(k-1) + c_(n-k+1)*I and c_(n-k) = -tr(A*M_k)/k.
+    Newton's identities make every division exact; a remainder raises
+    ArithmeticError rather than being floored.
     """
     if g.n_circles:
         raise ValueError("characteristic polynomial undefined for circle components")
     n = g.n_vertices
     a = adjacency_matrix(g)
-    points = []
-    for x in range(n + 1):
-        m = [
-            [GaussianRational((x if r == c else 0) - a[r][c]) for c in range(n)]
-            for r in range(n)
-        ]
-        points.append((GaussianRational(x), determinant(m)))
-    return _interpolate(points)
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        c = coeffs[n - k + 1]
+        m = _matmul(a, m)
+        for r in range(n):
+            m[r][r] += c
+        trace = sum(a[r][j] * m[j][r] for r in range(n) for j in range(n))
+        coeffs[n - k], remainder = divmod(-trace, k)
+        if remainder:
+            raise ArithmeticError(f"tr(A*M_{k}) = {trace} is not divisible by {k}")
+    return Polynomial(tuple(coeffs))
 
 
-def _interpolate(points) -> Polynomial:
-    result = Polynomial()
-    for i, (xi, yi) in enumerate(points):
-        numerator = Polynomial((ONE,))
-        denominator = ONE
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            numerator = numerator * Polynomial((-xj, ONE))
-            denominator = denominator * (xi - xj)
-        result = result + numerator.scale(yi / denominator)
-    return result
+def _matmul(a, b) -> list[list[int]]:
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
 
 
 def sachs_oracle(g: MultiGraph, t) -> GaussianRational:

@@ -216,7 +216,8 @@ def suite_invariance(seed: int = 0, count: int = 50, trials: int = 10) -> RunRep
 def suite_charpoly(
     max_vertices: int = 4, max_edges: int = 6, t_values=(0, 1, -2, Fraction(3, 2))
 ) -> RunReport:
-    """Mixed partition function vs determinant and subgraph-expansion oracles."""
+    """Mixed partition function vs two oracles of det(tI - A): the
+    Faddeev-LeVerrier trace recurrence and the subgraph expansion."""
     cap = 2 * max_edges
     models = [charpoly_model(t, cap=cap) for t in t_values]
 
@@ -478,6 +479,11 @@ def suite_rank(
     )
 
 
+#: k = 6 would take determinants of 5,040 graphs of 42 vertices, seven times
+#: the 720 graphs of 36 vertices at k = 5
+MAX_DGLRS_K = 5
+
+
 def suite_dglrs(k_values=(1, 2)) -> RunReport:
     """The signed 6-cycle family sum under the determinant oracle.
 
@@ -485,6 +491,8 @@ def suite_dglrs(k_values=(1, 2)) -> RunReport:
     16 at k=1 and stays nonzero at every tested k, so no ordinary model
     matches it.
     """
+    if max(k_values, default=0) > MAX_DGLRS_K:
+        raise ValueError(f"k must be at most {MAX_DGLRS_K}, got {max(k_values)}")
 
     def cases():
         for k in k_values:

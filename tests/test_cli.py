@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from mixedpf import evaluator
+from mixedpf import evaluator, suites
 from mixedpf.cli import main
 from mixedpf.graph import parse_fragments
 from mixedpf.models import circuit_neg_model, model_to_json
@@ -345,6 +345,20 @@ def test_verify_signs_refuses_sizes_past_its_budget(capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error:") and "max_m" in line
+
+
+def test_verify_dglrs_refuses_k_past_its_budget(capsys, monkeypatch):
+    # k = 6 would take determinants of 5,040 graphs of 42 vertices; the
+    # refusal comes before the family sum of any k, the valid k = 1 included
+    def family_sum(f, k):
+        raise AssertionError(f"the family sum ran at k={k}")
+
+    monkeypatch.setattr(suites, "dglrs_constraint_sum", family_sum)
+    assert main(["verify", "dglrs", "--k", "1", "--k", "6", "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and f"at most {suites.MAX_DGLRS_K}" in line
 
 
 def test_verify_charpoly_takes_negative_t(capsys):

@@ -145,18 +145,30 @@ def test_f_g_pairing_values():
             assert gram_pairing(g, f) == 1
 
 
-rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+#: the support of st.fractions(-20, 20, max_denominator=12), simplest first so
+#: that examples shrink toward 0; one draw per value keeps test_bilinearity's
+#: inputs within Hypothesis' too_slow health check on a loaded machine
+rationals = st.sampled_from(
+    sorted(
+        {Fraction(p, q) for q in range(1, 13) for p in range(-20 * q, 20 * q + 1)},
+        key=lambda f: (f.denominator, abs(f), f < 0),
+    )
+)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 
 
-@settings(max_examples=40)
-@given(st.sampled_from([1, 2]), st.data())
-def test_bilinearity(t, data):
-    k, two_ell = 2, 2
+def _three_vectors(t, k=2, two_ell=2):
+    """t with three coefficient lists of its (k+2l)^t color space."""
     vec = st.lists(gaussians, min_size=(k + two_ell) ** t, max_size=(k + two_ell) ** t)
-    x, xp, y = (data.draw(vec) for _ in range(3))
-    a = data.draw(gaussians)
-    b = data.draw(gaussians)
+    return st.tuples(st.just(t), vec, vec, vec)
+
+
+# drawn in @given, not in the body, so the deadline times the pairings only
+@settings(max_examples=40)
+@given(st.sampled_from([1, 2]).flatmap(_three_vectors), gaussians, gaussians)
+def test_bilinearity(vectors, a, b):
+    t, x, xp, y = vectors
+    k, two_ell = 2, 2
 
     def tensor(coeffs):
         return FragmentTensor(t, k, two_ell, tuple(coeffs))
