@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import re
 import sys
 
 from .algebra import GaussianRational
@@ -36,7 +37,15 @@ VERIFY_OPTIONS = {
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are ValueErrors, which main
-    reports in one ``error:`` line; ``--help`` still prints usage, exit 0."""
+    reports in one ``error:`` line; ``--help`` still prints usage, exit 0.
+
+    A word that starts with ``-`` and then a digit, a dot or a lone ``i``
+    is a value, as argparse already takes ``-2``: so ``--t -3/2`` and
+    ``--t -2/5i`` read as ``--t=-3/2`` does.  No option is spelled so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]|-i$")
 
     def error(self, message):
         raise ValueError(message)

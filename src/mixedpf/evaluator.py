@@ -8,13 +8,22 @@ One per-subset engine, :func:`subset_sums`, serves every caller: it returns
 a subset's tensor over the (k+2*ell)^t label colors, and a plain graph's
 scalar subset value is the single coefficient of its t=0 tensor.
 
-Coloring enumeration walks the edges in an order that completes vertices as
-early as possible, once for all the models of a call; a branch is cut as
-soon as every model weighs a completed vertex zero, which is what makes the
-sparse built-in models fast.  A vertex's weight comes from its canonical
-pattern, kept in one table per local shape that every subset, graph and
-call shares: the table memoises a pure function of shape and colors, so
-sharing it cannot change a value.
+Coloring enumeration walks the edges in one order, once for all the models
+of a call; a branch is cut as soon as every model weighs a completed vertex
+zero, which is what makes the sparse built-in models fast.  The order is
+read from the graph's structure, not from its vertex names
+(:func:`_walk_order`): start at a vertex with the fewest edges, then always
+take an edge at the touched vertex with the fewest edges left, so that
+vertices complete as early as possible.  The backlog, the colored edges
+that no completed vertex has checked yet, is what the walk branches on
+unchecked; on prisms and Moebius ladders it stays at 2 under any naming,
+where an order by vertex names left a whole rim of n edges unchecked.  The
+exact sum does not depend on the order and ``colorings`` counts full
+colorings, so the order changes only how many nodes the walk visits.
+
+A vertex's weight comes from its canonical pattern, kept in one table per
+local shape that every subset, graph and call shares: the table memoises a
+pure function of shape and colors, so sharing it cannot change a value.
 
 Work that does not depend on the subset is done once per call: the edge
 order, the internal vertices and the position completing each, the models
@@ -54,6 +63,7 @@ partitioning of the work reproduces the same value bit for bit.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from operator import mul
 
@@ -152,6 +162,58 @@ def _vertex_factors(shape, key, tables):
     return mask, None if all(f == 1 for f in factors) else tuple(factors)
 
 
+def _walk_order(g: MultiGraph) -> list[int]:
+    """The edge order of the coloring walk, read from the graph's structure.
+
+    Greedy: start at a vertex with the fewest edges; then take the lowest
+    unordered edge at the touched vertex with the fewest unordered edges
+    left, ties to the lower vertex; when no touched vertex has edges left,
+    restart at the untouched vertex with the fewest edges, which is how the
+    order reaches the next component.  A loop counts once.  Each step thus
+    finishes the vertex nearest completion, so few colored edges wait for a
+    completed vertex to check them.
+    """
+    edges = g.edges
+    incident = [[] for _ in range(g.n_vertices)]
+    for e, (a, b) in enumerate(edges):
+        incident[a].append(e)
+        if b != a:
+            incident[b].append(e)
+    full = [len(es) for es in incident]
+    left = full[:]
+    fewest = left.__getitem__
+    nxt = [0] * g.n_vertices  # where each vertex's unordered edges may begin
+    placed = [False] * len(edges)
+    order = []
+    # a component, once started, is ordered whole before the next starts
+    for start in sorted(range(g.n_vertices), key=fewest):
+        if not left[start]:
+            continue
+        active = [start]  # the touched vertices with edges left, by index
+        while active:
+            v = min(active, key=fewest)
+            es = incident[v]
+            i = nxt[v]
+            while placed[es[i]]:
+                i += 1
+            nxt[v] = i + 1
+            e = es[i]
+            placed[e] = True
+            order.append(e)
+            a, b = edges[e]
+            u = b if a == v else a
+            if u != v:
+                if left[u] == full[u]:
+                    insort(active, u)
+                left[u] -= 1
+                if not left[u]:
+                    active.remove(u)
+            left[v] -= 1
+            if not left[v]:
+                active.remove(v)
+    return order
+
+
 class _SubsetContext:
     """Coloring machinery for one call: a graph or fragment and its models.
 
@@ -163,6 +225,11 @@ class _SubsetContext:
     bidegree, and the factor caches, one per local shape, from a
     slot-ordered color tuple to its :func:`_vertex_factors`.  The caches
     are keyed by the call's models, so they hold for all its subsets.
+
+    The edge order is :func:`_walk_order`'s, read from the graph: it
+    completes vertices early, so the backlog, the colored edges that no
+    completed vertex has checked yet, stays small, and with it the
+    branches the walk grows before it can cut one.
 
     :meth:`alive` is the bidegree check of a subset: callers skip a subset
     it finds dead, before its state is built, yet still count it in
@@ -196,9 +263,7 @@ class _SubsetContext:
         self.sym_colors = range(1, k + 1)
         self.ext_colors = range(1, two_ell + 1)
         labeled = set(frag.labels)
-        self.order = sorted(
-            range(g.n_edges), key=lambda e: (max(g.edges[e]), min(g.edges[e]), e)
-        )
+        self.order = _walk_order(g)
         # the position of each vertex's last edge, which completes it
         last = {}
         for p, e in enumerate(self.order):

@@ -376,6 +376,25 @@ def test_verify_charpoly_takes_rational_t(capsys):
     assert "t=3/2:" in out and out.splitlines()[-1] == "summary 4 cases, 0 failed"
 
 
+@pytest.mark.parametrize("t", ["-3/2", "-2/5i", "-1/3+1/2i", "-i", "-.5"])
+def test_verify_charpoly_takes_a_separate_t_that_starts_with_a_minus(capsys, t):
+    sizes = ["--max-vertices", "2", "--max-edges", "2", "--no-timing"]
+    assert main(["verify", "charpoly", f"--t={t}", *sizes]) == 0
+    expected = capsys.readouterr().out
+    assert expected.endswith(" 0 failed\n")
+    assert main(["verify", "charpoly", "--t", t, *sizes]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv", [["--t", "--no-timing"], ["--t", "--max-vertices", "1"]])
+def test_t_before_an_option_is_a_usage_error(capsys, argv):
+    assert main(["verify", "charpoly", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "error: argument --t: expected one argument"
+
+
 def test_verify_charpoly_integer_t_output_is_unchanged(capsys):
     sizes = {"max_vertices": 2, "max_edges": 3}
     expected = SUITES["charpoly"](t_values=(2, -2), **sizes).render(show_timing=False)

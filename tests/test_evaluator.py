@@ -294,9 +294,19 @@ def test_canonical_table_holds_a_charpoly_pass(monkeypatch):
     models = [charpoly_model(t, cap=12) for t in (0, 1, -2, Fraction(3, 2))]
     for g in enumerate_multigraphs(3, 6):
         partition_function_many(g, models, "mixed")
-    assert sum(map(len, evaluator._CANON.values())) == 1947
+    assert sum(map(len, evaluator._CANON.values())) == 1913
     assert len(evaluator._FORMS) == 147
     assert evaluator._held == canon_numbers() < evaluator.MAX_MODEL_SIZE
+
+
+class CountedDict(dict):
+    """A dict that counts the times it is emptied."""
+
+    emptied = 0
+
+    def clear(self):
+        self.emptied += 1
+        super().clear()
 
 
 def test_canonical_table_is_emptied_at_its_bound(monkeypatch):
@@ -304,19 +314,22 @@ def test_canonical_table_is_emptied_at_its_bound(monkeypatch):
     graphs = [
         MultiGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1))),
         MultiGraph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (0, 0))),
+        # K4 with loops at two vertices
+        MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 2), (3, 3))),
     ]
     h = charpoly_model(Fraction(3, 2), cap=6)
 
     def values(bound):
-        monkeypatch.setattr(evaluator, "_CANON", {})
+        monkeypatch.setattr(evaluator, "_CANON", CountedDict())
         monkeypatch.setattr(evaluator, "_FORMS", {})
         monkeypatch.setattr(evaluator, "_held", 0)
         monkeypatch.setattr(evaluator, "MAX_MODEL_SIZE", bound)
         return [partition_function(g, h, "mixed").value for g in graphs]
 
     unbounded = values(evaluator.MAX_MODEL_SIZE)
-    assert canon_numbers() > 400
+    assert canon_numbers() > 400 and evaluator._CANON.emptied == 0
     assert values(40) == unbounded
+    assert evaluator._CANON.emptied >= 2
     assert evaluator._held == canon_numbers() <= 40
 
 
@@ -755,6 +768,159 @@ def test_dead_subsets_are_not_walked(monkeypatch):
     assert eulerian_sum(FIG8, {0, 1}, h) == ZERO
     assert fragment_tensor(Fragment(FIG8), {0, 1}, h).coeffs == (ZERO,)
     assert weighed == []
+
+
+# -- the walk's edge order: greedy by structure, the name order its oracle ------
+
+
+def name_order(g):
+    """The edge order by vertex names, (max end, min end, index): the oracle."""
+    return sorted(range(g.n_edges), key=lambda e: (max(g.edges[e]), min(g.edges[e]), e))
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "skew", "mixed"])
+def test_the_walk_order_keeps_every_value(monkeypatch, mode):
+    """Two random sparse models per call, on every multigraph with at most 3
+    vertices and 5 edges: values, subsets and surviving colorings are those
+    of the walk in name order."""
+    rng = random.Random(15)
+    k, two_ell = HOLED_SHAPES[mode]
+    moved = 0
+    for g in enumerate_multigraphs(3, 5):
+        moved += evaluator._walk_order(g) != name_order(g)
+        cap = max(g.max_degree(), 1)
+        models = [random_sparse_model(rng, k, two_ell, cap, density) for density in (0.4, 0.8)]
+        got = [(r.value, r.subsets, r.colorings) for r in partition_function_many(g, models, mode)]
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "_walk_order", name_order)
+            expected = partition_function_many(g, models, mode)
+        assert got == [(r.value, r.subsets, r.colorings) for r in expected], (g, mode)
+    assert moved > 250
+
+
+def test_the_walk_order_keeps_every_tensor(monkeypatch):
+    """fragment_tensor on every Eulerian subset of every fragment with t <= 3
+    labels, at most 2 internal vertices and 4 edges equals the walk's in
+    name order."""
+    rng = random.Random(16)
+    checked = 0
+    for t in range(4):
+        for frag in enumerate_fragments(t, 2, 4):
+            h = random_sparse_model(rng, 2, 2, max(frag.graph.max_degree(), 1), 0.6)
+            for subset in enumerate_eulerian_subsets(frag):
+                state = eulerian_state(frag, subset, rng.randrange(100))
+                got = fragment_tensor(frag, subset, h, state).coeffs
+                with monkeypatch.context() as patch:
+                    patch.setattr(evaluator, "_walk_order", name_order)
+                    assert got == fragment_tensor(frag, subset, h, state).coeffs, (frag, subset)
+                checked += 1
+    assert checked == 272 + 175 + 364 + 474
+
+
+def components(g):
+    """Each vertex's component, by the lowest vertex in it."""
+    root = list(range(g.n_vertices))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in g.edges:
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    return [find(v) for v in range(g.n_vertices)]
+
+
+def assert_walk_order_shape(g):
+    """The order is a permutation of the edges that takes each component whole."""
+    order = evaluator._walk_order(g)
+    assert sorted(order) == list(range(g.n_edges)), g
+    comp = components(g)
+    blocks = [comp[g.edges[e][0]] for e in order]
+    runs = [c for i, c in enumerate(blocks) if i == 0 or blocks[i - 1] != c]
+    assert len(runs) == len(set(runs)), g
+
+
+def test_the_walk_order_is_a_permutation():
+    """Every multigraph with at most 4 vertices and 6 edges, loops and
+    parallel edges included."""
+    for g in enumerate_multigraphs(4, 6):
+        assert_walk_order_shape(g)
+
+
+def test_the_walk_order_covers_edge_cases():
+    """No edges, isolated vertices, several components, and fragments,
+    whose labels are vertices of degree one."""
+    graphs = [
+        MultiGraph(0),
+        MultiGraph(3),
+        MultiGraph(5, ((1, 3), (3, 3))),
+        disjoint_union(cycle_graph(3), MultiGraph(2, ((0, 1), (0, 0), (1, 1)))),
+        disjoint_union(FIG8, disjoint_union(MultiGraph(1), cycle_graph(4))),
+    ]
+    graphs += [frag.graph for t in (1, 2, 3) for frag in enumerate_fragments(t, 2, 4)]
+    for g in graphs:
+        assert_walk_order_shape(g)
+
+
+def test_the_walk_order_follows_its_rule():
+    # the triangular prism, every vertex of degree 3: vertex 0 takes its edges
+    # 0, 2 and 6; then vertex 1, of two edges left, its edges 1 and 7; vertex
+    # 2, of one left, edge 8; vertex 3 edges 3 and 5, and vertex 4 edge 4
+    assert evaluator._walk_order(prism(3)) == [0, 2, 6, 1, 7, 8, 3, 5, 4]
+    # a loop counts once: vertex 2, of one edge, starts; then vertices 0 and
+    # 1 have two edges each, and after edge 0 one each, so vertex 0 goes first
+    g = MultiGraph(4, ((0, 1), (1, 1), (0, 0), (2, 3)))
+    assert evaluator._walk_order(g) == [3, 0, 2, 1]
+
+
+def prism(n):
+    """C_n x K2: two n-cycles joined by n rungs."""
+    outer = tuple((i, (i + 1) % n) for i in range(n))
+    inner = tuple((n + i, n + (i + 1) % n) for i in range(n))
+    return MultiGraph(2 * n, outer + inner + tuple((i, n + i) for i in range(n)))
+
+
+def mobius_ladder(n):
+    """A 2n-cycle plus the n chords joining opposite vertices."""
+    rim = tuple((i, (i + 1) % (2 * n)) for i in range(2 * n))
+    return MultiGraph(2 * n, rim + tuple((i, i + n) for i in range(n)))
+
+
+def backlog(g, order):
+    """The most colored edges that no completed vertex has checked yet, over
+    the positions of the walk: an edge is checked at the position that
+    completes its first end."""
+    last = {}
+    for p, e in enumerate(order):
+        for v in g.edges[e]:
+            last[v] = p
+    checked = [min(last[v] for v in g.edges[e]) for e in order]
+    return max(sum(q > p for q in checked[: p + 1]) for p in range(len(order)))
+
+
+def test_the_name_order_leaves_a_ladder_unchecked():
+    """The negative control: in name order, a whole rim waits for its check."""
+    for n in range(3, 11):
+        assert backlog(prism(n), name_order(prism(n))) == n
+        assert backlog(mobius_ladder(n), name_order(mobius_ladder(n))) == n + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([prism, mobius_ladder]), st.integers(3, 10), st.randoms(use_true_random=False))
+def test_the_walk_order_checks_ladders_early_under_any_names(ladder, n, rng):
+    """Vertices renamed, edges reordered and their ends swapped: at most two
+    colored edges wait for a completed vertex."""
+    g = ladder(n)
+    rename = list(range(g.n_vertices))
+    rng.shuffle(rename)
+    edges = [(rename[b], rename[a]) if rng.random() < 0.5 else (rename[a], rename[b])
+             for a, b in g.edges]
+    rng.shuffle(edges)
+    moved = MultiGraph(g.n_vertices, tuple(edges))
+    walk = evaluator._SubsetContext(Fragment(moved), [charpoly_model(0, cap=3)])
+    assert backlog(moved, walk.order) <= 2
 
 
 MODEL_SHAPES = (
