@@ -8,18 +8,12 @@ One per-subset engine, :func:`subset_sums`, serves every caller: it returns
 a subset's tensor over the (k+2*ell)^t label colors, and a plain graph's
 scalar subset value is the single coefficient of its t=0 tensor.
 
-Coloring enumeration walks the edges in one order, once for all the models
-of a call; a branch is cut as soon as every model weighs a completed vertex
-zero, which is what makes the sparse built-in models fast.  The order is
-read from the graph's structure, not from its vertex names
-(:func:`_walk_order`): start at a vertex with the fewest edges, then always
-take an edge at the touched vertex with the fewest edges left, so that
-vertices complete as early as possible.  The backlog, the colored edges
-that no completed vertex has checked yet, is what the walk branches on
-unchecked; on prisms and Moebius ladders it stays at 2 under any naming,
-where an order by vertex names left a whole rim of n edges unchecked.  The
-exact sum does not depend on the order and ``colorings`` counts full
-colorings, so the order changes only how many nodes the walk visits.
+Coloring enumeration walks the edges in one order, :func:`_walk_order`'s,
+once for all the models of a call; a branch is cut as soon as every model
+weighs a completed vertex zero, which is what makes the sparse built-in
+models fast.  The exact sum does not depend on the order and
+``colorings`` counts full colorings, so the order changes only how many
+nodes the walk visits.
 
 A vertex's weight comes from its canonical pattern, kept in one table per
 local shape that every subset, graph and call shares: the table memoises a
@@ -170,8 +164,10 @@ def _walk_order(g: MultiGraph) -> list[int]:
     left, ties to the lower vertex; when no touched vertex has edges left,
     restart at the untouched vertex with the fewest edges, which is how the
     order reaches the next component.  A loop counts once.  Each step thus
-    finishes the vertex nearest completion, so few colored edges wait for a
-    completed vertex to check them.
+    finishes the vertex nearest completion, so vertices complete early and
+    the backlog, the colored edges that no completed vertex has checked
+    yet, stays small: the walk branches on it unchecked.  On prisms and
+    Moebius ladders the backlog stays at 2 under any vertex names.
     """
     edges = g.edges
     incident = [[] for _ in range(g.n_vertices)]
@@ -218,18 +214,14 @@ class _SubsetContext:
     """Coloring machinery for one call: a graph or fragment and its models.
 
     What does not depend on the subset is set up once per call and serves
-    every subset :meth:`run` searches: the edge order, the position that
-    completes each internal vertex (its incident edges are its slots
-    whatever the subset) and its degree, the labels' open ends, the weight
-    of isolated vertices, the mask of models with a pattern of each
-    bidegree, and the factor caches, one per local shape, from a
-    slot-ordered color tuple to its :func:`_vertex_factors`.  The caches
-    are keyed by the call's models, so they hold for all its subsets.
-
-    The edge order is :func:`_walk_order`'s, read from the graph: it
-    completes vertices early, so the backlog, the colored edges that no
-    completed vertex has checked yet, stays small, and with it the
-    branches the walk grows before it can cut one.
+    every subset :meth:`run` searches: the edge order of
+    :func:`_walk_order`, the position that completes each internal vertex
+    (its incident edges are its slots whatever the subset) and its degree,
+    the labels' open ends, the weight of isolated vertices, the mask of
+    models with a pattern of each bidegree, and the factor caches, one per
+    local shape, from a slot-ordered color tuple to its
+    :func:`_vertex_factors`.  The caches are keyed by the call's models,
+    so they hold for all its subsets.
 
     :meth:`alive` is the bidegree check of a subset: callers skip a subset
     it finds dead, before its state is built, yet still count it in

@@ -385,15 +385,13 @@ def decompose(state: EulerianState, frag) -> tuple[int, tuple]:
 class GlueResult:
     """A glued graph plus provenance maps from the two fragments' edges.
 
-    Each map sends an old edge id to ("edge", new id) or ("circle", index);
-    ``new_circles`` counts the circles created by label-to-label closures
-    (input circles carry over in front of them).
+    Each map sends an old edge id to ("edge", new id) or ("circle", index),
+    where the index counts only the circles closed up through labels.
     """
 
     graph: MultiGraph
     edge_map1: dict
     edge_map2: dict
-    new_circles: int
 
 
 def glue_with_maps(f1: Fragment, f2: Fragment) -> GlueResult:
@@ -458,7 +456,7 @@ def glue_with_maps(f1: Fragment, f2: Fragment) -> GlueResult:
 
     n_circles = f1.graph.n_circles + f2.graph.n_circles + len(circles)
     graph = MultiGraph(nxt, tuple(new_edges), n_circles)
-    return GlueResult(graph, emap[0], emap[1], len(circles))
+    return GlueResult(graph, emap[0], emap[1])
 
 
 def glue(f1: Fragment, f2: Fragment) -> MultiGraph:
@@ -478,13 +476,10 @@ def disjoint_union(g: MultiGraph, h: MultiGraph) -> MultiGraph:
 def build_G_pi(k: int, pi) -> MultiGraph:
     """Disjoint cycles C_{6c} over the cycle lengths c of a permutation of k+1.
 
-    ``pi`` maps position to image; 0-based tuples of range(k+1) are expected
-    (1-based permutations of [k+1] are accepted and normalized).
+    ``pi`` maps position to image, a 0-based tuple of range(k+1).
     """
     pi = tuple(int(x) for x in pi)
     n = k + 1
-    if sorted(pi) == list(range(1, n + 1)):
-        pi = tuple(x - 1 for x in pi)
     if sorted(pi) != list(range(n)):
         raise ValueError(f"not a permutation of {n} elements: {pi}")
     seen = [False] * n

@@ -343,7 +343,8 @@ def model_from_spec(spec: str, cap: int = 8) -> EdgeColoringModel:
     Known names: matchings, charpoly?t=..., circuit-pos?k=...,
     circuit-neg?l=..., circuit-odd?l=... .  A table of more than
     :data:`MAX_MODEL_SIZE` numbers, or a model of more than
-    :data:`MAX_COLORS` colors, is refused before it is built.
+    :data:`MAX_COLORS` colors, is refused before it is built, and so is a
+    parameter given more than once.
     """
     name, _, query = spec.partition("?")
     params = {}
@@ -352,6 +353,8 @@ def model_from_spec(spec: str, cap: int = 8) -> EdgeColoringModel:
             key, eq, value = piece.partition("=")
             if not eq:
                 raise ValueError(f"malformed model parameter '{piece}'")
+            if key in params:
+                raise ValueError(f"model parameter '{key}' given more than once")
             params[key] = value
     try:
         if name == "matchings":

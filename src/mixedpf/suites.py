@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,7 +109,12 @@ def enumerate_multigraphs(max_vertices: int, max_edges: int):
 
 
 def enumerate_fragments(t: int, max_internal: int, max_edges: int):
-    """All t-fragments within bounds; isomorphic duplicates are permitted."""
+    """All t-fragments within bounds; isomorphic duplicates are permitted.
+
+    Each label needs an edge end of its own, so there are none when
+    t > 2 * max_edges."""
+    if t > 2 * max_edges:
+        return
     for n_int in range(max_internal + 1):
         labels = tuple(n_int + i for i in range(t))
         pairs = [(u, v) for u in range(n_int) for v in range(u, n_int)]
@@ -128,8 +134,8 @@ def enumerate_fragments(t: int, max_internal: int, max_edges: int):
                     yield Fragment(MultiGraph(n_int + t, combo), labels)
 
 
-def random_multigraph(rng, max_vertices=4, max_edges=6, min_vertices=1) -> MultiGraph:
-    n = rng.randint(min_vertices, max_vertices)
+def random_multigraph(rng, max_vertices=4, max_edges=6) -> MultiGraph:
+    n = rng.randint(1, max_vertices)
     m = rng.randint(0, max_edges)
     edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m))
     return MultiGraph(n, edges)
@@ -249,25 +255,15 @@ def suite_charpoly(
 def suite_circuitpoly(max_vertices: int = 4, max_edges: int = 6) -> RunReport:
     """Circuit-polynomial evaluations at 1,2,3,-2,-1 vs transition systems."""
     cap = 2 * max_edges
-    pos = {k: circuit_pos_model(k, cap=cap) for k in (1, 2, 3)}
-    neg = circuit_neg_model(1)
-    odd = circuit_odd_model(1, cap=cap)
+    # (x, model, mode): the partition function that evaluates J at x
+    table = [(k, circuit_pos_model(k, cap=cap), "ordinary") for k in (1, 2, 3)]
+    table += [(-2, circuit_neg_model(1), "skew"), (-1, circuit_odd_model(1, cap=cap), "mixed")]
 
     def check(g, poly, idx, tag):
-        checks = []
-        ok = True
-        for k, h in pos.items():
-            value = partition_function(g, h, "ordinary").value
-            good = value == poly.evaluate(k)
-            ok = ok and good
-            checks.append(f"J({k})={value}")
-        value = partition_function(g, neg, "skew").value
-        ok = ok and value == poly.evaluate(-2)
-        checks.append(f"J(-2)={value}")
-        value = partition_function(g, odd, "mixed").value
-        ok = ok and value == poly.evaluate(-1)
-        checks.append(f"J(-1)={value}")
-        return CaseResult(f"circuitpoly-{idx:05d}{tag}", ok, f"{_gdesc(g)} {' '.join(checks)}")
+        values = [(x, partition_function(g, h, mode).value) for x, h, mode in table]
+        ok = all(value == poly.evaluate(x) for x, value in values)
+        checks = " ".join(f"J({x})={value}" for x, value in values)
+        return CaseResult(f"circuitpoly-{idx:05d}{tag}", ok, f"{_gdesc(g)} {checks}")
 
     def cases():
         idx = 0
@@ -356,7 +352,16 @@ def suite_signs(max_m: int = 3) -> RunReport:
 
 
 def suite_gram(seed: int = 0, pairs: int = 30) -> RunReport:
-    """Gram pairings of fragment tensors vs glued-graph subset values."""
+    """Gram pairings of fragment tensors vs glued-graph subset values.
+
+    Gluing F1 to F2 joins their edges in classes, one per edge or circle of
+    the glued graph (the two edge maps of :func:`glue_with_maps`).  A pair
+    of subsets (H1, H2) that takes a class only in part disagrees at a
+    label, and its pairing must be 0.  Otherwise the edge classes it takes
+    form a subset H of the glued graph, and its pairing must be H's value
+    times (-2l)^(circles taken) * k^(circles left).  The pairing of the two
+    summed tensors must be the mixed partition function.
+    """
     rng = random.Random(seed)
     signatures = [(1, 2), (2, 2)]
 
@@ -370,11 +375,6 @@ def suite_gram(seed: int = 0, pairs: int = 30) -> RunReport:
         glued = glue_with_maps(f1, f2)
         g = glued.graph
 
-        def label_set(frag, subset):
-            return frozenset(
-                pos + 1 for pos in range(frag.t) if frag.open_end(pos)[0] in subset
-            )
-
         tensors1 = {
             h1: fragment_tensor(f1, h1, h, eulerian_state(f1, h1, seed=case))
             for h1 in enumerate_eulerian_subsets(f1)
@@ -384,50 +384,43 @@ def suite_gram(seed: int = 0, pairs: int = 30) -> RunReport:
             for h2 in enumerate_eulerian_subsets(f2)
         }
 
-        circle_members = {}
-        for emap, fi in ((glued.edge_map1, 0), (glued.edge_map2, 1)):
-            for old, (kind, idx) in emap.items():
+        classes = defaultdict(list)  # glued edge or circle -> its fragment edges
+        for side, emap in enumerate((glued.edge_map1, glued.edge_map2)):
+            for old, new in emap.items():
+                classes[new].append((side, old))
+
+        def merge(h1, h2):
+            """The glued subset of h1 and h2 and its circles (left, taken), or
+            None if a class is taken only in part: h1 and h2 disagree at a label."""
+            chosen = (h1, h2)
+            merged, circles = set(), [0, 0]
+            for (kind, idx), members in classes.items():
+                taken = sum(old in chosen[side] for side, old in members)
+                if 0 < taken < len(members):
+                    return None
                 if kind == "circle":
-                    circle_members.setdefault(idx, []).append((fi, old))
+                    circles[taken > 0] += 1
+                elif taken:
+                    merged.add(idx)
+            return frozenset(merged), circles
 
         checked = 0
         for h1, t1 in tensors1.items():
             for h2, t2 in tensors2.items():
                 value = gram_pairing(t1, t2)
-                if label_set(f1, h1) != label_set(f2, h2):
+                merged = merge(h1, h2)
+                if merged is None:
                     if value != 0:
                         return False, f"expected 0 on label mismatch, got {value}"
-                    checked += 1
-                    continue
-                merged = set()
-                for old in h1:
-                    kind, idx = glued.edge_map1[old]
-                    if kind == "edge":
-                        merged.add(idx)
-                for old in h2:
-                    kind, idx = glued.edge_map2[old]
-                    if kind == "edge":
-                        merged.add(idx)
-                inside = outside = 0
-                for members in circle_members.values():
-                    chosen = [
-                        (fi, old)
-                        for fi, old in members
-                        if old in (h1 if fi == 0 else h2)
-                    ]
-                    if not chosen:
-                        outside += 1
-                    elif len(chosen) == len(members):
-                        inside += 1
-                    else:
-                        return False, "circle split between subset and complement"
-                expected = eulerian_sum(g, frozenset(merged), h)
-                expected = expected * GaussianRational(-two_ell) ** inside
-                expected = expected * GaussianRational(k) ** outside
-                if value != expected:
-                    return False, (
-                        f"H1={sorted(h1)} H2={sorted(h2)}: pairing {value} != {expected}"
-                    )
+                else:
+                    subset, (outside, inside) = merged
+                    expected = eulerian_sum(g, subset, h)
+                    expected = expected * GaussianRational(-two_ell) ** inside
+                    expected = expected * GaussianRational(k) ** outside
+                    if value != expected:
+                        return False, (
+                            f"H1={sorted(h1)} H2={sorted(h2)}: pairing {value} != {expected}"
+                        )
                 checked += 1
 
         zero = FragmentTensor.zero(t, k, two_ell)
@@ -448,8 +441,14 @@ def suite_gram(seed: int = 0, pairs: int = 30) -> RunReport:
 def suite_rank(
     t_values=(1, 2), family_size: int = 24, max_internal: int = 2, max_edges: int = 3
 ) -> RunReport:
-    """Connection-matrix ranks against the color-space dimension bounds."""
+    """Connection-matrix ranks against the color-space dimension bound
+    (k + 2l)^t of each model, as ``connrank`` states it."""
     cap = 2 * max_edges
+    tests = [
+        ("charpoly0", charpoly_model(0, cap=cap), "mixed"),
+        ("circuit-odd1", circuit_odd_model(1, cap=cap), "mixed"),
+        ("matchings", matchings_model(cap=cap), "ordinary"),
+    ]
 
     def cases():
         for t in t_values:
@@ -458,14 +457,10 @@ def suite_rank(
                     enumerate_fragments(t, max_internal, max_edges), family_size
                 )
             )
-            tests = [
-                ("charpoly0", charpoly_model(0, cap=cap), "mixed", 4**t),
-                ("circuit-odd1", circuit_odd_model(1, cap=cap), "mixed", 3**t),
-                ("matchings", matchings_model(cap=cap), "ordinary", 2**t),
-            ]
-            for name, model, mode, bound in tests:
+            for name, model, mode in tests:
                 matrix = connection_matrix(fragments, model, mode)
                 rank = exact_rank(matrix)
+                bound = (model.k + model.two_ell) ** t
                 yield CaseResult(
                     f"rank-t{t}-{name}",
                     rank <= bound,

@@ -5,8 +5,11 @@ Each test prints one PASS line when its criterion holds; run with
 The random families are seeded, so reruns check identical cases.
 """
 
+import dataclasses
 import random
+import re
 
+from mixedpf import suites
 from mixedpf.evaluator import partition_function
 from mixedpf.graph import circle_graph, disjoint_union
 from mixedpf.models import EdgeColoringModel
@@ -91,6 +94,17 @@ def test_criterion_09_rank_bounds():
     report(9, "connection-matrix rank bounds", rep.all_passed, failures(rep) or detail)
 
 
+def test_criterion_09_bounds_are_the_color_space_dimensions():
+    # (k + 2l)^t: charpoly has k + 2l = 4 colors, circuit-odd?l=1 3, matchings 2
+    rep = suite_rank(t_values=(0, 3), family_size=2)
+    bounds = {c.case_id: int(re.search(r"bound=(\d+)", c.detail)[1]) for c in rep.cases}
+    assert bounds == {
+        f"rank-t{t}-{name}": base**t
+        for t in (0, 3)
+        for name, base in (("charpoly0", 4), ("circuit-odd1", 3), ("matchings", 2))
+    }
+
+
 def test_criterion_10_specialization_and_multiplicativity():
     rng = random.Random(0)
     ok = True
@@ -121,3 +135,42 @@ def test_criterion_10_specialization_and_multiplicativity():
         )
         ok = ok and left == right
     report(10, "specialization and multiplicativity", ok)
+
+
+# -- negative controls: the suites report FAIL on a planted fault -------------------
+
+
+def test_criterion_08_fails_on_an_offset_pairing(monkeypatch):
+    orig = suites.gram_pairing
+    monkeypatch.setattr(suites, "gram_pairing", lambda a, b: orig(a, b) + 1)
+    rep = suite_gram(seed=0, pairs=30)
+    # the empty subsets come first and always agree at every label
+    assert rep.n_failed == len(rep.cases) == 30
+    assert all(re.fullmatch(r"H1=\[\] H2=\[\]: pairing \S+ != \S+", c.detail) for c in rep.cases)
+
+
+def test_criterion_08_fails_on_a_pairing_that_is_never_zero(monkeypatch):
+    orig = suites.gram_pairing
+    monkeypatch.setattr(suites, "gram_pairing", lambda a, b: orig(a, b) or 1)
+    rep = suite_gram(seed=0, pairs=30)
+    details = [c.detail for c in rep.cases if not c.passed]
+    assert len(details) == 25
+    mismatched = [d for d in details if d.startswith("expected 0 on label mismatch, got 1")]
+    assert len(mismatched) == 6
+    assert all(re.fullmatch(r"H1=.* H2=.*: pairing 1 != 0", d) for d in details if d not in mismatched)
+
+
+def test_criterion_05_fails_on_an_offset_skew_value(monkeypatch):
+    orig = suites.partition_function
+
+    def offset(g, h, mode):
+        result = orig(g, h, mode)
+        if mode == "skew":
+            result = dataclasses.replace(result, value=result.value + 1)
+        return result
+
+    assert suite_circuitpoly(max_vertices=2, max_edges=3).all_passed
+    monkeypatch.setattr(suites, "partition_function", offset)
+    rep = suite_circuitpoly(max_vertices=2, max_edges=3)
+    # every case evaluates J(-2) in skew mode
+    assert rep.cases and rep.n_failed == len(rep.cases)

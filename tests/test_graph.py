@@ -1,5 +1,6 @@
 """Multigraph, fragment and Eulerian-machinery tests."""
 
+import itertools
 import random
 
 import pytest
@@ -81,6 +82,19 @@ def test_enumeration_equals_oracle_exhaustively():
     assert len(cases) == 11270
     for frag in cases:
         assert enumerate_eulerian_subsets(frag) == eulerian_subsets_oracle(frag), frag
+
+
+def test_enumerate_fragments_is_empty_when_labels_outnumber_edge_ends(monkeypatch):
+    # each label needs an edge end of its own; at t = 2 * max_edges the
+    # labels can still pair up: 4 labels, 2 edges, 3 matchings
+    assert len(list(enumerate_fragments(4, 0, 2))) == 3
+
+    def refuse(*args):
+        raise AssertionError("edge combinations were enumerated")
+
+    monkeypatch.setattr(itertools, "combinations_with_replacement", refuse)
+    assert list(enumerate_fragments(30, 2, 3)) == []
+    assert list(enumerate_fragments(5, 2, 2)) == []
 
 
 @st.composite
@@ -290,7 +304,7 @@ def test_glue_counts():
             g = res.graph
             assert g.n_vertices == (f1.graph.n_vertices - t) + (f2.graph.n_vertices - t)
             assert g.n_edges == f1.graph.n_edges + f2.graph.n_edges - t
-            assert g.n_circles == f1.graph.n_circles + f2.graph.n_circles + res.new_circles
+            new_circles = g.n_circles - f1.graph.n_circles - f2.graph.n_circles
             vmap = {}  # (fragment, internal vertex) -> glued vertex
             for fi, fr in enumerate((f1, f2)):
                 for v in range(fr.graph.n_vertices):
@@ -318,7 +332,7 @@ def test_glue_counts():
             assert list(chains) == list(range(len(fixed), g.n_edges))
             assert linked == set(chains)
             assert all(tuple(ends) == g.edges[idx] for idx, ends in chains.items())
-            assert circles == set(range(res.new_circles))
+            assert circles == set(range(new_circles))
 
 
 def test_glue_numbers_chains_at_their_first_internal_end():
@@ -330,7 +344,6 @@ def test_glue_numbers_chains_at_their_first_internal_end():
     assert res.graph == MultiGraph(3, ((0, 2), (1, 2)))
     assert res.edge_map1 == {0: ("edge", 1), 1: ("edge", 0)}
     assert res.edge_map2 == {0: ("edge", 1), 1: ("edge", 1), 2: ("edge", 0)}
-    assert res.new_circles == 0
 
 
 # -- unions and cycle families ------------------------------------------------------
@@ -394,6 +407,8 @@ def test_build_G_pi(k, pi, n_vertices, n_components):
 def test_build_G_pi_rejects_non_permutation():
     with pytest.raises(ValueError):
         build_G_pi(1, (0, 0))
+    with pytest.raises(ValueError):  # images are 0-based
+        build_G_pi(1, (1, 2))
 
 
 # -- text format -----------------------------------------------------------------

@@ -197,6 +197,13 @@ def test_model_spec_errors():
         model_from_spec("matchings?bogus=1")
 
 
+@pytest.mark.parametrize("spec", ["charpoly?t=1&t=2", "charpoly?t=1&t=1", "circuit-odd?l=1&l=2"])
+def test_model_spec_refuses_a_repeated_parameter(spec):
+    name = spec.partition("?")[2][0]
+    with pytest.raises(ValueError, match=f"model parameter '{name}' given more than once"):
+        model_from_spec(spec, cap=4)
+
+
 # -- readers of outside input ------------------------------------------------------
 
 JSON_SCALARS = st.one_of(
