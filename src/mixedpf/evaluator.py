@@ -6,7 +6,11 @@ Eulerian edge subsets, exterior colors inside, symmetric outside).
 
 One per-subset engine, :func:`subset_sums`, serves every caller: it returns
 a subset's tensor over the (k+2*ell)^t label colors, and a plain graph's
-scalar subset value is the single coefficient of its t=0 tensor.
+scalar subset value is the single coefficient of its t=0 tensor.  One
+subset loop serves graphs and fragments alike: :func:`tensor_sums` is its
+signed sum of a fragment's tensors over the subsets of a mode, and
+:func:`partition_function_many` reads the single coefficient of a graph's
+t=0 sum.  Each subset's tensor is signed by :func:`subset_prefactor`.
 
 Coloring enumeration walks the edges in one order, :func:`_walk_order`'s,
 once for all the models of a call; a branch is cut as soon as every model
@@ -34,9 +38,9 @@ subset adds zero to every value and coloring count, and it still counts
 in ``subsets``, which is every Eulerian subset of the mode.
 
 Each subset's state comes from the rng-free
-:func:`~mixedpf.graph.peel`, which counts circuits as it builds the state,
-so the (-1)^(circuits) sign needs no second trace; any valid state gives
-the same signed sum.
+:func:`~mixedpf.graph.peel`, which counts circuits and lists the trails as
+it builds the state, so the sign needs no second trace; any valid state
+gives the same signed sum.
 
 The walk multiplies Gaussian integers, not Fractions: each model carries
 its weights scaled by their common denominator D
@@ -44,8 +48,8 @@ its weights scaled by their common denominator D
 int and ``operator.mul`` stays in C until an i appears.  Every vertex but
 the labels gives one weight per coloring, so a subset's sum is
 D^(n_vertices - t) times the true one; :func:`subset_sums` divides each
-coefficient by that power once, and :func:`partition_function_many` each
-model's total once per call, skipping the division when D = 1.  The
+coefficient by that power once, and the subset loop each coefficient of
+each model's sum once per call, skipping the division when D = 1.  The
 result is exact, with the same canonical components as any Q(i) value.
 
 Vertexless circle components never enter the enumeration: each contributes
@@ -61,7 +65,16 @@ from bisect import insort
 from dataclasses import dataclass
 from operator import mul
 
-from .algebra import ZERO, GaussianRational, as_gaussian, dual_basis, normalize_wedge, sym_counts
+from .algebra import (
+    ZERO,
+    GaussianRational,
+    I,
+    as_gaussian,
+    dual_basis,
+    normalize_wedge,
+    permutation_sign,
+    sym_counts,
+)
 from .graph import (
     EulerianState,
     Fragment,
@@ -70,6 +83,7 @@ from .graph import (
     decompose,
     enumerate_eulerian_subsets,
     eulerian_state,
+    is_eulerian_subset,
     is_incoming,
     peel,
     validate_state,
@@ -311,27 +325,26 @@ class _SubsetContext:
             mask &= bidegrees.get((degree - x, x), 0)
         return mask
 
-    def run(self, subset, state: EulerianState, mask: int):
+    def run(self, subset, state: EulerianState, mask: int, coeffs, leaves) -> None:
         """Sum per-coloring products of internal-vertex weights by label colors.
 
         ``mask`` is :meth:`alive` of the subset.  One walk of the coloring
         tree serves every model it holds: a branch is cut once every model
-        weighs some completed vertex zero.  Returns one
-        (coefficients, leaves) pair per model: the (k+2*ell)^t coefficients
-        of the subset's tensor, unsigned (no circuit parity or trail
-        prefactor), and the number of full colorings the model weighs
-        nonzero.  With no labels the single coefficient is the scalar sum.
-        Coefficients are Gaussian integers, ints when real, each model's
-        times its entry of ``scales``.
+        weighs some completed vertex zero.  Adds, for each model i, the
+        (k+2*ell)^t coefficients of the subset's tensor, unsigned (no
+        circuit parity or trail prefactor), to the list ``coeffs[i]``, and
+        the number of full colorings the model weighs nonzero to
+        ``leaves[i]``; callers pass zeros for one subset's sums alone.  With
+        no labels the single coefficient is the scalar sum.  Coefficients
+        are Gaussian integers, ints when real, each model's times its entry
+        of ``scales``.
         """
         k, two_ell, tables = self.k, self.two_ell, self.tables
         n = len(tables)
         base = k + two_ell
-        coeffs = [[0] * base ** len(self.open_ends) for _ in range(n)]
-        leaves = [0] * n
         acc = self.start[1]
         if not mask:
-            return list(zip(coeffs, leaves))
+            return
 
         slot_edges = {v: [] for v, _ in self.internal}
         for e, (a, b) in enumerate(self.edges):
@@ -413,7 +426,6 @@ class _SubsetContext:
                         f = tuple(map(mul, f, hit[1]))
                 if live:
                     push((nxt, live, f, c))
-        return list(zip(coeffs, leaves))
 
 
 def subset_sums(
@@ -432,10 +444,12 @@ def subset_sums(
     graph's degree caps (:meth:`EdgeColoringModel.check_cap`).
     """
     ctx = _SubsetContext(frag, models)
-    sums = ctx.run(subset, state, ctx.alive(subset))
+    coeffs = [[0] * (ctx.k + ctx.two_ell) ** frag.t for _ in models]
+    leaves = [0] * len(models)
+    ctx.run(subset, state, ctx.alive(subset), coeffs, leaves)
     return [
-        ([_unscale(c, scale) for c in coeffs], leaves)
-        for (coeffs, leaves), scale in zip(sums, ctx.scales)
+        ([_unscale(c, scale) for c in col], n)
+        for col, n, scale in zip(coeffs, leaves, ctx.scales)
     ]
 
 
@@ -464,7 +478,7 @@ def eulerian_sum(
     if frag.t:
         raise ValueError("eulerian_sum expects a plain graph, not a fragment")
     subset = frozenset(subset)
-    model.check_cap(frag.graph)
+    model.check_cap(frag)
     if state is None:
         state = eulerian_state(frag, subset, 0)
     else:
@@ -476,28 +490,35 @@ def eulerian_sum(
     return -total if circuits % 2 else total
 
 
-def _mode_subsets(g: MultiGraph, mode: str):
-    frag = as_fragment(g)
+def subset_prefactor(circuits: int, trails) -> int:
+    """The sign of a subset's tensor as quarter turns q: the tensor is
+    scaled by i^q.
+
+    ``circuits`` and ``trails`` are what :func:`~mixedpf.graph.decompose`
+    (or :func:`~mixedpf.graph.peel`) gives.  Each trail gives one i, which
+    is i^(|S|/2) for the |S| labels on the subset; the directed matching of
+    the trails gives its sign, the parity of its arcs listed end to end
+    (:func:`~mixedpf.connection.canonical_matching_sign`); and each circuit
+    gives -1.  A plain graph has no trails, so q is 0 or 2.
+    """
+    q = len(trails) + 2 * circuits
+    if trails and permutation_sign([x for arc in trails for x in arc]) < 0:
+        q += 2
+    return q % 4
+
+
+def _mode_subsets(frag: Fragment, mode: str):
     if mode == "ordinary":
         return [frozenset()]
     if mode == "skew":
-        if g.is_eulerian():
-            return [frozenset(range(g.n_edges))]
-        return []
+        full = frozenset(range(frag.graph.n_edges))
+        return [full] if is_eulerian_subset(frag, full) else []
     return enumerate_eulerian_subsets(frag)
 
 
-def partition_function_many(
-    g: MultiGraph, models, mode: str = "mixed"
-) -> list[EvaluationResult]:
-    """Evaluate several models with one subset/state enumeration.
-
-    All models must share (k, two_ell); results equal per-model calls to
-    :func:`partition_function` exactly.
-    """
-    models = list(models)
-    if not models:
-        return []
+def _validate(frags, models, mode: str) -> None:
+    """Refuse, before any work, models that differ in (k, two_ell), a mode
+    they do not fit, or a vertex beyond a model's degree cap."""
     sig = (models[0].k, models[0].two_ell)
     if any((h.k, h.two_ell) != sig for h in models):
         raise ValueError("partition_function_many needs models of equal (k, two_ell)")
@@ -507,30 +528,79 @@ def partition_function_many(
         raise ValueError("ordinary mode needs a purely symmetric model (two_ell=0)")
     if mode == "skew" and sig[0] != 0:
         raise ValueError("skew mode needs a purely exterior model (k=0)")
-    for h in models:
-        h.check_cap(g)
+    for frag in frags:
+        for h in models:
+            h.check_cap(frag)
 
-    frag = as_fragment(g)
+
+def _mode_sums(frag: Fragment, models, mode: str):
+    """The signed tensor sums of a fragment over the subsets of its mode.
+
+    Returns (number of subsets, one (coefficients, colorings) pair per
+    model).  The callers have validated ``models`` and ``mode``
+    (:func:`_validate`).  Each subset's tensor is scaled by i^q, q its
+    :func:`subset_prefactor`: the walk adds it, unsigned, to the model's
+    sum of quarter turn q, and the four sums are combined once at the end.
+    Sums stay scaled by D^(n_vertices - t) until one division per
+    coefficient, and the fragment's own circles multiply them by
+    k - 2*ell each.
+    """
     ctx = _SubsetContext(frag, models)
-    totals = [0] * len(models)
+    size = (ctx.k + ctx.two_ell) ** frag.t
+    # by_turn[q][i]: model i's sum of the subsets whose prefactor is i^q
+    by_turn = [[[0] * size for _ in models] for _ in range(4)]
     colorings = [0] * len(models)
-    subsets = _mode_subsets(g, mode)
+    subsets = _mode_subsets(frag, mode)
     for subset in subsets:
         mask = ctx.alive(subset)
         if not mask:
             continue  # every model weighs it zero; it still counts in subsets
-        state, circuits, _ = peel(frag, subset)
-        sums = ctx.run(subset, state, mask)
-        for idx, ((value,), leaves) in enumerate(sums):
-            colorings[idx] += leaves
-            totals[idx] = totals[idx] - value if circuits % 2 else totals[idx] + value
+        state, circuits, trails = peel(frag, subset)
+        ctx.run(subset, state, mask, by_turn[subset_prefactor(circuits, trails)], colorings)
+    # the mode checks make k - 2*ell the circle factor of every mode
+    factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
+    results = []
+    for sums, scale, n in zip(zip(*by_turn), ctx.scales, colorings):
+        coeffs = []
+        for a, b, c, d in zip(*sums):
+            value, turned = a - c, b - d
+            coeffs.append(_unscale(value + turned * I if turned else value, scale) * factor)
+        results.append((coeffs, n))
+    return len(subsets), results
 
-    # the mode checks above make k - 2*ell the circle factor of every mode
-    factor = GaussianRational(sig[0] - sig[1]) ** g.n_circles
-    return [
-        EvaluationResult(_unscale(v, scale) * factor, len(subsets), n)
-        for v, scale, n in zip(totals, ctx.scales, colorings)
-    ]
+
+def tensor_sums(frags, model: EdgeColoringModel, mode: str = "mixed") -> list[list]:
+    """The signed tensor sum of each fragment over the subsets of its mode.
+
+    The subsets are those of :func:`partition_function` (the empty one in
+    ordinary mode, the full edge set in skew mode when it is Eulerian,
+    every Eulerian subset in mixed mode), each tensor is that of
+    :func:`~mixedpf.connection.fragment_tensor`, and each of the fragment's
+    circles multiplies the sum by k - 2*ell.  Each sum holds the
+    (k+2*ell)^t coefficients in Q(i), in that function's coordinates.
+    Every fragment is validated before any is summed.
+    """
+    frags = [as_fragment(f) for f in frags]
+    _validate(frags, [model], mode)
+    return [_mode_sums(frag, [model], mode)[1][0][0] for frag in frags]
+
+
+def partition_function_many(
+    g: MultiGraph, models, mode: str = "mixed"
+) -> list[EvaluationResult]:
+    """Evaluate several models with one subset/state enumeration.
+
+    All models must share (k, two_ell); results equal per-model calls to
+    :func:`partition_function` exactly.  A value is the single coefficient
+    of the graph's t=0 tensor sum.
+    """
+    models = list(models)
+    if not models:
+        return []
+    frag = as_fragment(g)
+    _validate([frag], models, mode)
+    n_subsets, sums = _mode_sums(frag, models, mode)
+    return [EvaluationResult(value, n_subsets, n) for (value,), n in sums]
 
 
 def partition_function(

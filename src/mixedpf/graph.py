@@ -109,6 +109,14 @@ class Fragment:
     def t(self) -> int:
         return len(self.labels)
 
+    def max_degree(self) -> int:
+        """The largest degree of an unlabeled vertex, the largest a model
+        weighs: gluing keeps these vertices and their degrees."""
+        degrees = self.graph.degrees()
+        for v in self.labels:
+            degrees[v] = 0
+        return max(degrees, default=0)
+
     def open_end(self, pos: int) -> tuple[int, int]:
         """(edge id, side) of the open end at label position pos (0-based)."""
         v = self.labels[pos]

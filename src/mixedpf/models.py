@@ -110,7 +110,8 @@ class EdgeColoringModel:
         )
 
     def check_cap(self, graph) -> None:
-        """Refuse a graph with a vertex of degree beyond the degree cap."""
+        """Refuse a graph, or a fragment, with a weighed vertex of degree
+        beyond the degree cap."""
         d = graph.max_degree()
         if self.cap is not None and d > self.cap:
             raise ValueError(

@@ -111,27 +111,64 @@ def enumerate_multigraphs(max_vertices: int, max_edges: int):
 def enumerate_fragments(t: int, max_internal: int, max_edges: int):
     """All t-fragments within bounds; isomorphic duplicates are permitted.
 
-    Each label needs an edge end of its own, so there are none when
+    A fragment with n internal vertices has them as 0..n-1 and its labels
+    as n..n+t-1, and each label has exactly one edge.  Fragments come by
+    n, then by edge count, then by edge list in the order of
+    ``itertools.combinations_with_replacement`` over the vertex pairs:
+    internal pairs, then (internal, label) pairs, then (label, label)
+    pairs.  An edge list is thus a multiset of internal pairs, then one
+    (internal, label) edge for some labels, then a perfect matching of the
+    labels left; it is built in that order, and an edge is added only
+    while the edges left can still give every label its one edge.  Each
+    label needs an edge end of its own, so there are none when
     t > 2 * max_edges."""
     if t > 2 * max_edges:
         return
     for n_int in range(max_internal + 1):
         labels = tuple(n_int + i for i in range(t))
-        pairs = [(u, v) for u in range(n_int) for v in range(u, n_int)]
-        pairs += [(u, lab) for u in range(n_int) for lab in labels]
-        pairs += [
-            (labels[i], labels[j])
-            for i in range(t)
-            for j in range(i + 1, t)
-        ]
+        inner = [(u, v) for u in range(n_int) for v in range(u, n_int)]
+        attach = [(u, lab) for u in range(n_int) for lab in labels]
         for m in range(max_edges + 1):
-            for combo in itertools.combinations_with_replacement(pairs, m):
-                degs = [0] * (n_int + t)
-                for u, v in combo:
-                    degs[u] += 1
-                    degs[v] += 1
-                if all(degs[lab] == 1 for lab in labels):
-                    yield Fragment(MultiGraph(n_int + t, combo), labels)
+            for edges in _fragment_edges(inner, attach, labels, m, 0):
+                yield Fragment(MultiGraph(n_int + t, edges), labels)
+
+
+def _fragment_edges(inner, attach, labels, m: int, start: int):
+    """The edge lists of m edges that begin with internal pairs from
+    ``inner[start:]`` and give each label one edge."""
+    if m - 1 >= (len(labels) + 1) // 2:  # one more internal pair leaves room
+        for i in range(start, len(inner)):
+            for tail in _fragment_edges(inner, attach, labels, m - 1, i):
+                yield (inner[i],) + tail
+    yield from _label_edges(attach, 0, labels, m)
+
+
+def _label_edges(attach, start: int, free: tuple, m: int):
+    """The lists of m edges that give each label of ``free`` one edge:
+    (internal, label) pairs from ``attach[start:]``, then (label, label)
+    pairs."""
+    need = 2 * m - len(free)  # the labels that take an (internal, label) edge
+    if need == 0:
+        yield from _label_matchings(free)
+        return
+    if not 0 < need <= len(free):
+        return
+    for j in range(start, len(attach) - need + 1):
+        u, lab = attach[j]
+        if lab in free:
+            rest = tuple(x for x in free if x != lab)
+            for tail in _label_edges(attach, j + 1, rest, m - 1):
+                yield ((u, lab),) + tail
+
+
+def _label_matchings(free: tuple):
+    """The perfect matchings of ``free`` by (label, label) edges, in order."""
+    if not free:
+        yield ()
+        return
+    for i in range(1, len(free)):
+        for tail in _label_matchings(free[1:i] + free[i + 1 :]):
+            yield ((free[0], free[i]),) + tail
 
 
 def random_multigraph(rng, max_vertices=4, max_edges=6) -> MultiGraph:

@@ -1,5 +1,6 @@
 """Matching signs, fragment tensors, Gram identities, ranks."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedpf import connection, evaluator
 from mixedpf.algebra import GaussianRational, I, dual_basis
 from mixedpf.connection import (
     ConnectionMatrix,
@@ -22,7 +24,7 @@ from mixedpf.connection import (
     matching_sign,
     permutation_sign,
 )
-from mixedpf.evaluator import eulerian_sum, partition_function
+from mixedpf.evaluator import eulerian_sum, partition_function, tensor_sums
 from mixedpf.graph import (
     Fragment,
     MultiGraph,
@@ -31,9 +33,17 @@ from mixedpf.graph import (
     enumerate_eulerian_subsets,
     eulerian_state,
     glue,
+    is_eulerian_subset,
 )
-from mixedpf.models import charpoly_model, circuit_odd_model, matchings_model
-from mixedpf.oracles import adjacency_determinant, permutation_sign_oracle
+from mixedpf.linalg import determinant, row_basis
+from mixedpf.models import (
+    charpoly_model,
+    circuit_neg_model,
+    circuit_odd_model,
+    circuit_pos_model,
+    matchings_model,
+)
+from mixedpf.oracles import adjacency_determinant, eulerian_subsets_oracle, permutation_sign_oracle
 from mixedpf.suites import (
     _directed_matchings,
     enumerate_fragments,
@@ -405,6 +415,169 @@ def test_gluing_is_symmetric(t, shape, seed):
     assert (one.value, one.subsets) == (other.value, other.subsets)
 
 
+def glued_matrix(fragments, model, mode):
+    """Every entry of the connection matrix evaluated on its glued graph."""
+    return tuple(
+        tuple(partition_function(glue(a, b), model, mode).value for b in fragments)
+        for a in fragments
+    )
+
+
+def spread(family, size):
+    """At most ``size`` members spread evenly through ``family``."""
+    return family[:: max(len(family) // size, 1)][:size]
+
+
+def models_of_every_mode(rng, cap):
+    """(mode, model) pairs: built-in models and Gaussian random sparse ones."""
+    return [
+        ("mixed", charpoly_model(0, cap=cap)),
+        ("mixed", circuit_odd_model(1, cap=cap)),
+        ("mixed", random_sparse_model(rng, 1, 2, cap)),
+        ("ordinary", matchings_model(cap=cap)),
+        ("ordinary", random_sparse_model(rng, 2, 0, cap)),
+        ("skew", circuit_neg_model(1)),
+        ("skew", random_sparse_model(rng, 0, 2, cap)),
+    ]
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_connection_matrix_equals_glued_evaluation(t):
+    """Tensor-sum entries equal the glued evaluations, in every mode."""
+    rng = random.Random(t)
+    family = spread(list(enumerate_fragments(t, 2, 4)), 16)
+    cap = max(max(f.graph.max_degree() for f in family), 1)
+    nonzero = set()
+    for mode, model in models_of_every_mode(rng, cap):
+        expected = glued_matrix(family, model, mode)
+        assert connection_matrix(family, model, mode).entries == expected, (mode, model)
+        if any(x for row in expected for x in row):
+            nonzero.add(mode)
+    assert nonzero == {"mixed", "ordinary", "skew"} if t % 2 == 0 else {"mixed", "ordinary"}
+
+
+def mode_subsets_oracle(frag, mode):
+    if mode == "ordinary":
+        return [frozenset()]
+    full = frozenset(range(frag.graph.n_edges))
+    if mode == "skew":
+        return [full] if is_eulerian_subset(frag, full) else []
+    return eulerian_subsets_oracle(frag)
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_tensor_sums_equal_summed_fragment_tensors(t):
+    """The engine's one-context sum equals the sum of per-subset tensors,
+    each from a seeded state, over the mode's subsets."""
+    rng = random.Random(20 + t)
+    family = spread(list(enumerate_fragments(t, 2, 5)), 30)
+    cap = max(max(f.graph.max_degree() for f in family), 1)
+    for mode, model in models_of_every_mode(rng, cap):
+        zero = FragmentTensor.zero(t, model.k, model.two_ell)
+        for seed, (frag, coeffs) in enumerate(zip(family, tensor_sums(family, model, mode))):
+            total = sum(
+                (
+                    fragment_tensor(frag, subset, model, eulerian_state(frag, subset, seed))
+                    for subset in mode_subsets_oracle(frag, mode)
+                ),
+                zero,
+            )
+            assert tuple(coeffs) == total.coeffs, (frag, mode, model)
+
+
+def test_tensor_sums_take_the_circle_factor():
+    rng = random.Random(30)
+    # a path between the labels and a vertex with a loop
+    frag = Fragment(MultiGraph(4, ((0, 1), (0, 2), (3, 3))), (1, 2))
+    circled = Fragment(MultiGraph(4, frag.graph.edges, 2), frag.labels)
+    for mode, model in models_of_every_mode(rng, 4):
+        factor = GaussianRational(model.k - model.two_ell) ** 2
+        [plain, twice] = tensor_sums([frag, circled], model, mode)
+        assert twice == [factor * c for c in plain]
+        assert any(plain), (mode, model)
+
+
+def test_connection_matrix_certifies_its_basis_on_glued_graphs(monkeypatch):
+    """Exactly the upper triangle of the row basis is glued and evaluated."""
+    family = list(enumerate_fragments(2, 2, 3))
+    model = charpoly_model(0, cap=4)
+    glued = []
+
+    def counting_glue(f1, f2):
+        glued.append((family.index(f1), family.index(f2)))
+        return glue(f1, f2)
+
+    monkeypatch.setattr(connection, "glue", counting_glue)
+    matrix = connection_matrix(family, model, "mixed")
+    basis = row_basis(matrix.entries)
+    assert len(basis) == exact_rank(matrix) == 5
+    assert glued == [(a, b) for i, a in enumerate(basis) for b in basis[i:]]
+
+
+def test_a_wrong_glued_value_fails_the_certificate(monkeypatch):
+    family = list(enumerate_fragments(2, 2, 3))
+    model = charpoly_model(0, cap=4)
+
+    def off_by_one(g, h, mode):
+        result = partition_function(g, h, mode)
+        return dataclasses.replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(connection, "partition_function", off_by_one)
+    with pytest.raises(RuntimeError, match="on the glued graph"):
+        connection_matrix(family, model, "mixed")
+
+
+def test_a_wrong_pairing_fails_the_certificate(monkeypatch):
+    family = list(enumerate_fragments(2, 2, 3))
+    model = charpoly_model(0, cap=4)
+    monkeypatch.setattr(connection, "gram_pairing", lambda a, b: gram_pairing(a, b) * 2)
+    with pytest.raises(RuntimeError, match="by the tensor sums"):
+        connection_matrix(family, model, "mixed")
+
+
+def test_connection_matrix_refuses_before_any_sum(monkeypatch):
+    """Mode and degree caps are checked on every fragment before any work;
+    the cap counts the unlabeled vertices, the ones a gluing keeps."""
+
+    def no_work(*args):
+        raise AssertionError("a tensor sum was started")
+
+    monkeypatch.setattr(evaluator, "_SubsetContext", no_work)
+    low = Fragment(MultiGraph(3, ((0, 1), (0, 2))), (1, 2))
+    high = Fragment(MultiGraph(3, ((0, 0), (0, 1), (0, 2))), (1, 2))
+    h = charpoly_model(0, cap=2)
+    with pytest.raises(ValueError, match="degree 4 beyond the model's degree cap 2"):
+        connection_matrix([low, low, high], h, "mixed")
+    with pytest.raises(ValueError, match="ordinary mode needs a purely symmetric model"):
+        connection_matrix([low, high], h, "ordinary")
+    with pytest.raises(ValueError, match="unknown mode"):
+        connection_matrix([low], h, "both")
+
+
+def test_cap_counts_only_unlabeled_vertices():
+    # a lone edge between two labels glues into circles: no vertex is weighed
+    open_open = Fragment(MultiGraph(2, ((0, 1),)), (0, 1))
+    assert open_open.max_degree() == 0
+    h = circuit_pos_model(2, cap=0)
+    matrix = connection_matrix([open_open], h, "ordinary")
+    assert matrix.entries == glued_matrix([open_open], h, "ordinary") == ((2,),)
+
+
+@pytest.mark.parametrize("t, ranks", [(2, (5, 3, 1)), (3, (14, 8, 0))])
+def test_rank_growth_on_whole_small_families(t, ranks):
+    """Ranks of whole families under charpoly(0), matchings and
+    circuit-odd(1), as the glued matrices give them."""
+    family = list(enumerate_fragments(t, 2, 4))
+    cap = max(f.graph.max_degree() for f in family)
+    cases = (
+        (charpoly_model(0, cap=cap), "mixed"),
+        (matchings_model(cap=cap), "ordinary"),
+        (circuit_odd_model(1, cap=cap), "mixed"),
+    )
+    got = tuple(exact_rank(connection_matrix(family, h, mode)) for h, mode in cases)
+    assert got == ranks
+
+
 def test_connection_matrix_t_mismatch():
     with pytest.raises(ValueError):
         connection_matrix(
@@ -466,6 +639,35 @@ def test_exact_rank_matches_independent_elimination():
         ]
         matrix = ConnectionMatrix(0, (), tuple(tuple(r) for r in rows))
         assert exact_rank(matrix) == fraction_rank(rows)
+
+
+def test_row_basis_spans_the_rows():
+    """The basis rows are independent and as many as the rank; on a
+    symmetric matrix their principal minor is nonsingular."""
+    rng = random.Random(16)
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        rank = rng.randint(0, n)
+        # n x rank times its transpose, so the rank is at most ``rank``; zero
+        # and repeated rows make the elimination swap rows
+        left = []
+        for _ in range(n):
+            pick = rng.random()
+            if pick < 0.25:
+                left.append([GaussianRational(0)] * rank)
+            elif pick < 0.5 and left:
+                left.append(rng.choice(left))
+            else:
+                left.append([GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(rank)])
+        rows = [
+            [sum((a * b for a, b in zip(left[i], left[j])), GaussianRational(0)) for j in range(n)]
+            for i in range(n)
+        ]
+        basis = row_basis(rows)
+        assert basis == sorted(basis)
+        assert len(basis) == fraction_rank(rows) == fraction_rank([rows[i] for i in basis])
+        minor = [[rows[a][b] for b in basis] for a in basis]
+        assert not basis or determinant(minor) != 0
 
 
 def test_rank_bound_charpoly_two_fragments():

@@ -84,6 +84,49 @@ def test_enumeration_equals_oracle_exhaustively():
         assert enumerate_eulerian_subsets(frag) == eulerian_subsets_oracle(frag), frag
 
 
+def fragments_oracle(t, max_internal, max_edges):
+    """Every multiset of edges over the vertex pairs, kept when each label
+    has degree 1: the enumeration that ``enumerate_fragments`` must equal."""
+    for n_int in range(max_internal + 1):
+        labels = tuple(n_int + i for i in range(t))
+        pairs = [(u, v) for u in range(n_int) for v in range(u, n_int)]
+        pairs += [(u, lab) for u in range(n_int) for lab in labels]
+        pairs += [(labels[i], labels[j]) for i in range(t) for j in range(i + 1, t)]
+        for m in range(max_edges + 1):
+            for combo in itertools.combinations_with_replacement(pairs, m):
+                degs = [0] * (n_int + t)
+                for u, v in combo:
+                    degs[u] += 1
+                    degs[v] += 1
+                if all(degs[lab] == 1 for lab in labels):
+                    yield Fragment(MultiGraph(n_int + t, combo), labels)
+
+
+def test_enumerate_fragments_equals_the_multiset_oracle():
+    # lists are compared, so the order that samples of a family read is checked too
+    total = 0
+    for t in range(5):
+        for max_internal in range(3):
+            for max_edges in range(6):
+                family = list(enumerate_fragments(t, max_internal, max_edges))
+                assert family == list(fragments_oracle(t, max_internal, max_edges))
+                total += len(family)
+    assert total == 1752
+
+
+def test_enumerate_fragments_gives_each_label_its_edge_first():
+    """12 labels on 6 edges admit only the 10,395 perfect matchings of the
+    labels; the multiset oracle would draw C(71, 6), about 1.3e8, edge
+    multisets for them."""
+    family = enumerate_fragments(12, 0, 6)
+    assert next(family).graph.edges == tuple((2 * i, 2 * i + 1) for i in range(6))
+    rest = list(family)
+    assert len(rest) == 10394
+    assert len({frag.graph.edges for frag in rest}) == 10394
+    # one internal vertex cannot take a label's edge: 12 - 2 * 6 = 0 labels may
+    assert len(list(enumerate_fragments(12, 1, 6))) == 2 * 10395
+
+
 def test_enumerate_fragments_is_empty_when_labels_outnumber_edge_ends(monkeypatch):
     # each label needs an edge end of its own; at t = 2 * max_edges the
     # labels can still pair up: 4 labels, 2 edges, 3 matchings
