@@ -13,6 +13,7 @@ applies.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -335,7 +336,8 @@ def sym_counts(colors, k: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def form_table(k: int, two_ell: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=32)
+def form_table(k: int, two_ell: int, t: int = 1) -> tuple[tuple[int, int], ...]:
     """The supersymmetric form as one (partner, sign) per coordinate.
 
     [x, y] = sum over coordinates a of sign * x[a] * y[partner]: a symmetric
@@ -345,10 +347,36 @@ def form_table(k: int, two_ell: int) -> list[tuple[int, int]]:
     pairs through ((0, I), (-I, 0)): [f_i, f_{i+ell}] = 1 = -[f_{i+ell}, f_i],
     so the whole form is nondegenerate.  The coordinates are those of a t=1
     :class:`mixedpf.connection.FragmentTensor`: e_i at i-1, f_i at k+i-1.
+    Over t tensor slots the form applies slot by slot: a coordinate's
+    partner pairs each of its slots, the first slot the most significant
+    digit, and its sign is the product of theirs.  Tables are kept for
+    reuse, so each is a tuple.
     """
     ell = two_ell // 2
     table = [(a, 1) for a in range(k)]
     for i in range(1, two_ell + 1):
         s, j = dual_basis(i, ell)
         table.append((k + j - 1, -s))
-    return table
+    base = k + two_ell
+    tensor = [(0, 1)]
+    for _ in range(t):
+        tensor = [(p * base + q, s * r) for p, s in tensor for q, r in table]
+    return tuple(tensor)
+
+
+def form_pairing(x, y, k: int, two_ell: int, t: int = 1, signed: bool = True):
+    """[x, y] for two coefficient sequences over t tensor slots (:func:`form_table`).
+
+    Signed, the coefficients are Gaussian rationals and so is the result.
+    With ``signed=False`` every sign is taken as +1: that pairs two
+    sequences of int counts to an int.
+    """
+    total = ZERO if signed else 0
+    for val, (partner, sign) in zip(x, form_table(k, two_ell, t)):
+        if not val:
+            continue
+        other = y[partner]
+        if other:
+            term = val * other
+            total = total - term if signed and sign < 0 else total + term
+    return total

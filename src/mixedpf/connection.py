@@ -16,7 +16,10 @@ Z(F1 * F2) = [sum T(F1), sum T(F2)], which the ``gram`` suite and the
 tests check against glued evaluations.  rank >= r rests on glued values
 alone: the rows of a row basis B span the matrix, so the principal minor
 B x B of the symmetric matrix is nonsingular, and each of its entries is
-evaluated again on the glued graph; an entry that differs raises.  On the
+evaluated again on the glued graph, by the subset sum over the whole graph:
+evaluating it by its parts would cut it, which rests on the Gram identity
+again.  An entry that differs raises.  The matrix is eliminated once, for
+its row basis, which :func:`exact_rank` then reads.  On the
 215 fragments of ``enumerate_fragments(3, 2, 5)`` under charpoly(0), of
 rank 14, that is 105 glued graphs where the whole matrix would glue 23,220.
 
@@ -30,17 +33,18 @@ unit, which is exactly what makes the two fragments' prefactors multiply to
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (
     GaussianRational,
     I,
     ZERO,
     as_gaussian,
-    form_table,
+    form_pairing,
     permutation_sign,
 )
-from .evaluator import partition_function, subset_prefactor, subset_sums, tensor_sums
+from . import evaluator
+from .evaluator import subset_prefactor, subset_sums, tensor_sums
 from .graph import (
     EulerianState,
     Fragment,
@@ -171,40 +175,30 @@ def fragment_tensor(
 
 
 def gram_pairing(t1: FragmentTensor, t2: FragmentTensor) -> GaussianRational:
-    """The supersymmetric form applied factorwise across the t tensor slots.
-
-    At t=1 this is the form on the mixed space itself
-    (:func:`~mixedpf.algebra.form_table`).
-    """
+    """The supersymmetric form applied factorwise across the t tensor slots
+    (:func:`~mixedpf.algebra.form_pairing`); at t=1 it is the form on the
+    mixed space itself."""
     if (t1.t, t1.k, t1.two_ell) != (t2.t, t2.k, t2.two_ell):
         raise ValueError("tensor shape mismatch in Gram pairing")
-    base = t1.k + t1.two_ell
-    # the product's order is the coefficients' order, first slot most significant
-    slots = itertools.product(form_table(t1.k, t1.two_ell), repeat=t1.t)
-
-    total = ZERO
-    for val, coords in zip(t1.coeffs, slots):
-        if not val:
-            continue
-        midx = 0
-        s = 1
-        for partner, sign in coords:
-            midx = midx * base + partner
-            s *= sign
-        other = t2.coeffs[midx]
-        if other:
-            term = val * other
-            total = total + term if s > 0 else total - term
-    return total
+    return form_pairing(t1.coeffs, t2.coeffs, t1.k, t1.two_ell, t1.t)
 
 
 @dataclass(frozen=True)
 class ConnectionMatrix:
-    """A finite edge-connection submatrix over an explicit fragment family."""
+    """A finite edge-connection submatrix over an explicit fragment family.
+
+    ``basis`` holds the ascending indices of rows that form a basis of the
+    row space (:func:`~mixedpf.linalg.row_basis`), computed once when the
+    matrix is made.
+    """
 
     t: int
     fragments: tuple
     entries: tuple  # rows of GaussianRational
+    basis: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(row_basis(self.entries)))
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(x) for x in row) for row in self.entries) + "\n"
@@ -218,10 +212,12 @@ def connection_matrix(
     Each entry is the Gram pairing of the two fragments' signed tensor sums
     (:func:`~mixedpf.evaluator.tensor_sums`), so n fragments cost n sums
     and n(n+1)/2 pairings.  The entries of a row basis B of the matrix are
-    then evaluated on the glued graphs as well: B x B is a nonsingular
-    principal minor of a symmetric matrix, and equal glued values make the
-    rank |B| a lower bound that rests on glued evaluations alone.  An entry
-    that differs from its glued value raises RuntimeError.
+    then evaluated on the glued graphs as well, each by the subset sum over
+    the whole graph (:func:`~mixedpf.evaluator.partition_function_many`),
+    not by its parts: B x B is a nonsingular principal minor of a symmetric
+    matrix, and equal glued values make the rank |B| a lower bound that
+    rests on glued evaluations alone.  An entry that differs from its glued
+    value raises RuntimeError.
     """
     fragments = tuple(as_fragment(f) for f in fragments)
     if not fragments:
@@ -238,21 +234,31 @@ def connection_matrix(
     for a in range(n):
         for b in range(a, n):
             rows[a][b] = rows[b][a] = gram_pairing(tensors[a], tensors[b])
-    basis = row_basis(rows)
+    matrix = ConnectionMatrix(ts[0], fragments, tuple(tuple(row) for row in rows))
+    basis = matrix.basis
     for i, a in enumerate(basis):
         for b in basis[i:]:
-            glued = partition_function(glue(fragments[a], fragments[b]), model, mode).value
-            if glued != rows[a][b]:
+            glued = glue(fragments[a], fragments[b])
+            # looked up on the module at call time, where perfbench's tracer wraps it
+            [result] = evaluator.partition_function_many(glued, [model], mode)
+            if result.value != rows[a][b]:
                 raise RuntimeError(
                     f"connection matrix entry ({a}, {b}) is {rows[a][b]} by the "
-                    f"tensor sums but {glued} on the glued graph"
+                    f"tensor sums but {result.value} on the glued graph"
                 )
-    return ConnectionMatrix(ts[0], fragments, tuple(tuple(row) for row in rows))
+    return matrix
 
 
-def exact_rank(matrix: ConnectionMatrix) -> int:
-    """Rank over Q(i) via fraction-free elimination with exact pivoting."""
-    return matrix_rank(matrix.entries)
+def exact_rank(matrix) -> int:
+    """Rank over Q(i) via fraction-free elimination with exact pivoting.
+
+    A :class:`ConnectionMatrix` was eliminated once when it was made: its
+    rank is the size of its row basis.  A matrix given as rows is
+    eliminated here.
+    """
+    if isinstance(matrix, ConnectionMatrix):
+        return len(matrix.basis)
+    return matrix_rank(matrix)
 
 
 def dglrs_constraint_sum(f, k: int) -> GaussianRational:

@@ -12,6 +12,21 @@ signed sum of a fragment's tensors over the subsets of a mode, and
 :func:`partition_function_many` reads the single coefficient of a graph's
 t=0 sum.  Each subset's tensor is signed by :func:`subset_prefactor`.
 
+:func:`partition_function` may evaluate a graph by two halves, with the same
+value, subsets and colorings.  A connected graph in mixed mode whose cycle
+rank reaches :data:`CUT_GATE` may be cut along a few edges
+(:func:`_balanced_cut`) into two fragments (:func:`~mixedpf.graph.split`,
+the inverse of gluing); its value is then the Gram pairing of the halves'
+tensor sums, Z(F1 * F2) = [sum T(F1), sum T(F2)], which visits
+2^cyc(F1) + 2^cyc(F2) subsets of half the graph each instead of 2^cyc(G)
+of the whole.  Its colorings are the pairing of the halves' coloring
+counts, each counted at its label coordinate, with every sign +1, and its
+subsets, 2^cyc(G), are counted in closed form.  The subset sum over the
+whole graph, :func:`partition_function_many`, is what the halves are
+checked against.  Disconnected graphs are not split into components: on
+the small graphs of the suites a subset sum per component costs more in
+setup than it saves.
+
 Coloring enumeration walks the edges in one order, :func:`_walk_order`'s,
 once for all the models of a call; a branch is cut as soon as every model
 weighs a completed vertex zero, which is what makes the sparse built-in
@@ -63,6 +78,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import mul
 
 from .algebra import (
@@ -71,6 +87,7 @@ from .algebra import (
     I,
     as_gaussian,
     dual_basis,
+    form_pairing,
     normalize_wedge,
     permutation_sign,
     sym_counts,
@@ -80,12 +97,14 @@ from .graph import (
     Fragment,
     MultiGraph,
     as_fragment,
+    components,
     decompose,
     enumerate_eulerian_subsets,
     eulerian_state,
     is_eulerian_subset,
     is_incoming,
     peel,
+    split,
     validate_state,
 )
 from .models import MAX_MODEL_SIZE, EdgeColoringModel
@@ -333,11 +352,11 @@ class _SubsetContext:
         weighs some completed vertex zero.  Adds, for each model i, the
         (k+2*ell)^t coefficients of the subset's tensor, unsigned (no
         circuit parity or trail prefactor), to the list ``coeffs[i]``, and
-        the number of full colorings the model weighs nonzero to
-        ``leaves[i]``; callers pass zeros for one subset's sums alone.  With
-        no labels the single coefficient is the scalar sum.  Coefficients
-        are Gaussian integers, ints when real, each model's times its entry
-        of ``scales``.
+        the full colorings the model weighs nonzero, counted at the same
+        coordinates, to the list ``leaves[i]``; callers pass zeros for one
+        subset's sums alone.  With no labels the single coefficient is the
+        scalar sum.  Coefficients are Gaussian integers, ints when real,
+        each model's times its entry of ``scales``.
         """
         k, two_ell, tables = self.k, self.two_ell, self.tables
         n = len(tables)
@@ -400,7 +419,7 @@ class _SubsetContext:
                     idx = idx * base + offset + c - 1
                 for i in range(n):
                     if mask >> i & 1:
-                        leaves[i] += 1
+                        leaves[i][idx] += 1
                         col = coeffs[i]
                         col[idx] = col[idx] - acc[i] if negate else col[idx] + acc[i]
                 continue
@@ -444,11 +463,12 @@ def subset_sums(
     graph's degree caps (:meth:`EdgeColoringModel.check_cap`).
     """
     ctx = _SubsetContext(frag, models)
-    coeffs = [[0] * (ctx.k + ctx.two_ell) ** frag.t for _ in models]
-    leaves = [0] * len(models)
+    size = (ctx.k + ctx.two_ell) ** frag.t
+    coeffs = [[0] * size for _ in models]
+    leaves = [[0] * size for _ in models]
     ctx.run(subset, state, ctx.alive(subset), coeffs, leaves)
     return [
-        ([_unscale(c, scale) for c in col], n)
+        ([_unscale(c, scale) for c in col], sum(n))
         for col, n, scale in zip(coeffs, leaves, ctx.scales)
     ]
 
@@ -536,31 +556,32 @@ def _validate(frags, models, mode: str) -> None:
 def _mode_sums(frag: Fragment, models, mode: str):
     """The signed tensor sums of a fragment over the subsets of its mode.
 
-    Returns (number of subsets, one (coefficients, colorings) pair per
-    model).  The callers have validated ``models`` and ``mode``
-    (:func:`_validate`).  Each subset's tensor is scaled by i^q, q its
-    :func:`subset_prefactor`: the walk adds it, unsigned, to the model's
-    sum of quarter turn q, and the four sums are combined once at the end.
-    Sums stay scaled by D^(n_vertices - t) until one division per
-    coefficient, and the fragment's own circles multiply them by
-    k - 2*ell each.
+    Returns (number of subsets, one (coefficients, counts) pair per model):
+    a model's counts are its surviving full colorings, counted at the label
+    coordinate of the coefficient each adds to.  The callers have validated
+    ``models`` and ``mode`` (:func:`_validate`).  Each subset's tensor is
+    scaled by i^q, q its :func:`subset_prefactor`: the walk adds it,
+    unsigned, to the model's sum of quarter turn q, and the four sums are
+    combined once at the end.  Sums stay scaled by D^(n_vertices - t) until
+    one division per coefficient, and the fragment's own circles multiply
+    them by k - 2*ell each.
     """
     ctx = _SubsetContext(frag, models)
     size = (ctx.k + ctx.two_ell) ** frag.t
     # by_turn[q][i]: model i's sum of the subsets whose prefactor is i^q
     by_turn = [[[0] * size for _ in models] for _ in range(4)]
-    colorings = [0] * len(models)
+    counts = [[0] * size for _ in models]
     subsets = _mode_subsets(frag, mode)
     for subset in subsets:
         mask = ctx.alive(subset)
         if not mask:
             continue  # every model weighs it zero; it still counts in subsets
         state, circuits, trails = peel(frag, subset)
-        ctx.run(subset, state, mask, by_turn[subset_prefactor(circuits, trails)], colorings)
+        ctx.run(subset, state, mask, by_turn[subset_prefactor(circuits, trails)], counts)
     # the mode checks make k - 2*ell the circle factor of every mode
     factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
     results = []
-    for sums, scale, n in zip(zip(*by_turn), ctx.scales, colorings):
+    for sums, scale, n in zip(zip(*by_turn), ctx.scales, counts):
         coeffs = []
         for a, b, c, d in zip(*sums):
             value, turned = a - c, b - d
@@ -590,9 +611,10 @@ def partition_function_many(
 ) -> list[EvaluationResult]:
     """Evaluate several models with one subset/state enumeration.
 
-    All models must share (k, two_ell); results equal per-model calls to
-    :func:`partition_function` exactly.  A value is the single coefficient
-    of the graph's t=0 tensor sum.
+    All models must share (k, two_ell).  A value is the single coefficient
+    of the whole graph's t=0 tensor sum: this is the subset sum that
+    :func:`partition_function`, which may cut a graph in two, is checked
+    against, and its results equal that function's exactly.
     """
     models = list(models)
     if not models:
@@ -600,7 +622,94 @@ def partition_function_many(
     frag = as_fragment(g)
     _validate([frag], models, mode)
     n_subsets, sums = _mode_sums(frag, models, mode)
-    return [EvaluationResult(value, n_subsets, n) for (value,), n in sums]
+    return [EvaluationResult(value, n_subsets, n) for (value,), (n,) in sums]
+
+
+#: the least cycle rank at which a connected graph is offered a cut
+CUT_GATE = 6
+#: the most edges a cut may have: its halves' tensors have (k+2*ell)^t coefficients
+CUT_MAX_EDGES = 4
+#: the most start vertices the cut finder grows a side from
+CUT_STARTS = 16
+
+
+def _balanced_cut(g: MultiGraph) -> list[int] | None:
+    """One side of a cut of the connected graph g that pays, or None.
+
+    A cut of t <= :data:`CUT_MAX_EDGES` edges into sides A and B pays when
+    its halves' subsets, 2^cyc(F1) + 2^cyc(F2), are fewer than g's
+    2^cyc(g), cyc being the cycle rank: with the labels of a half taken as
+    one vertex, cyc(F1) = m_A + t - |A|, m_A the edges inside A.  A side is
+    grown greedily from a start vertex: each step adds the vertex with an
+    edge into the side that raises the cut least, ties to more edges into
+    the side, then to the lower vertex.  Every prefix of every growth is a
+    candidate; the cheapest wins, the first found among equals.  The starts
+    are every vertex, or :data:`CUT_STARTS` spread evenly through them on a
+    larger graph, so the search takes O(CUT_STARTS * (n + m) log m) steps.
+    """
+    n, m = g.n_vertices, g.n_edges
+    neighbours = [[] for _ in range(n)]
+    loops = [0] * n
+    for a, b in g.edges:
+        if a == b:
+            loops[a] += 1
+        else:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    best, size, cheapest = None, 0, 2 ** (m - n + 1)  # the growth and prefix that won
+    starts = range(n)
+    if n > CUT_STARTS:
+        starts = sorted({i * n // CUT_STARTS for i in range(CUT_STARTS)})
+    for start in starts:
+        side = []
+        into = [0] * n  # each vertex's edges into the side
+        placed = [False] * n
+        cut = inner = 0  # the edges leaving the side, and those inside it
+        frontier = [(0, 0, start)]
+        while len(side) < n - 1:
+            _, minus_into, v = heappop(frontier)
+            if placed[v] or -minus_into != into[v]:
+                continue  # placed already, or pushed before its last edge into the side
+            placed[v] = True
+            side.append(v)
+            cut += len(neighbours[v]) - 2 * into[v]
+            inner += into[v] + loops[v]
+            for w in neighbours[v]:
+                if not placed[w]:
+                    into[w] += 1
+                    heappush(frontier, (len(neighbours[w]) - 2 * into[w], -into[w], w))
+            if cut <= CUT_MAX_EDGES:
+                cost = 2 ** (inner + cut - len(side)) + 2 ** (m - inner - n + len(side))
+                if cost < cheapest:
+                    best, size, cheapest = side, len(side), cost
+    return None if best is None else best[:size]
+
+
+def _by_cut(g: MultiGraph, side, model: EdgeColoringModel, mode: str) -> EvaluationResult:
+    """g's result from the two halves of the cut around ``side``.
+
+    The halves are those of :func:`~mixedpf.graph.split`, and g's value is
+    the Gram pairing of their signed tensor sums (the form of
+    :func:`~mixedpf.algebra.form_pairing`), the identity
+    Z(F1 * F2) = [sum T(F1), sum T(F2)].  Its colorings are the same
+    pairing of the halves' counts with every sign +1: a full coloring of g
+    is one of each half that agrees on the cut edges, and it survives when
+    both do.  Its subsets are counted in closed form: 2^cyc(g) in mixed
+    mode, one in ordinary mode, and in skew mode one if g is Eulerian.
+    The caller has validated ``model`` and ``mode``.
+    """
+    f1, f2 = split(g, side)
+    (_, [(values1, counts1)]), (_, [(values2, counts2)]) = (
+        _mode_sums(f, [model], mode) for f in (f1, f2)
+    )
+    k, two_ell, t = model.k, model.two_ell, f1.t
+    value = form_pairing(values1, values2, k, two_ell, t)
+    colorings = form_pairing(counts1, counts2, k, two_ell, t, signed=False)
+    if mode == "mixed":
+        subsets = 2 ** (g.n_edges - g.n_vertices + len(components(g)))
+    else:
+        subsets = int(mode == "ordinary" or g.is_eulerian())
+    return EvaluationResult(value, subsets, colorings)
 
 
 def partition_function(
@@ -613,5 +722,21 @@ def partition_function(
     Eulerian graphs and zero otherwise (requires k=0).  Every circle
     component multiplies by k - 2*ell, which is k in ordinary mode and
     -2*ell in skew mode.
+
+    A connected graph in mixed mode of cycle rank at least :data:`CUT_GATE`
+    is cut by :func:`_balanced_cut` when a cut pays, and evaluated by
+    :func:`_by_cut`; any other goes to :func:`partition_function_many`.
+    In ordinary and skew mode a graph has a single subset, so no cut can
+    pay.
     """
+    frag = as_fragment(g)
+    if frag.t:
+        raise ValueError("partition_function expects a plain graph, not a fragment")
+    g = frag.graph
+    # m - n + 1 is a connected graph's cycle rank, read before the pass over its edges
+    if mode == "mixed" and g.n_edges - g.n_vertices + 1 >= CUT_GATE and len(components(g)) == 1:
+        _validate([frag], [model], mode)
+        side = _balanced_cut(g)
+        if side is not None:
+            return _by_cut(g, side, model, mode)
     return partition_function_many(g, [model], mode)[0]

@@ -472,6 +472,57 @@ def glue(f1: Fragment, f2: Fragment) -> MultiGraph:
     return glue_with_maps(f1, f2).graph
 
 
+def split(g: MultiGraph, side) -> tuple[Fragment, Fragment]:
+    """The two fragments that :func:`glue` joins back into g, cut around ``side``.
+
+    The first fragment holds the vertices of ``side``, the second the rest,
+    each in ascending order.  Each edge between the two (a cut edge) is an
+    open end of both, at the label numbered by its place among the cut
+    edges in g's order.  A fragment keeps g's edges at its vertices in g's
+    order, a cut edge ending at its label in place of its far end, and g's
+    circles go to the first.  :func:`glue_with_maps` of the two is g with
+    the vertices of ``side`` numbered first: each cut edge is the class of
+    its two open edges, oriented from the first fragment's end, and every
+    other edge is as it was.  With no cut edges the two are plain graphs.
+    """
+    inside = set(side)
+    if not inside <= set(range(g.n_vertices)):
+        raise ValueError("side holds a vertex outside the graph")
+    cut = [e for e, (a, b) in enumerate(g.edges) if (a in inside) != (b in inside)]
+    halves = []
+    for first in (True, False):
+        kept = [v for v in range(g.n_vertices) if (v in inside) == first]
+        number = {v: i for i, v in enumerate(kept)}
+        label = {e: len(kept) + i for i, e in enumerate(cut)}
+        edges = [
+            (number[a] if a in number else label[e], number[b] if b in number else label[e])
+            for e, (a, b) in enumerate(g.edges)
+            if a in number or b in number
+        ]
+        graph = MultiGraph(len(kept) + len(cut), tuple(edges), g.n_circles if first else 0)
+        halves.append(Fragment(graph, tuple(label.values())))
+    return halves[0], halves[1]
+
+
+def components(g: MultiGraph) -> list[list[int]]:
+    """The vertices of each connected component of g, ascending, the
+    components ordered by their lowest vertex.  Circles are not vertices."""
+    root = list(range(g.n_vertices))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for a, b in g.edges:
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    parts = {}
+    for v in range(g.n_vertices):
+        parts.setdefault(find(v), []).append(v)
+    return list(parts.values())
+
+
 def disjoint_union(g: MultiGraph, h: MultiGraph) -> MultiGraph:
     shifted = tuple((a + g.n_vertices, b + g.n_vertices) for a, b in h.edges)
     return MultiGraph(

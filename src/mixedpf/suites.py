@@ -397,7 +397,9 @@ def suite_gram(seed: int = 0, pairs: int = 30) -> RunReport:
     label, and its pairing must be 0.  Otherwise the edge classes it takes
     form a subset H of the glued graph, and its pairing must be H's value
     times (-2l)^(circles taken) * k^(circles left).  The pairing of the two
-    summed tensors must be the mixed partition function.
+    summed tensors must be the mixed partition function, read from the
+    subset sum over the whole glued graph, which does not rest on this
+    identity as a cut of it would.
     """
     rng = random.Random(seed)
     signatures = [(1, 2), (2, 2)]
@@ -462,7 +464,8 @@ def suite_gram(seed: int = 0, pairs: int = 30) -> RunReport:
 
         zero = FragmentTensor.zero(t, k, two_ell)
         summed = gram_pairing(sum(tensors1.values(), zero), sum(tensors2.values(), zero))
-        pf = partition_function(g, h, "mixed").value
+        [result] = partition_function_many(g, [h], "mixed")
+        pf = result.value
         if summed != pf:
             return False, f"summed pairing {summed} != partition function {pf}"
         return True, f"t={t} (k,2l)=({k},{two_ell}) combos={checked} value={pf}"

@@ -10,7 +10,7 @@ import random
 import re
 
 from mixedpf import suites
-from mixedpf.evaluator import partition_function
+from mixedpf.evaluator import partition_function, partition_function_many
 from mixedpf.graph import circle_graph, disjoint_union
 from mixedpf.models import EdgeColoringModel
 from mixedpf.suites import (
@@ -128,12 +128,13 @@ def test_criterion_10_specialization_and_multiplicativity():
         h_graph = random_multigraph(rng, max_vertices=3, max_edges=4)
         cap = max(g.max_degree(), h_graph.max_degree(), 1)
         model = random_sparse_model(rng, 1, 2, cap)
-        left = partition_function(disjoint_union(g, h_graph), model, "mixed").value
+        # the subset sum over the whole union, which no cut rests on
+        [left] = partition_function_many(disjoint_union(g, h_graph), [model], "mixed")
         right = (
-            partition_function(g, model, "mixed").value
-            * partition_function(h_graph, model, "mixed").value
+            partition_function_many(g, [model], "mixed")[0].value
+            * partition_function_many(h_graph, [model], "mixed")[0].value
         )
-        ok = ok and left == right
+        ok = ok and left.value == right
     report(10, "specialization and multiplicativity", ok)
 
 
@@ -158,6 +159,19 @@ def test_criterion_08_fails_on_a_pairing_that_is_never_zero(monkeypatch):
     mismatched = [d for d in details if d.startswith("expected 0 on label mismatch, got 1")]
     assert len(mismatched) == 6
     assert all(re.fullmatch(r"H1=.* H2=.*: pairing 1 != 0", d) for d in details if d not in mismatched)
+
+
+def test_criterion_08_reads_the_whole_glued_graph(monkeypatch):
+    """The summed pairing is checked against the subset sum over the whole
+    glued graph, not against partition_function, whose cuts rest on the
+    identity under test."""
+
+    def refuse(*args):
+        raise AssertionError("the gram suite evaluated by parts")
+
+    monkeypatch.setattr(suites, "partition_function", refuse)
+    rep = suite_gram(seed=0, pairs=30)
+    assert rep.n_failed == 0 and len(rep.cases) == 30
 
 
 def test_criterion_05_fails_on_an_offset_skew_value(monkeypatch):

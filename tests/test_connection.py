@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedpf import connection, evaluator
+from mixedpf import connection, evaluator, linalg
 from mixedpf.algebra import GaussianRational, I, dual_basis
 from mixedpf.connection import (
     ConnectionMatrix,
@@ -24,7 +24,12 @@ from mixedpf.connection import (
     matching_sign,
     permutation_sign,
 )
-from mixedpf.evaluator import eulerian_sum, partition_function, tensor_sums
+from mixedpf.evaluator import (
+    eulerian_sum,
+    partition_function,
+    partition_function_many,
+    tensor_sums,
+)
 from mixedpf.graph import (
     Fragment,
     MultiGraph,
@@ -32,8 +37,10 @@ from mixedpf.graph import (
     decompose,
     enumerate_eulerian_subsets,
     eulerian_state,
+    components,
     glue,
     is_eulerian_subset,
+    split,
 )
 from mixedpf.linalg import determinant, row_basis
 from mixedpf.models import (
@@ -518,13 +525,62 @@ def test_a_wrong_glued_value_fails_the_certificate(monkeypatch):
     family = list(enumerate_fragments(2, 2, 3))
     model = charpoly_model(0, cap=4)
 
-    def off_by_one(g, h, mode):
-        result = partition_function(g, h, mode)
-        return dataclasses.replace(result, value=result.value + 1)
+    def off_by_one(g, models, mode):
+        return [
+            dataclasses.replace(r, value=r.value + 1)
+            for r in partition_function_many(g, models, mode)
+        ]
 
-    monkeypatch.setattr(connection, "partition_function", off_by_one)
+    monkeypatch.setattr(evaluator, "partition_function_many", off_by_one)
     with pytest.raises(RuntimeError, match="on the glued graph"):
         connection_matrix(family, model, "mixed")
+
+
+def test_the_certificate_reads_the_whole_glued_graph(monkeypatch):
+    """The certificate's glued values come from the subset sum over the
+    whole glued graph, never from its parts: evaluating by parts rests on
+    the Gram identity that the certificate is to check.  Among the glued
+    graphs it evaluates are ones of cycle rank 6 or more, which
+    partition_function may cut."""
+    rims = [(i, (i + 1) % 6) for i in range(6)] + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+    prism = MultiGraph(12, rims + [(i, i + 6) for i in range(6)])
+    # the two halves of the 6-prism's cut at two rungs, and a triangle
+    # beside two label-to-label edges
+    triangle = MultiGraph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (5, 6)))
+    family = [*split(prism, [0, 1, 2, 6, 7, 8]), Fragment(triangle, (3, 4, 5, 6))]
+    evaluated = []
+
+    def whole(g, models, mode):
+        evaluated.append(g)
+        return partition_function_many(g, models, mode)
+
+    def refuse(*args):
+        raise AssertionError("the certificate evaluated by parts")
+
+    monkeypatch.setattr(evaluator, "partition_function_many", whole)
+    monkeypatch.setattr(evaluator, "split", refuse)
+    monkeypatch.setattr(evaluator, "partition_function", refuse)
+    matrix = connection_matrix(family, charpoly_model(Fraction(3, 2), cap=4), "mixed")
+    assert len(evaluated) == len(matrix.basis) * (len(matrix.basis) + 1) // 2
+    assert max(g.n_edges - g.n_vertices + len(components(g)) for g in evaluated) >= 6
+
+
+def test_one_elimination_per_rank(monkeypatch):
+    """connection_matrix eliminates its matrix once, for the row basis that
+    its certificate reads; exact_rank then reads the basis."""
+    calls = []
+    bareiss = linalg._bareiss
+
+    def counting(rows):
+        calls.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss", counting)
+    family = list(enumerate_fragments(2, 2, 3))
+    matrix = connection_matrix(family, charpoly_model(0, cap=4), "mixed")
+    assert exact_rank(matrix) == 5
+    assert calls == [len(family)]
+    assert matrix.basis == tuple(row_basis(matrix.entries))
 
 
 def test_a_wrong_pairing_fails_the_certificate(monkeypatch):

@@ -1,6 +1,7 @@
 """Partition-function engine tests: modes, circles, identities."""
 
 import gc
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from mixedpf.graph import (
     enumerate_eulerian_subsets,
     eulerian_state,
     peel,
+    split,
 )
 from mixedpf.models import (
     EdgeColoringModel,
@@ -40,7 +42,7 @@ from mixedpf.models import (
     matchings_model,
     tensor_model,
 )
-from mixedpf.oracles import coloring_sum_oracle
+from mixedpf.oracles import charpoly_oracle, coloring_sum_oracle
 from mixedpf.suites import (
     enumerate_fragments,
     enumerate_multigraphs,
@@ -496,6 +498,14 @@ def test_invariance_examples():
 # -- structural identities ----------------------------------------------------------
 
 
+def whole(g, model, mode):
+    """The subset sum over the whole graph.  What partition_function's
+    cuts rest on, such as multiplicativity, is checked against this, never
+    against that evaluation itself."""
+    [result] = partition_function_many(g, [model], mode)
+    return result
+
+
 @pytest.mark.parametrize("mode,k,two_ell", [("ordinary", 2, 0), ("skew", 0, 2), ("mixed", 1, 2)])
 def test_multiplicativity(mode, k, two_ell):
     rng = random.Random(42)
@@ -504,11 +514,8 @@ def test_multiplicativity(mode, k, two_ell):
         h_graph = random_multigraph(rng, max_vertices=3, max_edges=3)
         cap = max(g.max_degree(), h_graph.max_degree(), 1)
         model = random_sparse_model(rng, k, two_ell, cap)
-        left = partition_function(disjoint_union(g, h_graph), model, mode).value
-        right = (
-            partition_function(g, model, mode).value
-            * partition_function(h_graph, model, mode).value
-        )
+        left = whole(disjoint_union(g, h_graph), model, mode).value
+        right = whole(g, model, mode).value * whole(h_graph, model, mode).value
         assert left == right
 
 
@@ -969,8 +976,151 @@ def test_partition_function_follows_vertex_renaming_and_edge_permutation(g, shap
 def test_partition_function_is_multiplicative_over_disjoint_union(g, h, shape, seed):
     model = sparse_model(seed, shape, max(g.max_degree(), h.max_degree()))
     mode = shape[0]
-    left = partition_function(disjoint_union(g, h), model, mode)
-    a, b = partition_function(g, model, mode), partition_function(h, model, mode)
+    left = whole(disjoint_union(g, h), model, mode)
+    a, b = whole(g, model, mode), whole(h, model, mode)
     assert left.value == a.value * b.value
     assert left.subsets == a.subsets * b.subsets
     assert left.colorings == a.colorings * b.colorings
+
+
+# -- evaluation by two halves along one balanced edge cut ------------------------
+
+# the models of each mode the cut is checked with, taken in turn graph by graph
+CUT_MODELS = {
+    "mixed": [
+        charpoly_model(0, cap=12),
+        charpoly_model(1, cap=12),
+        charpoly_model(-2, cap=12),
+        circuit_odd_model(1, cap=12),
+        circuit_pos_model(2, cap=12),
+        matchings_model(cap=12),
+    ],
+    "ordinary": [matchings_model(cap=12), circuit_pos_model(2, cap=12)],
+    "skew": [circuit_neg_model(1), circuit_neg_model(2)],
+}
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "skew", "mixed"])
+def test_a_cut_gives_the_whole_subset_sum(mode):
+    """Every unordered bipartition of every multigraph with at most 3
+    vertices and 6 edges, the two halves each nonempty: the Gram pairing of
+    the halves' tensor sums and of their coloring counts, and the subsets in
+    closed form, are the whole graph's value, colorings and subsets."""
+    cuts = nonzero = 0
+    for idx, g in enumerate(enumerate_multigraphs(3, 6)):
+        model = CUT_MODELS[mode][idx % len(CUT_MODELS[mode])]
+        expected = whole(g, model, mode)
+        for size in range(1, g.n_vertices):
+            for rest in itertools.combinations(range(1, g.n_vertices), size - 1):
+                got = evaluator._by_cut(g, (0, *rest), model, mode)
+                assert got == expected, (g, rest, model, mode)
+                cuts += 1
+        nonzero += expected.value != 0
+    assert cuts == 2856
+    assert nonzero > 50
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "mixed"])
+def test_a_cut_of_a_larger_graph_gives_the_whole_subset_sum(mode):
+    """Seeded multigraphs with 4 to 6 vertices, 10 edges and at most one
+    circle, cut around a random side, under Gaussian models: on both sides
+    of such cuts, unlike those of 3 vertices, the order of the labels
+    matters."""
+    rng = random.Random(17)
+    k, two_ell = HOLED_SHAPES[mode]
+    nonzero = 0
+    for _ in range(60):
+        n = rng.randint(4, 6)
+        edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(10))
+        g = MultiGraph(n, edges, rng.randint(0, 1))
+        model = random_sparse_model(rng, k, two_ell, max(g.max_degree(), 1), density=0.6)
+        side = rng.sample(range(n), rng.randint(1, n - 1))
+        expected = whole(g, model, mode)
+        assert evaluator._by_cut(g, side, model, mode) == expected, (g, side)
+        nonzero += expected.value != 0
+    assert nonzero > 20
+
+
+def grid(rows, columns):
+    """The rows x columns grid, vertex r * columns + c in row r, column c."""
+    edges = []
+    for v in range(rows * columns):
+        if v % columns < columns - 1:
+            edges.append((v, v + 1))
+        if v < (rows - 1) * columns:
+            edges.append((v, v + columns))
+    return MultiGraph(rows * columns, tuple(edges))
+
+
+PETERSEN = MultiGraph(
+    10,
+    tuple((i, (i + 1) % 5) for i in range(5))
+    + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
+    + tuple((i, 5 + i) for i in range(5)),
+)
+
+
+def test_the_planner_cuts_ladders_and_grids(monkeypatch):
+    """Prisms and Moebius ladders with n = 3..8 rungs, the 3 x 4 to 3 x 6
+    grids and the Petersen graph, against det(3/2 I - A): ladders of cycle
+    rank 6 or more are cut at four rim edges, grids at one column of three
+    edges, into halves of sizes as even as the cut allows; the smaller
+    ladders are below the gate, and no cut of the Petersen graph pays."""
+    graphs = {f"prism-{n}": prism(n) for n in range(3, 9)}
+    graphs |= {f"mobius-{n}": mobius_ladder(n) for n in range(3, 9)}
+    graphs |= {f"grid-3x{c}": grid(3, c) for c in (4, 5, 6)} | {"petersen": PETERSEN}
+    cuts = {}
+    by_cut = evaluator._by_cut
+
+    def recording(g, side, model, mode):
+        cuts[name] = (len(side), split(g, side)[0].t)
+        return by_cut(g, side, model, mode)
+
+    monkeypatch.setattr(evaluator, "_by_cut", recording)
+    x = Fraction(3, 2)
+    model = charpoly_model(x)
+    for name, g in graphs.items():
+        result = partition_function(g, model, "mixed")
+        assert result.value == charpoly_oracle(g).evaluate(x), name
+        assert result.subsets == 2 ** (g.n_edges - g.n_vertices + 1)
+    rungs = {5: 4, 6: 6, 7: 6, 8: 8}  # the side's vertices: two per rung
+    assert cuts == {
+        **{f"{ladder}-{n}": (size, 4) for ladder in ("prism", "mobius") for n, size in rungs.items()},
+        "grid-3x4": (6, 3),
+        "grid-3x5": (6, 3),
+        "grid-3x6": (9, 3),
+    }
+
+
+def test_a_disconnected_graph_is_not_cut(monkeypatch):
+    """The 6-prism beside an isolated vertex passes the cycle-rank gate as
+    m - n + 1 reads it, but is not connected, so it is not offered a cut
+    and takes the subset sum over the whole graph."""
+
+    def refuse(g):
+        raise AssertionError("a disconnected graph was offered a cut")
+
+    monkeypatch.setattr(evaluator, "_balanced_cut", refuse)
+    g = disjoint_union(prism(6), MultiGraph(1))
+    assert g.n_edges - g.n_vertices + 1 >= evaluator.CUT_GATE
+    x = Fraction(3, 2)
+    result = partition_function(g, charpoly_model(x), "mixed")
+    assert result.value == charpoly_oracle(g).evaluate(x)
+    assert result.subsets == 2 ** (g.n_edges - g.n_vertices + 2)
+
+
+def test_the_cut_finder_is_bounded(monkeypatch):
+    """On a 200-vertex prism the finder grows a side from CUT_STARTS start
+    vertices, each growth pushing a vertex once per edge into the side, and
+    finds a cut of four rim edges."""
+    pushes = []
+
+    def counting(heap, item):
+        pushes.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(evaluator, "heappush", counting)
+    g = prism(100)
+    side = evaluator._balanced_cut(g)
+    assert len(pushes) <= evaluator.CUT_STARTS * 2 * g.n_edges
+    assert split(g, side)[0].t == 4

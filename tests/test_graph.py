@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from mixedpf.graph import (
     MultiGraph,
     build_G_pi,
     circle_graph,
+    components,
     cycle_graph,
     decompose,
     disjoint_union,
@@ -24,6 +26,7 @@ from mixedpf.graph import (
     parse_fragments,
     parse_graph,
     peel,
+    split,
     validate_state,
 )
 from mixedpf.oracles import eulerian_subsets_oracle
@@ -411,7 +414,7 @@ def test_disjoint_union_commutative_invariants():
     assert ab.n_edges == ba.n_edges and ab.n_circles == ba.n_circles
 
 
-def components(g):
+def component_count(g):
     seen, comps = set(), 0
     adj = {v: set() for v in range(g.n_vertices)}
     for a, b in g.edges:
@@ -444,7 +447,7 @@ def test_build_G_pi(k, pi, n_vertices, n_components):
     assert g.n_vertices == n_vertices
     assert g.n_edges == n_vertices
     assert all(d == 2 for d in g.degrees())
-    assert components(g) == n_components
+    assert component_count(g) == n_components
 
 
 def test_build_G_pi_rejects_non_permutation():
@@ -556,3 +559,71 @@ def test_fragment_validation():
         Fragment(MultiGraph(2, ((0, 1), (0, 1))), (0,))  # degree 2 label
     with pytest.raises(ValueError):
         Fragment(MultiGraph(1, ((0, 0),)), (0,))  # loop at label
+
+
+# -- split: the inverse of glue --------------------------------------------------
+
+
+def assert_glues_back(g, side):
+    """glue_with_maps of split(g, side) is g with side's vertices numbered
+    first: each cut edge is the class of its two open edges, oriented from
+    the side, and every other edge maps home."""
+    inside = set(side)
+    f1, f2 = split(g, side)
+    res = glue_with_maps(f1, f2)
+    order = sorted(inside) + [v for v in range(g.n_vertices) if v not in inside]
+    new = {v: i for i, v in enumerate(order)}
+    assert (res.graph.n_vertices, res.graph.n_circles) == (g.n_vertices, g.n_circles)
+    cut = [e for e, (a, b) in enumerate(g.edges) if (a in inside) != (b in inside)]
+    assert f1.t == f2.t == len(cut)
+    images = defaultdict(set)
+    for half, edge_map, kept in ((f1, res.edge_map1, True), (f2, res.edge_map2, False)):
+        own = [e for e, ends in enumerate(g.edges) if any((v in inside) == kept for v in ends)]
+        assert half.graph.n_edges == len(own)
+        for j, e in enumerate(own):
+            kind, index = edge_map[j]
+            assert kind == "edge"
+            images[e].add(index)
+    assert all(len(image) == 1 for image in images.values())
+    assert sorted(index for [index] in images.values()) == list(range(g.n_edges))
+    for e, [index] in images.items():
+        a, b = g.edges[e]
+        if e in cut and a not in inside:
+            a, b = b, a
+        assert res.graph.edges[index] == (new[a], new[b])
+    return cut
+
+
+def test_split_is_the_inverse_of_glue():
+    """Every bipartition of every multigraph with at most 3 vertices and 6
+    edges, each graph also with a circle, sides empty and full included."""
+    loops = parallel = 0
+    for g in enumerate_multigraphs(3, 6):
+        for circled in (g, MultiGraph(g.n_vertices, g.edges, 1)):
+            for size in range(g.n_vertices + 1):
+                for side in itertools.combinations(range(g.n_vertices), size):
+                    cut = assert_glues_back(circled, side)
+                    loops += any(a == b for a, b in circled.edges) and 0 < size < g.n_vertices
+                    parallel += len({g.edges[e] for e in cut}) < len(cut)
+    assert loops > 1000 and parallel > 1000
+
+
+def test_split_keeps_edge_order_and_labels():
+    # a square with a loop, cut around {0, 3}: edges 1 and 3 leave the side
+    g = MultiGraph(4, ((0, 3), (2, 3), (1, 2), (0, 1), (3, 3)), 2)
+    f1, f2 = split(g, [3, 0])
+    assert f1 == Fragment(MultiGraph(4, ((0, 1), (2, 1), (0, 3), (1, 1)), 2), (2, 3))
+    assert f2 == Fragment(MultiGraph(4, ((1, 2), (0, 1), (3, 0))), (2, 3))
+    assert split(g, []) == (Fragment(MultiGraph(0, (), 2)), Fragment(MultiGraph(4, g.edges)))
+    with pytest.raises(ValueError, match="outside the graph"):
+        split(g, [4])
+
+
+def test_components_by_lowest_vertex():
+    g = MultiGraph(8, ((4, 1), (2, 2), (5, 4), (0, 3)), 3)
+    assert components(g) == [[0, 3], [1, 4, 5], [2], [6], [7]]
+    assert components(MultiGraph(0, (), 2)) == []
+    for g in enumerate_multigraphs(3, 4):
+        parts = components(g)
+        assert len(parts) == component_count(g)
+        assert sorted(v for part in parts for v in part) == list(range(g.n_vertices))
