@@ -182,11 +182,6 @@ class GaussianRational:
             return _gr(_div_exact(self.re, other), _div_exact(self.im, other))
         return NotImplemented
 
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
-        return NotImplemented
-
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented

@@ -193,7 +193,6 @@ class ConnectionMatrix:
     """
 
     t: int
-    fragments: tuple
     entries: tuple  # rows of GaussianRational
     basis: tuple = field(init=False, repr=False, compare=False)
 
@@ -221,7 +220,7 @@ def connection_matrix(
     """
     fragments = tuple(as_fragment(f) for f in fragments)
     if not fragments:
-        return ConnectionMatrix(0, (), ())
+        return ConnectionMatrix(0, ())
     ts = sorted({f.t for f in fragments})
     if len(ts) > 1:
         raise ValueError(f"fragments must share one t, found {ts}")
@@ -234,7 +233,7 @@ def connection_matrix(
     for a in range(n):
         for b in range(a, n):
             rows[a][b] = rows[b][a] = gram_pairing(tensors[a], tensors[b])
-    matrix = ConnectionMatrix(ts[0], fragments, tuple(tuple(row) for row in rows))
+    matrix = ConnectionMatrix(ts[0], tuple(tuple(row) for row in rows))
     basis = matrix.basis
     for i, a in enumerate(basis):
         for b in basis[i:]:

@@ -97,12 +97,12 @@ from .graph import (
     Fragment,
     MultiGraph,
     as_fragment,
-    components,
     decompose,
     enumerate_eulerian_subsets,
     eulerian_state,
     is_eulerian_subset,
     is_incoming,
+    n_components,
     peel,
     split,
     validate_state,
@@ -694,8 +694,8 @@ def _by_cut(g: MultiGraph, side, model: EdgeColoringModel, mode: str) -> Evaluat
     Z(F1 * F2) = [sum T(F1), sum T(F2)].  Its colorings are the same
     pairing of the halves' counts with every sign +1: a full coloring of g
     is one of each half that agrees on the cut edges, and it survives when
-    both do.  Its subsets are counted in closed form: 2^cyc(g) in mixed
-    mode, one in ordinary mode, and in skew mode one if g is Eulerian.
+    both do.  Its subsets are 2^cyc(g) in mixed mode, counted in closed
+    form, and in ordinary and skew mode those of :func:`_mode_subsets`.
     The caller has validated ``model`` and ``mode``.
     """
     f1, f2 = split(g, side)
@@ -706,9 +706,9 @@ def _by_cut(g: MultiGraph, side, model: EdgeColoringModel, mode: str) -> Evaluat
     value = form_pairing(values1, values2, k, two_ell, t)
     colorings = form_pairing(counts1, counts2, k, two_ell, t, signed=False)
     if mode == "mixed":
-        subsets = 2 ** (g.n_edges - g.n_vertices + len(components(g)))
+        subsets = 2 ** (g.n_edges - g.n_vertices + n_components(g))
     else:
-        subsets = int(mode == "ordinary" or g.is_eulerian())
+        subsets = len(_mode_subsets(as_fragment(g), mode))
     return EvaluationResult(value, subsets, colorings)
 
 
@@ -734,7 +734,7 @@ def partition_function(
         raise ValueError("partition_function expects a plain graph, not a fragment")
     g = frag.graph
     # m - n + 1 is a connected graph's cycle rank, read before the pass over its edges
-    if mode == "mixed" and g.n_edges - g.n_vertices + 1 >= CUT_GATE and len(components(g)) == 1:
+    if mode == "mixed" and g.n_edges - g.n_vertices + 1 >= CUT_GATE and n_components(g) == 1:
         _validate([frag], [model], mode)
         side = _balanced_cut(g)
         if side is not None:

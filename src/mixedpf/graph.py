@@ -65,9 +65,6 @@ class MultiGraph:
         return all(d % 2 == 0 for d in self.degrees())
 
 
-EMPTY_GRAPH = MultiGraph(0)
-
-
 def circle_graph(n: int = 1) -> MultiGraph:
     """n disjoint vertexless circles."""
     return MultiGraph(0, (), n)
@@ -218,10 +215,6 @@ def _vertex_of(graph: MultiGraph, he: HalfEdge) -> int:
     return graph.edges[e][side]
 
 
-def _last(n: int) -> int:
-    return n - 1
-
-
 def peel(frag, subset, rng=None) -> tuple[EulerianState, int, tuple]:
     """Peel an Eulerian subset into directed trails and circuits.
 
@@ -249,7 +242,7 @@ def peel(frag, subset, rng=None) -> tuple[EulerianState, int, tuple]:
     # trail starts, popped from the end, so in label order without rng
     starts = [v for v in reversed(frag.labels) if v in unused]
     vertices = sorted(unused)
-    pick = _last
+    pick = lambda n: n - 1  # the last one, without rng
     if rng is not None:
         pick = rng.randrange
         for hes in unused.values():
@@ -504,9 +497,8 @@ def split(g: MultiGraph, side) -> tuple[Fragment, Fragment]:
     return halves[0], halves[1]
 
 
-def components(g: MultiGraph) -> list[list[int]]:
-    """The vertices of each connected component of g, ascending, the
-    components ordered by their lowest vertex.  Circles are not vertices."""
+def n_components(g: MultiGraph) -> int:
+    """The number of connected components of g.  Circles are not vertices."""
     root = list(range(g.n_vertices))
 
     def find(v):
@@ -517,10 +509,7 @@ def components(g: MultiGraph) -> list[list[int]]:
     for a, b in g.edges:
         ra, rb = find(a), find(b)
         root[max(ra, rb)] = min(ra, rb)
-    parts = {}
-    for v in range(g.n_vertices):
-        parts.setdefault(find(v), []).append(v)
-    return list(parts.values())
+    return sum(v == r for v, r in enumerate(root))
 
 
 def disjoint_union(g: MultiGraph, h: MultiGraph) -> MultiGraph:
@@ -542,7 +531,7 @@ def build_G_pi(k: int, pi) -> MultiGraph:
     if sorted(pi) != list(range(n)):
         raise ValueError(f"not a permutation of {n} elements: {pi}")
     seen = [False] * n
-    graph = EMPTY_GRAPH
+    graph = MultiGraph(0)
     for start in range(n):
         if seen[start]:
             continue

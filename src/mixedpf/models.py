@@ -200,26 +200,15 @@ def circuit_pos_model(k: int, cap: int = 8) -> EdgeColoringModel:
 
 def _compositions(total, parts):
     """The tuples of ``parts`` nonnegative ints summing to ``total`` >= 0, in
-    lexicographic order.  Iterative, so ``parts`` is not bounded by the
-    recursion limit."""
+    lexicographic order: stars and bars, the ``parts - 1`` bars placed among
+    ``total + parts - 1`` slots in the order of itertools.combinations."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    c = [0] * (parts - 1) + [total]
-    while True:
-        yield tuple(c)
-        # the successor moves one unit of the last nonzero part one place
-        # left, and the rest of that part to the end
-        r = parts - 1
-        while r and not c[r]:
-            r -= 1
-        if not r:
-            return
-        rest = c[r] - 1
-        c[r] = 0
-        c[r - 1] += 1
-        c[-1] = rest
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 def circuit_neg_model(ell: int) -> EdgeColoringModel:

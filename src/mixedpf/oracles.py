@@ -67,21 +67,6 @@ class Polynomial:
             return self
         return Polynomial((ZERO,) * n + self.coeffs)
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
-            if not c:
-                continue
-            if d == 0:
-                parts.append(f"{c}")
-            else:
-                mono = "x" if d == 1 else f"x^{d}"
-                parts.append(mono if c == 1 else f"({c}){mono}")
-        return " + ".join(parts)
-
 
 def eulerian_subsets_oracle(frag) -> list[frozenset]:
     """The Eulerian subsets of a graph or fragment, by testing all 2^m masks.
@@ -309,8 +294,6 @@ def circuit_partition_oracle(g: MultiGraph) -> Polynomial:
                 transition[h2] = h1
         circuits = _count_closed_walks(g, transition)
         counts[circuits] = counts.get(circuits, 0) + 1
-    if not counts:
-        counts = {0: 1}
     coeffs = [0] * (max(counts) + 1)
     for c, n in counts.items():
         coeffs[c] = n

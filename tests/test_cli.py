@@ -7,7 +7,7 @@ import pytest
 
 from mixedpf import evaluator, suites
 from mixedpf.cli import main
-from mixedpf.graph import parse_fragments
+from mixedpf.graph import format_fragment, parse_fragments
 from mixedpf.models import circuit_neg_model, model_to_json
 from mixedpf.suites import SUITES
 
@@ -251,6 +251,23 @@ def test_eval_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("vertices 2\nedge 0\n", "line 2: expected 'edge u v'"),
+        ("vertices 2\nedge 0 x\n", "line 2: edge endpoints must be integers"),
+        ("vertices 0\ncircle 1\n", "line 2: 'circle' takes no arguments"),
+        ("vertices 1\nlabel x\n", "line 2: label vertex must be an integer"),
+    ],
+)
+def test_eval_malformed_line_is_one_error_line(tmp_path, capsys, text, message):
+    path = write(tmp_path, "bad.graph", text)
+    assert main(["eval", path, "--model", "matchings", "--mode", "ordinary"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_eval_mode_mismatch_is_input_error(tmp_path, capsys):
     path = write(tmp_path, "k3.graph", K3_TEXT)
     assert main(["eval", path, "--model", "matchings", "--mode", "skew"]) == 2
@@ -462,6 +479,16 @@ def test_gen_fragments_roundtrip(capsys):
     frags = parse_fragments(out)
     assert 0 < len(frags) <= 12
     assert all(f.t == 2 for f in frags)
+
+
+def test_gen_fragments_limit_keeps_the_first_blocks(capsys):
+    family = ["gen-fragments", "--t", "2", "--max-internal", "1", "--max-edges", "3"]
+    assert main(family) == 0
+    out = capsys.readouterr().out
+    blocks = [format_fragment(f) for f in parse_fragments(out)]
+    assert len(blocks) == 6 and "".join(blocks) == out
+    assert main(family + ["--limit", "4"]) == 0
+    assert capsys.readouterr().out == "".join(blocks[:4])
 
 
 def test_verify_charpoly_tiny(capsys):

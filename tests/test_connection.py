@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedpf import connection, evaluator, linalg
-from mixedpf.algebra import GaussianRational, I, dual_basis
+from mixedpf.algebra import ZERO, GaussianRational, I, dual_basis
 from mixedpf.connection import (
     ConnectionMatrix,
     DirectedMatching,
@@ -37,9 +37,9 @@ from mixedpf.graph import (
     decompose,
     enumerate_eulerian_subsets,
     eulerian_state,
-    components,
     glue,
     is_eulerian_subset,
+    n_components,
     split,
 )
 from mixedpf.linalg import determinant, row_basis
@@ -107,6 +107,15 @@ def test_matching_validation():
         DirectedMatching(((1, 2), (2, 3)))
     with pytest.raises(ValueError):
         matching_sign(DirectedMatching(((1, 2),)), DirectedMatching(((3, 4),)))
+
+
+def test_tensor_shape_refusals():
+    with pytest.raises(ValueError) as info:
+        FragmentTensor(1, 1, 2, (ZERO, ZERO))
+    assert str(info.value) == "coefficient vector has wrong dimension"
+    with pytest.raises(ValueError) as info:
+        FragmentTensor.zero(1, 1, 0) + FragmentTensor.zero(1, 3, 0)
+    assert str(info.value) == "tensor shape mismatch"
 
 
 # -- the supersymmetric form on the mixed space ----------------------------------------
@@ -562,7 +571,7 @@ def test_the_certificate_reads_the_whole_glued_graph(monkeypatch):
     monkeypatch.setattr(evaluator, "partition_function", refuse)
     matrix = connection_matrix(family, charpoly_model(Fraction(3, 2), cap=4), "mixed")
     assert len(evaluated) == len(matrix.basis) * (len(matrix.basis) + 1) // 2
-    assert max(g.n_edges - g.n_vertices + len(components(g)) for g in evaluated) >= 6
+    assert max(g.n_edges - g.n_vertices + n_components(g) for g in evaluated) >= 6
 
 
 def test_one_elimination_per_rank(monkeypatch):
@@ -666,11 +675,10 @@ def fraction_rank(rows):
 
 
 def test_exact_rank_basics():
-    zero = ConnectionMatrix(0, (), tuple(tuple(GaussianRational(0) for _ in range(3)) for _ in range(3)))
+    zero = ConnectionMatrix(0, tuple(tuple(GaussianRational(0) for _ in range(3)) for _ in range(3)))
     assert exact_rank(zero) == 0
     diag = ConnectionMatrix(
         0,
-        (),
         tuple(
             tuple(GaussianRational(2 if a == b and a < 2 else 0) for b in range(3))
             for a in range(3)
@@ -693,7 +701,7 @@ def test_exact_rank_matches_independent_elimination():
             ]
             for _ in range(n)
         ]
-        matrix = ConnectionMatrix(0, (), tuple(tuple(r) for r in rows))
+        matrix = ConnectionMatrix(0, tuple(tuple(r) for r in rows))
         assert exact_rank(matrix) == fraction_rank(rows)
 
 

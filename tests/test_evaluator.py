@@ -181,6 +181,20 @@ def test_mode_model_mismatch():
         partition_function(K3, matchings_model(cap=4), "bogus")
 
 
+def test_evaluator_refusals():
+    with pytest.raises(ValueError) as info:
+        partition_function_many(K3, [matchings_model(cap=4), circuit_pos_model(3)], "ordinary")
+    assert str(info.value) == "partition_function_many needs models of equal (k, two_ell)"
+    assert partition_function_many(K3, [], "mixed") == []
+    edge = Fragment(MultiGraph(2, ((0, 1),)), (0,))
+    with pytest.raises(ValueError) as info:
+        partition_function(edge, matchings_model(cap=4), "ordinary")
+    assert str(info.value) == "partition_function expects a plain graph, not a fragment"
+    with pytest.raises(ValueError) as info:
+        eulerian_sum(edge, frozenset(), matchings_model(cap=4))
+    assert str(info.value) == "eulerian_sum expects a plain graph, not a fragment"
+
+
 def test_cap_too_small_raises():
     with pytest.raises(ValueError, match="cap"):
         partition_function(K3, matchings_model(cap=1), "ordinary")

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from mixedpf.graph import (
     MAX_VERTICES,
+    EulerianState,
     Fragment,
     MultiGraph,
+    as_fragment,
     build_G_pi,
     circle_graph,
-    components,
     cycle_graph,
     decompose,
     disjoint_union,
@@ -23,6 +24,7 @@ from mixedpf.graph import (
     format_fragment,
     glue,
     glue_with_maps,
+    n_components,
     parse_fragments,
     parse_graph,
     peel,
@@ -275,6 +277,65 @@ def test_validate_state_catches_tampering():
     bad.orientation[0] = not bad.orientation[0]
     with pytest.raises(ValueError):
         validate_state(K3, bad)
+
+
+# a path 0 - 1 = 2 - 3 with labels 0 and 3, and a valid state of its subset
+# {0, 1, 3}: every edge runs from its second endpoint to its first
+PATH = Fragment(MultiGraph(4, ((0, 1), (1, 2), (1, 2), (2, 3))), (0, 3))
+PATH_STATE = EulerianState(
+    frozenset({0, 1, 3}),
+    {0: False, 1: False, 3: False},
+    {1: (((1, 0), (0, 1)),), 2: (((3, 0), (1, 1)),)},
+)
+
+
+@pytest.mark.parametrize(
+    "orientation,pairing,message",
+    [
+        ({0: False, 1: False}, None, "orientation must cover exactly the subset edges"),
+        (None, {0: (((0, 0), (0, 1)),)}, "labeled vertex 0 must not carry pairings"),
+        (None, {1: (((1, 0), (2, 0)),)}, "paired half-edge (2, 0) outside subset"),
+        (None, {1: (((1, 0), (3, 0)),)}, "half-edge (3, 0) paired at wrong vertex 1"),
+        (None, {1: (((0, 1), (1, 0)),)}, "first half-edge of pair ((0, 1), (1, 0)) not incoming"),
+        (None, {2: ()}, "pairing at vertex 2 does not partition its half-edges"),
+    ],
+)
+def test_validate_state_refusals(orientation, pairing, message):
+    validate_state(PATH, PATH_STATE)
+    broken = EulerianState(
+        PATH_STATE.subset,
+        PATH_STATE.orientation if orientation is None else orientation,
+        {**PATH_STATE.pairing, **(pairing or {})},
+    )
+    with pytest.raises(ValueError) as info:
+        validate_state(PATH, broken)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: MultiGraph(-1), ValueError, "negative vertex or circle count"),
+        (lambda: MultiGraph(1, (), -1), ValueError, "negative vertex or circle count"),
+        (lambda: MultiGraph(2, ((0, 2),)), ValueError, "edge (0,2) has endpoint outside range"),
+        (lambda: MultiGraph(2, ((-1, 1),)), ValueError, "edge (-1,1) has endpoint outside range"),
+        (lambda: cycle_graph(0), ValueError, "cycle length must be positive"),
+        (
+            lambda: Fragment(MultiGraph(2, ((0, 1),)), (2,)),
+            ValueError,
+            "labeled vertex 2 out of range",
+        ),
+        (lambda: as_fragment(3), TypeError, "expected MultiGraph or Fragment, got int"),
+    ],
+)
+def test_constructor_refusals(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_a_cycle_of_one_vertex_is_a_loop():
+    assert cycle_graph(1) == MultiGraph(1, ((0, 0),))
 
 
 def test_pairing_conservation():
@@ -619,11 +680,9 @@ def test_split_keeps_edge_order_and_labels():
         split(g, [4])
 
 
-def test_components_by_lowest_vertex():
+def test_n_components_matches_a_graph_search():
     g = MultiGraph(8, ((4, 1), (2, 2), (5, 4), (0, 3)), 3)
-    assert components(g) == [[0, 3], [1, 4, 5], [2], [6], [7]]
-    assert components(MultiGraph(0, (), 2)) == []
+    assert n_components(g) == 5  # {0, 3}, {1, 4, 5}, {2}, {6}, {7}
+    assert n_components(MultiGraph(0, (), 2)) == 0
     for g in enumerate_multigraphs(3, 4):
-        parts = components(g)
-        assert len(parts) == component_count(g)
-        assert sorted(v for part in parts for v in part) == list(range(g.n_vertices))
+        assert n_components(g) == component_count(g)

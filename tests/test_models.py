@@ -79,6 +79,21 @@ def test_cap_enforced():
         h.evaluate((1, 1, 1, 1), ())
 
 
+@pytest.mark.parametrize(
+    "k,two_ell,entries,cap,message",
+    [
+        (-1, 0, [], None, "k must be nonnegative"),
+        (1, 0, [], -1, "degree cap must be nonnegative"),
+        (0, 2, [((), (3,), 1)], None, "exterior index out of range in (3,)"),
+        (0, 2, [((), (0, 1), 1)], None, "exterior index out of range in (0, 1)"),
+    ],
+)
+def test_model_refusals(k, two_ell, entries, cap, message):
+    with pytest.raises(ValueError) as info:
+        EdgeColoringModel(k, two_ell, entries, cap=cap)
+    assert str(info.value) == message
+
+
 def test_entry_validation():
     with pytest.raises(ValueError):
         EdgeColoringModel(1, 2, [((1,), (2, 1), 1)])  # not increasing
