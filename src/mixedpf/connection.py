@@ -219,15 +219,13 @@ def connection_matrix(
     value raises RuntimeError.
     """
     fragments = tuple(as_fragment(f) for f in fragments)
-    if not fragments:
-        return ConnectionMatrix(0, ())
     ts = sorted({f.t for f in fragments})
     if len(ts) > 1:
         raise ValueError(f"fragments must share one t, found {ts}")
-    tensors = [
-        FragmentTensor(ts[0], model.k, model.two_ell, tuple(coeffs))
-        for coeffs in tensor_sums(fragments, model, mode)
-    ]
+    sums = tensor_sums(fragments, model, mode)  # refuses a bad model or mode, fragments or not
+    if not fragments:
+        return ConnectionMatrix(0, ())
+    tensors = [FragmentTensor(ts[0], model.k, model.two_ell, tuple(c)) for c in sums]
     n = len(fragments)
     rows = [[ZERO] * n for _ in range(n)]
     for a in range(n):

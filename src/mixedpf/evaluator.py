@@ -34,14 +34,16 @@ models fast.  The exact sum does not depend on the order and
 ``colorings`` counts full colorings, so the order changes only how many
 nodes the walk visits.
 
-A vertex's weight comes from its canonical pattern, kept in one table per
-local shape that every subset, graph and call shares: the table memoises a
-pure function of shape and colors, so sharing it cannot change a value.
+A vertex's factors come from one cache that every subset, graph and call
+shares, keyed by the models' keys (from (k, two_ell) and the weights, never
+object identity) and the vertex's local shape; on a miss they are computed
+from its canonical pattern.  It memoises a pure function, so sharing it
+cannot change a value.  ``_held`` counts every number it holds, model keys
+included, and an insertion that would pass ``MAX_MODEL_SIZE`` empties it.
 
 Work that does not depend on the subset is done once per call: the edge
-order, the internal vertices and the position completing each, the models
-alive at each vertex bidegree, and the per-shape factor caches over the
-call's models, which every subset's walk reads and fills.
+order, the internal vertices and the position completing each, and the
+models alive at each vertex bidegree.
 
 A vertex with x of its d half-edges in a subset reads d - x symmetric
 colors and x exterior ones, so a model with no pattern of that bidegree
@@ -123,58 +125,56 @@ class EvaluationResult:
     colorings: int
 
 
-# Canonical forms per local shape (k, two_ell, n_sym, n_pairs): each maps a
-# slot-ordered color tuple to its (entry key, sign), or None when the wedge
-# vanishes.  A memo of a pure function of shape and colors, so every context,
-# subset, graph and call shares it; it holds only the keys it has met.
-_CANON: dict[tuple, dict] = {}
-# one object per distinct canonical form, shared by every color tuple that reaches it
-_FORMS: dict = {}
-# the numbers both hold: each key's colors, and each form's counts and exterior
-# colors.  An insertion that would pass MAX_MODEL_SIZE empties both first.
+# The factor cache, {(model keys, local shape (k, two_ell, n_sym, n_pairs)):
+# {slot-ordered color tuple: its _vertex_factors}}, and the numbers it holds:
+# per table its shape and each model key's entries times colors, as models
+# count a table, and per tuple its colors and factors.
+_FACTORS: dict[tuple, dict] = {}
 _held = 0
 
 
-def _canonical(shape, key):
-    """The canonical (entry key, sign) of a slot-ordered color tuple, or None."""
+def _keep(cache_key, table: dict, key, hit) -> None:
+    """Keep ``hit``, the factors of color tuple ``key``, in ``table``, the
+    walk's table of ``cache_key``, and put the table in the cache if it is
+    not there: during a walk the cache holds that table or none for its key.
+
+    An insertion that would pass MAX_MODEL_SIZE first empties the cache,
+    clearing each table in place, so a table a walk still fills is put back
+    and counted again.  One that passes it alone is not kept.
+    """
     global _held
-    table = _CANON.get(shape)
-    if table is None:
-        table = _CANON[shape] = {}
-    canon = table.get(key, _MISS)
-    if canon is _MISS:
-        k, two_ell, n_sym, _ = shape
-        # the pair slots alternate: f_c where the edge comes in, g_c where it goes out
-        sign, ext = normalize_wedge(
-            [(c, p % 2 == 1) for p, c in enumerate(key[n_sym:])], two_ell
-        )
-        canon = None if sign == 0 else ((sym_counts(key[:n_sym], k), ext), sign)
-        form_size = 0 if canon is None else k + len(ext)
-        size = len(key) + (0 if canon in _FORMS else form_size)
+    size = len(key) + (0 if hit is None else 1 + len(hit[1] or ()))
+    if cache_key not in _FACTORS or _held + size > MAX_MODEL_SIZE:
+        models_key, shape = cache_key
+        size += len(shape) + sum(2 + len(items) * (k + l2) for k, l2, items in models_key)
         if _held + size > MAX_MODEL_SIZE:
-            _CANON.clear()
-            _FORMS.clear()
-            table = _CANON[shape] = {}
-            _held, size = 0, len(key) + form_size
-        _held += size
-        table[key] = canon = _FORMS.setdefault(canon, canon)
-    return canon
+            for emptied in _FACTORS.values():
+                emptied.clear()
+            _FACTORS.clear()
+            _held = 0
+            if size > MAX_MODEL_SIZE:
+                return
+        _FACTORS[cache_key] = table
+    table[key] = hit
+    _held += size
 
 
 def _vertex_factors(shape, key, tables):
     """A vertex's weights under each model's table of weights.
 
-    None when every model weighs the pattern zero, else (alive mask,
-    factors): bit i of the mask is set iff model i's weight is nonzero, and
-    factors holds the signed per-model weights, 1 standing in for the zero
-    ones, or is None when they are all 1, so that the walk skips the
-    product.  The walk passes each model's ``scaled`` table, whose real
-    weights are plain ints.
+    None when every model weighs the pattern of the slot-ordered colors
+    ``key`` zero, else (alive mask, factors): bit i of the mask is set iff
+    model i's weight is nonzero, and factors holds the signed per-model
+    weights, 1 standing in for the zero ones, or is None when they are all
+    1, so that the walk skips the product.  The walk passes each model's
+    ``scaled`` table, whose real weights are plain ints.
     """
-    canon = _canonical(shape, key)
-    if canon is None:
+    k, two_ell, n_sym, _ = shape
+    # the pair slots alternate: f_c where the edge comes in, g_c where it goes out
+    sign, ext = normalize_wedge([(c, p % 2 == 1) for p, c in enumerate(key[n_sym:])], two_ell)
+    if sign == 0:
         return None
-    entry, sign = canon
+    entry = (sym_counts(key[:n_sym], k), ext)
     mask = 0
     factors = []
     for i, entries in enumerate(tables):
@@ -251,10 +251,8 @@ class _SubsetContext:
     :func:`_walk_order`, the position that completes each internal vertex
     (its incident edges are its slots whatever the subset) and its degree,
     the labels' open ends, the weight of isolated vertices, the mask of
-    models with a pattern of each bidegree, and the factor caches, one per
-    local shape, from a slot-ordered color tuple to its
-    :func:`_vertex_factors`.  The caches are keyed by the call's models,
-    so they hold for all its subsets.
+    models with a pattern of each bidegree, and ``key``, the model keys
+    that, with a local shape, key the factor cache's tables.
 
     :meth:`alive` is the bidegree check of a subset: callers skip a subset
     it finds dead, before its state is built, yet still count it in
@@ -266,10 +264,10 @@ class _SubsetContext:
 
     Each internal vertex reads its colors in slot order: one symmetric slot
     per end of an edge off the subset (a loop gives two), then the (in, out)
-    edges of each of its pairings through the subset.  Its canonical
-    (entry key, sign) is then a pure function of its local shape
-    (k, two_ell, n_sym, n_pairs) and the color tuple, looked up in the shared
-    :data:`_CANON` table.
+    edges of each of its pairings through the subset.  Its factors are then
+    a pure function of the models, its local shape (k, two_ell, n_sym,
+    n_pairs) and the color tuple, kept in the shared table of (``key``,
+    shape) of :data:`_FACTORS`.
 
     Each label owns one tensor slot (edge, block offset, is_dual): an open
     end off the subset gives its symmetric color e_c (offset 0); one on the
@@ -284,7 +282,7 @@ class _SubsetContext:
         self.two_ell = two_ell
         self.edges = g.edges
         self.tables = [h.scaled for h in models]
-        self.caches = {}
+        self.key = tuple(h.key for h in models)
         self.sym_colors = range(1, k + 1)
         self.ext_colors = range(1, two_ell + 1)
         labeled = set(frag.labels)
@@ -307,20 +305,14 @@ class _SubsetContext:
             for key in h.bidegrees:
                 self.bidegrees[key] = self.bidegrees.get(key, 0) | 1 << i
         self.open_ends = [frag.open_end(pos) for pos in range(frag.t)]
-        # the weight of the isolated internal vertices, common to every subset
-        mask = (1 << len(models)) - 1
+        # the weight of the isolated internal vertices, common to every subset: one
+        # vertex's factors to the power of their number; with none, (-1, None) keeps all
+        isolated = sum(v not in labeled and v not in last for v in range(g.n_vertices))
+        hit = _vertex_factors((k, two_ell, 0, 0), (), self.tables) if isolated else (-1, None)
         acc = (1,) * len(models)
-        isolated = (k, two_ell, 0, 0)
-        for v in range(g.n_vertices):
-            if v in labeled or v in last:
-                continue
-            hit = _vertex_factors(isolated, (), self.tables)
-            mask &= hit[0] if hit else 0
-            if not mask:
-                break
-            if hit[1] is not None:
-                acc = tuple(map(mul, acc, hit[1]))
-        self.start = mask, acc
+        if hit and hit[1] is not None:
+            acc = tuple(f**isolated for f in hit[1])
+        self.start = ((1 << len(models)) - 1) & (hit[0] if hit else 0), acc
         weighed = g.n_vertices - len(labeled)
         self.scales = [h.denominator**weighed for h in models]
 
@@ -373,19 +365,19 @@ class _SubsetContext:
                 if b in slot_edges:
                     slot_edges[b].append(e)
         m = len(self.edges)
-        # per position: the (slot edges, factor cache, shape) of each vertex it completes
+        # per position: the (slot edges, factor table, its cache key) of each vertex it completes
         comp = [[] for _ in range(m)]
-        caches = self.caches
+        fresh = {}  # the tables new to the cache, each put in by its first insertion
         for v, last in self.internal:
             es = slot_edges[v]
             pairs = state.pairing.get(v, ())
-            shape = (k, two_ell, len(es), len(pairs))
+            cache_key = (self.key, (k, two_ell, len(es), len(pairs)))
             for hin, hout in pairs:
                 es += (hin[0], hout[0])
-            cache = caches.get(shape)
+            cache = _FACTORS.get(cache_key)
             if cache is None:
-                cache = caches[shape] = {}
-            comp[last].append((tuple(es), cache, shape))
+                cache = fresh.setdefault(cache_key, {})
+            comp[last].append((tuple(es), cache, cache_key))
         order = self.order
         domains = [self.ext_colors if e in subset else self.sym_colors for e in order]
         slots = []
@@ -430,11 +422,12 @@ class _SubsetContext:
                 colors[e] = c
                 live = mask
                 f = acc
-                for es, cache, shape in cp:
+                for es, cache, cache_key in cp:
                     key = tuple(map(getitem, es))
                     hit = cache.get(key, _MISS)
                     if hit is _MISS:
-                        hit = cache[key] = _vertex_factors(shape, key, tables)
+                        hit = _vertex_factors(cache_key[1], key, tables)
+                        _keep(cache_key, cache, key, hit)
                     if hit is None:
                         live = 0
                         break

@@ -51,10 +51,12 @@ class EdgeColoringModel:
     weight per coloring, so a sum over the colorings of n weighed vertices
     is D^n times the true one.  ``bidegrees`` holds the (symmetric,
     exterior) degrees of the patterns, so the search can tell which vertices
-    the model weighs zero whatever their colors.
+    the model weighs zero whatever their colors.  The search's factor cache
+    is keyed by ``key``, (k, two_ell, the entries' items), not by identity,
+    which a later model may reuse: models of equal weights share it.
     """
 
-    __slots__ = ("k", "two_ell", "entries", "cap", "denominator", "scaled", "bidegrees")
+    __slots__ = ("k", "two_ell", "entries", "cap", "denominator", "scaled", "bidegrees", "key")
 
     def __init__(self, k: int, two_ell: int, entries, cap: int | None = None):
         if k < 0:
@@ -92,6 +94,7 @@ class EdgeColoringModel:
             value = value * d
             self.scaled[key] = value if value.im else value.re
         self.bidegrees = frozenset((sum(sym), len(ext)) for sym, ext in table)
+        self.key = (k, two_ell, frozenset(table.items()))
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoringModel):

@@ -231,6 +231,8 @@ def _gdesc(g: MultiGraph) -> str:
 
 def suite_invariance(seed: int = 0, count: int = 50, trials: int = 10) -> RunReport:
     """Subset values agree across seeded orientation/pairing choices."""
+    if trials < 2:
+        raise ValueError(f"trials must be at least 2 (a second state to compare), got {trials}")
     rng = random.Random(seed)
     signatures = [(1, 2), (2, 2), (0, 2), (1, 4)]
 

@@ -227,10 +227,9 @@ def test_eval_many_colors_do_not_recurse(tmp_path, capsys):
     assert capsys.readouterr().out == "0\n# subsets=1 colorings=0\n"
 
 
-def test_eval_many_colors_leave_the_canonical_table_bounded(tmp_path, capsys, monkeypatch):
-    # 2000 forms of a 2000-count vector each once stayed held: 31 MiB
-    monkeypatch.setattr(evaluator, "_CANON", {})
-    monkeypatch.setattr(evaluator, "_FORMS", {})
+def test_eval_many_colors_leave_the_factor_cache_bounded(tmp_path, capsys, monkeypatch):
+    # 2000 canonical forms of a 2000-count vector each were once held: 31 MiB
+    monkeypatch.setattr(evaluator, "_FACTORS", {})
     monkeypatch.setattr(evaluator, "_held", 0)
     path = write(tmp_path, "edge.graph", ONE_EDGE_TEXT)
     tracemalloc.start()
@@ -302,6 +301,15 @@ def test_connrank_empty_file(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("rank=0")
 
 
+def test_connrank_empty_file_refuses_a_model_that_does_not_fit_the_mode(tmp_path, capsys):
+    # as a nonempty family does, before the early return for no fragments
+    frags = write(tmp_path, "empty.graph", "# nothing here\n")
+    assert main(["connrank", frags, "--model", "charpoly?t=0", "--mode", "ordinary"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ordinary mode needs a purely symmetric model (two_ell=0)\n"
+
+
 def test_connrank_t_mismatch(tmp_path, capsys):
     text = "vertices 2\nedge 0 1\nlabel 0\n" + FRAGMENTS_TEXT
     frags = write(tmp_path, "frags.graph", text)
@@ -370,6 +378,17 @@ def test_verify_signs_refuses_sizes_past_its_budget(capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error:") and "max_m" in line
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_verify_invariance_refuses_fewer_than_two_trials(capsys, trials):
+    # one state per case compares nothing, so every case would read PASS
+    assert main(["verify", "invariance", "--trials", trials, "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: trials must be at least 2 (a second state to compare), got {trials}\n"
+    )
 
 
 def test_verify_dglrs_refuses_k_past_its_budget(capsys, monkeypatch):

@@ -619,6 +619,20 @@ def test_connection_matrix_refuses_before_any_sum(monkeypatch):
         connection_matrix([low], h, "both")
 
 
+def test_an_empty_family_refuses_what_a_nonempty_one_refuses():
+    h = charpoly_model(0, cap=2)
+    refusals = (
+        ("ordinary", "ordinary mode needs a purely symmetric model (two_ell=0)"),
+        ("bogus", "unknown mode 'bogus' (expected one of ('ordinary', 'skew', 'mixed'))"),
+    )
+    for mode, message in refusals:
+        for refuse in (connection_matrix, tensor_sums):
+            with pytest.raises(ValueError) as exc:
+                refuse([], h, mode)
+            assert str(exc.value) == message, (refuse, mode)
+    assert connection_matrix([], h, "mixed").entries == ()
+
+
 def test_cap_counts_only_unlabeled_vertices():
     # a lone edge between two labels glues into circles: no vertex is weighed
     open_open = Fragment(MultiGraph(2, ((0, 1),)), (0, 1))

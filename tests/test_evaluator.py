@@ -247,23 +247,27 @@ def distinct_pattern_model(k, two_ell, max_degree):
     return EdgeColoringModel(k, two_ell, entries, cap=max_degree)
 
 
-def test_shape_table_equals_model_evaluate():
+def test_shape_table_equals_model_evaluate(monkeypatch):
     """The walk's factor for every slot-ordered color tuple of every shape of
     degree at most 4 is the value that the model's own sym_counts +
     normalize_wedge path gives, with None meaning ZERO."""
+    monkeypatch.setattr(evaluator, "_FACTORS", {})
+    monkeypatch.setattr(evaluator, "_held", 0)
     checked = 0
     for k, two_ell in ORACLE_SHAPES:
         h = distinct_pattern_model(k, two_ell, 4)
         for n_pairs in range(3):
             for n_sym in range(5 - 2 * n_pairs):
+                shape = (k, two_ell, n_sym, n_pairs)
+                cache_key, table = ((h.key,), shape), {}
                 domains = [range(1, k + 1)] * n_sym + [range(1, two_ell + 1)] * (2 * n_pairs)
                 for key in itertools.product(*domains):
                     ext_positions = [(c, p % 2 == 1) for p, c in enumerate(key[n_sym:])]
                     expected = h.evaluate(key[:n_sym], ext_positions)
-                    shape = (k, two_ell, n_sym, n_pairs)
                     hit = _vertex_factors(shape, key, [h.entries])
-                    # a second lookup reads the shared table's stored form
-                    assert _vertex_factors(shape, key, [h.entries]) == hit
+                    evaluator._keep(cache_key, table, key, hit)
+                    # a second lookup is served from the cache
+                    assert evaluator._FACTORS[cache_key][key] is hit
                     if hit is None:
                         got = ZERO
                     else:
@@ -272,6 +276,7 @@ def test_shape_table_equals_model_evaluate():
                     assert got == expected, (k, two_ell, n_sym, n_pairs, key)
                     checked += 1
     assert checked == 469
+    assert evaluator._held == factor_numbers()
 
 
 def test_the_walk_leaves_no_reference_cycles():
@@ -294,25 +299,16 @@ def test_the_walk_leaves_no_reference_cycles():
         gc.enable()
 
 
-def canon_numbers():
-    """The numbers the canonical table holds, counted from its contents."""
-    keys = sum(len(key) for table in evaluator._CANON.values() for key in table)
-    forms = sum(len(form[0][0]) + len(form[0][1]) for form in evaluator._FORMS if form)
-    return keys + forms
-
-
-def test_canonical_table_holds_a_charpoly_pass(monkeypatch):
-    """The charpoly family under its four models stays far under the bound,
-    so no table is ever emptied: every key and form it met is still held."""
-    monkeypatch.setattr(evaluator, "_CANON", {})
-    monkeypatch.setattr(evaluator, "_FORMS", {})
-    monkeypatch.setattr(evaluator, "_held", 0)
-    models = [charpoly_model(t, cap=12) for t in (0, 1, -2, Fraction(3, 2))]
-    for g in enumerate_multigraphs(3, 6):
-        partition_function_many(g, models, "mixed")
-    assert sum(map(len, evaluator._CANON.values())) == 1913
-    assert len(evaluator._FORMS) == 147
-    assert evaluator._held == canon_numbers() < evaluator.MAX_MODEL_SIZE
+def factor_numbers():
+    """The numbers the factor cache holds, counted from its contents: per
+    table its shape and each model key's entries times colors, per color
+    tuple its colors and factors."""
+    total = 0
+    for (models_key, shape), table in evaluator._FACTORS.items():
+        total += len(shape) + sum(2 + len(items) * (k + l2) for k, l2, items in models_key)
+        for key, hit in table.items():
+            total += len(key) + (0 if hit is None else 1 + len(hit[1] or ()))
+    return total
 
 
 class CountedDict(dict):
@@ -325,8 +321,25 @@ class CountedDict(dict):
         super().clear()
 
 
-def test_canonical_table_is_emptied_at_its_bound(monkeypatch):
-    """Past the bound the table starts over, and the values stay the same."""
+def test_factor_cache_holds_a_charpoly_pass(monkeypatch):
+    """The charpoly family under its four models stays far under the bound,
+    so the cache is never emptied: every color tuple it met is still held."""
+    monkeypatch.setattr(evaluator, "_FACTORS", CountedDict())
+    monkeypatch.setattr(evaluator, "_held", 0)
+    models = [charpoly_model(t, cap=12) for t in (0, 1, -2, Fraction(3, 2))]
+    for g in enumerate_multigraphs(3, 6):
+        partition_function_many(g, models, "mixed")
+    assert evaluator._FACTORS.emptied == 0
+    assert (len(evaluator._FACTORS), sum(map(len, evaluator._FACTORS.values()))) == (23, 1912)
+    assert evaluator._held == factor_numbers() < evaluator.MAX_MODEL_SIZE
+
+
+def test_factor_cache_is_emptied_at_its_bound(monkeypatch):
+    """Past the bound the cache starts over, and the values stay the same.
+    A table's key alone holds 78 numbers (the model's 18 entries times 4
+    colors, its (k, 2l) and the shape), so a bound of 40 keeps nothing, and
+    one of 118 keeps a table at a time.  Every table a walk filled is in the
+    cache at the end: none escaped the count."""
     graphs = [
         MultiGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1))),
         MultiGraph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (0, 0))),
@@ -334,19 +347,63 @@ def test_canonical_table_is_emptied_at_its_bound(monkeypatch):
         MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 2), (3, 3))),
     ]
     h = charpoly_model(Fraction(3, 2), cap=6)
+    assert len(h.entries) == 18
+    filled = []
+    keep = evaluator._keep
+
+    def spy(cache_key, table, key, hit):
+        filled.append(table)
+        keep(cache_key, table, key, hit)
 
     def values(bound):
-        monkeypatch.setattr(evaluator, "_CANON", CountedDict())
-        monkeypatch.setattr(evaluator, "_FORMS", {})
+        del filled[:]
+        monkeypatch.setattr(evaluator, "_FACTORS", CountedDict())
         monkeypatch.setattr(evaluator, "_held", 0)
         monkeypatch.setattr(evaluator, "MAX_MODEL_SIZE", bound)
         return [partition_function(g, h, "mixed").value for g in graphs]
 
+    monkeypatch.setattr(evaluator, "_keep", spy)
     unbounded = values(evaluator.MAX_MODEL_SIZE)
-    assert canon_numbers() > 400 and evaluator._CANON.emptied == 0
-    assert values(40) == unbounded
-    assert evaluator._CANON.emptied >= 2
-    assert evaluator._held == canon_numbers() <= 40
+    assert factor_numbers() > 400 and evaluator._FACTORS.emptied == 0
+    for bound, least in ((40, 0), (118, 79)):
+        assert values(bound) == unbounded
+        assert evaluator._FACTORS.emptied >= 2
+        assert least <= evaluator._held == factor_numbers() <= bound
+        held = [id(table) for table in evaluator._FACTORS.values()]
+        assert all(id(table) in held for table in filled if table)
+
+
+def test_equal_models_built_apart_share_one_cache(monkeypatch):
+    """The second of two equal models weighs no vertex anew: its walks read
+    the tables the first filled."""
+    monkeypatch.setattr(evaluator, "_FACTORS", {})
+    monkeypatch.setattr(evaluator, "_held", 0)
+    first, second = charpoly_model(Fraction(3, 2), cap=3), charpoly_model(Fraction(3, 2), cap=3)
+    assert first is not second and first.key == second.key
+    g = MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    expected = partition_function(g, first, "mixed")
+    tables = {key: dict(table) for key, table in evaluator._FACTORS.items()}
+    weighed = []
+    monkeypatch.setattr(evaluator, "_vertex_factors", lambda *args: weighed.append(args))
+    assert partition_function(g, second, "mixed") == expected
+    assert weighed == [] and evaluator._FACTORS == tables
+
+
+def test_a_later_model_gets_its_own_factors(monkeypatch):
+    """Each model is freed before the next of the same (k, 2l) and cap is
+    built, so a later one may take a freed one's id; each gets the values it
+    gives from an emptied cache."""
+    monkeypatch.setattr(evaluator, "_FACTORS", {})
+    monkeypatch.setattr(evaluator, "_held", 0)
+    g = MultiGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1)))
+    shared = []
+    for t in range(-2, 4):
+        shared.append(partition_function(g, charpoly_model(t, cap=4), "mixed"))
+        gc.collect()
+    for t, result in zip(range(-2, 4), shared):
+        evaluator._FACTORS.clear()
+        evaluator._held = 0
+        assert partition_function(g, charpoly_model(t, cap=4), "mixed") == result, t
 
 
 def path_graph(n):
@@ -783,6 +840,8 @@ def test_dead_subsets_are_not_walked(monkeypatch):
     """eulerian_sum and fragment_tensor start their walk from the same check:
     the figure eight's full subset gives its vertex 4 exterior half-edges,
     which no charpoly pattern has, so no vertex is weighed."""
+    monkeypatch.setattr(evaluator, "_FACTORS", {})
+    monkeypatch.setattr(evaluator, "_held", 0)
     weighed = []
     monkeypatch.setattr(evaluator, "_vertex_factors", lambda *args: weighed.append(args))
     h = charpoly_model(1)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -385,4 +386,5 @@ def test_compositions_keep_the_recursive_order():
     for total in range(7):
         for parts in range(5):
             assert list(_compositions(total, parts)) == list(recursive_compositions(total, parts))
-    assert list(_compositions(1, 3000))[-1] == (1,) + (0,) * 2999
+    # the last of 3,000, holding one tuple of 3,000 ints at a time
+    assert deque(_compositions(1, 3000), maxlen=1).pop() == (1,) + (0,) * 2999
