@@ -27,22 +27,31 @@ checked against.  Disconnected graphs are not split into components: on
 the small graphs of the suites a subset sum per component costs more in
 setup than it saves.
 
-Coloring enumeration walks the edges in one order, :func:`_walk_order`'s,
-once for all the models of a call; a branch is cut as soon as every model
-weighs a completed vertex zero, which is what makes the sparse built-in
-models fast.  The exact sum does not depend on the order and
-``colorings`` counts full colorings, so the order changes only how many
-nodes the walk visits.
+Coloring enumeration walks the internal vertices one at a time, once for
+all the models of a call, in the order that :func:`_walk_order`'s edge
+order completes them.  Each step colors only the vertex's free edges, those
+no earlier vertex has colored, and picks from the vertex's live local
+colorings: the colorings of its free edges that, with the colors its other
+edges already have, some model still alive weighs nonzero.  A vertex whose
+edges earlier vertices have all colored is checked in the step that colors
+the last of them, and an edge between two labels is colored at the leaf.
+A branch is thus cut as soon as every model weighs some vertex zero, which
+is what makes the sparse built-in models fast.  The exact sum does not
+depend on the order and ``colorings`` counts full colorings, so the order
+changes only how many nodes the walk visits.
 
-A vertex's factors come from one cache that every subset, graph and call
-shares, keyed by the models' keys (from (k, two_ell) and the weights, never
-object identity) and the vertex's local shape; on a miss they are computed
-from its canonical pattern.  It memoises a pure function, so sharing it
-cannot change a value.  ``_held`` counts every number it holds, model keys
-included, and an insertion that would pass ``MAX_MODEL_SIZE`` empties it.
+A vertex's live local colorings come from one cache that every subset,
+graph and call shares, keyed by the models' keys (from (k, two_ell) and the
+weights, never object identity), the vertex's local shape and its slot
+pattern (which slots its free edges fill), and then by the colors of its
+fixed slots; on a miss they are computed from the canonical patterns.  A
+vertex with no free edge has the one-coloring list of its factors, or an
+empty one.  The cache memoises a pure function, so sharing it cannot change
+a value.  ``_held`` counts every number it holds, model keys included, and
+an insertion that would pass ``MAX_MODEL_SIZE`` empties it.
 
 Work that does not depend on the subset is done once per call: the edge
-order, the internal vertices and the position completing each, and the
+order, the vertex order, each vertex's edges and free edges, and the
 models alive at each vertex bidegree.
 
 A vertex with x of its d half-edges in a subset reads d - x symmetric
@@ -59,15 +68,20 @@ Each subset's state comes from the rng-free
 it builds the state, so the sign needs no second trace; any valid state
 gives the same signed sum.
 
-The walk multiplies Gaussian integers, not Fractions: each model carries
-its weights scaled by their common denominator D
-(:class:`~mixedpf.models.EdgeColoringModel`), so a real factor is a plain
-int and ``operator.mul`` stays in C until an i appears.  Every vertex but
-the labels gives one weight per coloring, so a subset's sum is
-D^(n_vertices - t) times the true one; :func:`subset_sums` divides each
-coefficient by that power once, and the subset loop each coefficient of
-each model's sum once per call, skipping the division when D = 1.  The
-result is exact, with the same canonical components as any Q(i) value.
+The walk multiplies ints, not Fractions or Gaussian rationals: each model
+carries its weights scaled by their common denominator D, as r * i^q with
+an int r and a quarter turn q when the weight is real or purely imaginary
+(:class:`~mixedpf.models.EdgeColoringModel`).  A product multiplies the r
+and adds the q, and a full coloring adds its product to one of four sums,
+the one of its q plus the subset's prefactor and a dual label's sign, all
+mod 4; the four sums are combined once at the end.  A weight with two
+nonzero parts keeps its Gaussian value as r, with q = 0, and ``mul``
+takes it as it takes an int.  Every vertex but the labels gives one weight
+per coloring, so a subset's sum is D^(n_vertices - t) times the true one;
+:func:`subset_sums` divides each coefficient by that power once, and the
+subset loop each coefficient of each model's sum once per call, skipping
+the division when D = 1.  The result is exact, with the same canonical
+components as any Q(i) value.
 
 Vertexless circle components never enter the enumeration: each contributes
 the closed-form factor k - 2*ell, which is k in ordinary mode (2*ell = 0)
@@ -81,7 +95,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import mul
+from itertools import filterfalse, product
+from operator import add, mul
 
 from .algebra import (
     ZERO,
@@ -113,8 +128,6 @@ from .models import MAX_MODEL_SIZE, EdgeColoringModel
 
 MODES = ("ordinary", "skew", "mixed")
 
-_MISS = object()
-
 
 @dataclass(frozen=True)
 class EvaluationResult:
@@ -125,28 +138,33 @@ class EvaluationResult:
     colorings: int
 
 
-# The factor cache, {(model keys, local shape (k, two_ell, n_sym, n_pairs)):
-# {slot-ordered color tuple: its _vertex_factors}}, and the numbers it holds:
-# per table its shape and each model key's entries times colors, as models
-# count a table, and per tuple its colors and factors.
+# The factor cache, {(model keys, local shape (k, two_ell, n_sym, n_pairs),
+# slot pattern): {fixed colors: live local colorings}}, and the numbers it
+# holds: per table its shape, its pattern and each model key's entries times
+# colors, as models count a table, and per list its fixed colors and, per
+# live coloring, its free colors, mask, factors and turns.
 _FACTORS: dict[tuple, dict] = {}
 _held = 0
 
 
-def _keep(cache_key, table: dict, key, hit) -> None:
-    """Keep ``hit``, the factors of color tuple ``key``, in ``table``, the
-    walk's table of ``cache_key``, and put the table in the cache if it is
-    not there: during a walk the cache holds that table or none for its key.
+def _keep(cache_key, table: dict, fixed, live: list) -> None:
+    """Keep ``live``, the live local colorings under fixed colors ``fixed``,
+    in ``table``, the walk's table of ``cache_key``, and put the table in
+    the cache if it is not there: during a walk the cache holds that table
+    or none for its key.
 
     An insertion that would pass MAX_MODEL_SIZE first empties the cache,
     clearing each table in place, so a table a walk still fills is put back
     and counted again.  One that passes it alone is not kept.
     """
     global _held
-    size = len(key) + (0 if hit is None else 1 + len(hit[1] or ()))
+    size = len(fixed)
+    for free, _, factors, turns in live:
+        size += 1 + len(free) + len(factors or ()) + len(turns or ())
     if cache_key not in _FACTORS or _held + size > MAX_MODEL_SIZE:
-        models_key, shape = cache_key
-        size += len(shape) + sum(2 + len(items) * (k + l2) for k, l2, items in models_key)
+        models_key, shape, pattern = cache_key
+        size += len(shape) + len(pattern)
+        size += sum(2 + len(items) * (k + l2) for k, l2, items in models_key)
         if _held + size > MAX_MODEL_SIZE:
             for emptied in _FACTORS.values():
                 emptied.clear()
@@ -155,19 +173,20 @@ def _keep(cache_key, table: dict, key, hit) -> None:
             if size > MAX_MODEL_SIZE:
                 return
         _FACTORS[cache_key] = table
-    table[key] = hit
+    table[fixed] = live
     _held += size
 
 
 def _vertex_factors(shape, key, tables):
-    """A vertex's weights under each model's table of weights.
+    """A vertex's weights under each model's table of scaled weights.
 
     None when every model weighs the pattern of the slot-ordered colors
-    ``key`` zero, else (alive mask, factors): bit i of the mask is set iff
-    model i's weight is nonzero, and factors holds the signed per-model
-    weights, 1 standing in for the zero ones, or is None when they are all
-    1, so that the walk skips the product.  The walk passes each model's
-    ``scaled`` table, whose real weights are plain ints.
+    ``key`` zero, else (alive mask, factors, turns): bit i of the mask is
+    set iff model i's weight is nonzero, and model i's signed weight is
+    factors[i] * i^turns[i], 1 and 0 standing in for the zero ones.
+    factors is None when they are all 1 and turns when they are all 0, so
+    that the walk skips the product or the sum.  ``tables`` holds each
+    model's ``scaled`` table of (r, q) pairs.
     """
     k, two_ell, n_sym, _ = shape
     # the pair slots alternate: f_c where the edge comes in, g_c where it goes out
@@ -177,20 +196,57 @@ def _vertex_factors(shape, key, tables):
     entry = (sym_counts(key[:n_sym], k), ext)
     mask = 0
     factors = []
-    for i, entries in enumerate(tables):
-        val = entries.get(entry)
-        if val is None:
+    turns = []
+    for i, weights in enumerate(tables):
+        weight = weights.get(entry)
+        if weight is None:
             factors.append(1)
+            turns.append(0)
         else:
             mask |= 1 << i
-            factors.append(val if sign > 0 else -val)
+            r, q = weight
+            factors.append(r if sign > 0 else -r)
+            turns.append(q)
     if not mask:
         return None
-    return mask, None if all(f == 1 for f in factors) else tuple(factors)
+    return (
+        mask,
+        None if all(f == 1 for f in factors) else tuple(factors),
+        tuple(turns) if any(turns) else None,
+    )
+
+
+def _live_colorings(shape, pattern, fixed, tables) -> list:
+    """The live local colorings of a vertex: each coloring of its free edges
+    that, with the colors ``fixed`` of its other slots, some model weighs
+    nonzero, as (free colors, alive mask, factors, turns) of
+    :func:`_vertex_factors`.
+
+    ``pattern`` gives each slot, in slot order, the index of its free edge,
+    or None for a fixed slot, whose colors ``fixed`` lists in slot order.  A
+    loop's edge fills two slots.  A free edge takes the symmetric colors in
+    a symmetric slot and the exterior ones in a pair slot.  With no free
+    slot the list holds the one coloring () or none.
+    """
+    k, two_ell, n_sym, _ = shape
+    domains = [None] * len(set(pattern) - {None})
+    for p, j in enumerate(pattern):
+        if j is not None:
+            domains[j] = range(1, k + 1) if p < n_sym else range(1, two_ell + 1)
+    live = []
+    for free in product(*domains):
+        colors = iter(fixed)
+        key = tuple(next(colors) if j is None else free[j] for j in pattern)
+        hit = _vertex_factors(shape, key, tables)
+        if hit is not None:
+            live.append((free, *hit))
+    return live
 
 
 def _walk_order(g: MultiGraph) -> list[int]:
-    """The edge order of the coloring walk, read from the graph's structure.
+    """An edge order, read from the graph's structure, whose completions
+    give the coloring walk its vertex order: the walk colors the internal
+    vertices in the order this one takes their last edges.
 
     Greedy: start at a vertex with the fewest edges; then take the lowest
     unordered edge at the touched vertex with the fewest unordered edges
@@ -198,9 +254,9 @@ def _walk_order(g: MultiGraph) -> list[int]:
     restart at the untouched vertex with the fewest edges, which is how the
     order reaches the next component.  A loop counts once.  Each step thus
     finishes the vertex nearest completion, so vertices complete early and
-    the backlog, the colored edges that no completed vertex has checked
-    yet, stays small: the walk branches on it unchecked.  On prisms and
-    Moebius ladders the backlog stays at 2 under any vertex names.
+    the backlog, the edges colored before the check of their second end,
+    stays small.  On prisms and Moebius ladders the backlog stays at 2 under
+    any vertex names.
     """
     edges = g.edges
     incident = [[] for _ in range(g.n_vertices)]
@@ -247,12 +303,19 @@ class _SubsetContext:
     """Coloring machinery for one call: a graph or fragment and its models.
 
     What does not depend on the subset is set up once per call and serves
-    every subset :meth:`run` searches: the edge order of
-    :func:`_walk_order`, the position that completes each internal vertex
-    (its incident edges are its slots whatever the subset) and its degree,
-    the labels' open ends, the weight of isolated vertices, the mask of
-    models with a pattern of each bidegree, and ``key``, the model keys
-    that, with a local shape, key the factor cache's tables.
+    every subset :meth:`run` searches.  The walk colors the internal
+    vertices with edges one at a time, in the order :func:`_walk_order`'s
+    edges complete them, ties to the lower vertex.  A vertex's free edges,
+    those no earlier vertex has, are colored at its step; the edges between
+    two labels, ``leaf_edges``, at the leaf.  ``frees`` holds each step's
+    free edges, and ``vertices``, in walk order, each vertex, its edges (a
+    loop twice), the index of each of its free edges and its step.  A
+    vertex with no free edge has no step of its own: it is checked at the
+    step that colors its last edge.  The context also holds the degree of
+    each vertex, the labels' open ends, the weight of isolated
+    vertices, the mask of models with a pattern of each bidegree, and
+    ``key``, the model keys that, with a local shape and a slot pattern,
+    key the factor cache's tables.
 
     :meth:`alive` is the bidegree check of a subset: callers skip a subset
     it finds dead, before its state is built, yet still count it in
@@ -264,10 +327,11 @@ class _SubsetContext:
 
     Each internal vertex reads its colors in slot order: one symmetric slot
     per end of an edge off the subset (a loop gives two), then the (in, out)
-    edges of each of its pairings through the subset.  Its factors are then
-    a pure function of the models, its local shape (k, two_ell, n_sym,
-    n_pairs) and the color tuple, kept in the shared table of (``key``,
-    shape) of :data:`_FACTORS`.
+    edges of each of its pairings through the subset.  Its live local
+    colorings are then a pure function of the models, its local shape (k,
+    two_ell, n_sym, n_pairs), its slot pattern (which slots are free, and
+    which free edge fills each) and the colors of its fixed slots, kept in
+    the shared table of (``key``, shape, pattern) of :data:`_FACTORS`.
 
     Each label owns one tensor slot (edge, block offset, is_dual): an open
     end off the subset gives its symmetric color e_c (offset 0); one on the
@@ -283,21 +347,35 @@ class _SubsetContext:
         self.edges = g.edges
         self.tables = [h.scaled for h in models]
         self.key = tuple(h.key for h in models)
-        self.sym_colors = range(1, k + 1)
-        self.ext_colors = range(1, two_ell + 1)
         labeled = set(frag.labels)
-        self.order = _walk_order(g)
-        # the position of each vertex's last edge, which completes it
+        incident = [[] for _ in range(g.n_vertices)]  # in slot order, a loop twice
+        for e, (a, b) in enumerate(g.edges):
+            incident[a].append(e)
+            incident[b].append(e)
+        # the position of each vertex's last edge in the edge order, which completes it
         last = {}
-        for p, e in enumerate(self.order):
-            for v in g.edges[e]:
-                last[v] = p
-        self.internal = [
-            (v, last[v]) for v in range(g.n_vertices) if v not in labeled and v in last
-        ]
+        for p, e in enumerate(_walk_order(g)):
+            a, b = g.edges[e]
+            last[a] = last[b] = p
+        self.frees = []
+        self.vertices = []
+        self.degrees = []
+        colored = {}  # the step coloring each edge
+        for _, v in sorted([(p, v) for v, p in last.items() if v not in labeled]):
+            es = incident[v]
+            at = len(self.frees)
+            index = {}
+            for e in es:
+                if colored.setdefault(e, at) == at:
+                    index.setdefault(e, len(index))
+            if index:
+                self.frees.append(tuple(index))
+            else:
+                at = max(map(colored.__getitem__, es))
+            self.vertices.append((v, es, index, at))
+            self.degrees.append((v, len(es)))
+        self.leaf_edges = [e for e in range(g.n_edges) if e not in colored]
         self.n_vertices = g.n_vertices
-        degrees = g.degrees()
-        self.degrees = [(v, degrees[v]) for v, _ in self.internal]
         # bit i of bidegrees[(s, x)] is set iff model i weighs some pattern of
         # s symmetric colors and x exterior ones
         self.bidegrees = {}
@@ -306,14 +384,16 @@ class _SubsetContext:
                 self.bidegrees[key] = self.bidegrees.get(key, 0) | 1 << i
         self.open_ends = [frag.open_end(pos) for pos in range(frag.t)]
         # the weight of the isolated internal vertices, common to every subset: one
-        # vertex's factors to the power of their number; with none, (-1, None) keeps all
-        isolated = sum(v not in labeled and v not in last for v in range(g.n_vertices))
-        hit = _vertex_factors((k, two_ell, 0, 0), (), self.tables) if isolated else (-1, None)
-        acc = (1,) * len(models)
+        # vertex's factors and turns times their number; with none, (-1, None, None) keeps all
+        weighed = g.n_vertices - len(labeled)
+        isolated = weighed - len(self.vertices)  # labels have an edge each
+        hit = _vertex_factors((k, two_ell, 0, 0), (), self.tables) if isolated else (-1, None, None)
+        acc, turns = (1,) * len(models), (0,) * len(models)
         if hit and hit[1] is not None:
             acc = tuple(f**isolated for f in hit[1])
-        self.start = ((1 << len(models)) - 1) & (hit[0] if hit else 0), acc
-        weighed = g.n_vertices - len(labeled)
+        if hit and hit[2] is not None:
+            turns = tuple(q * isolated for q in hit[2])
+        self.start = ((1 << len(models)) - 1) & (hit[0] if hit else 0), acc, turns
         self.scales = [h.denominator**weighed for h in models]
 
     def alive(self, subset) -> int:
@@ -336,108 +416,139 @@ class _SubsetContext:
             mask &= bidegrees.get((degree - x, x), 0)
         return mask
 
-    def run(self, subset, state: EulerianState, mask: int, coeffs, leaves) -> None:
+    def run(self, subset, state: EulerianState, mask: int, turn: int, by_turn, leaves) -> None:
         """Sum per-coloring products of internal-vertex weights by label colors.
 
         ``mask`` is :meth:`alive` of the subset.  One walk of the coloring
-        tree serves every model it holds: a branch is cut once every model
-        weighs some completed vertex zero.  Adds, for each model i, the
-        (k+2*ell)^t coefficients of the subset's tensor, unsigned (no
-        circuit parity or trail prefactor), to the list ``coeffs[i]``, and
-        the full colorings the model weighs nonzero, counted at the same
-        coordinates, to the list ``leaves[i]``; callers pass zeros for one
-        subset's sums alone.  With no labels the single coefficient is the
-        scalar sum.  Coefficients are Gaussian integers, ints when real,
-        each model's times its entry of ``scales``.
+        tree serves every model it holds: each step colors one vertex's free
+        edges from its live local colorings, and a branch is cut once every
+        model weighs some vertex zero.  Adds each full coloring's product of
+        r's for model i to the list ``by_turn[q % 4][i]``, at the coefficient
+        of its label colors among the (k+2*ell)^t of the subset's tensor: q
+        is ``turn``, the subset's prefactor, plus the turns of its weights
+        and 2 for each dual label color of sign -1.  Adds the full colorings
+        the model weighs nonzero, counted at the same coordinates, to the
+        list ``leaves[i]``.  Callers pass zeros for one subset's sums alone.
+        With no labels the single coefficient is the scalar sum.  The sums
+        hold ints, or Gaussian integers once a weight with two nonzero parts
+        enters, each model's times its entry of ``scales``.
         """
+        if not mask:
+            return
         k, two_ell, tables = self.k, self.two_ell, self.tables
         n = len(tables)
         base = k + two_ell
-        acc = self.start[1]
-        if not mask:
-            return
+        _, acc, turns = self.start
 
-        slot_edges = {v: [] for v, _ in self.internal}
-        for e, (a, b) in enumerate(self.edges):
-            if e not in subset:
-                if a in slot_edges:
-                    slot_edges[a].append(e)
-                if b in slot_edges:
-                    slot_edges[b].append(e)
-        m = len(self.edges)
-        # per position: the (slot edges, factor table, its cache key) of each vertex it completes
-        comp = [[] for _ in range(m)]
+        # per step: its vertex's fixed slots' edges, its table, the table's cache
+        # key, and the (slot edges, table, cache key) of each vertex with no free
+        # edge it checks
+        frees = self.frees
+        m = len(frees)
+        steps = [None] * m
+        checks = [[] for _ in frees]
+        pairing = state.pairing
         fresh = {}  # the tables new to the cache, each put in by its first insertion
-        for v, last in self.internal:
-            es = slot_edges[v]
-            pairs = state.pairing.get(v, ())
-            cache_key = (self.key, (k, two_ell, len(es), len(pairs)))
+        for v, incident, index, at in self.vertices:
+            es = [e for e in incident if e not in subset]
+            n_sym = len(es)
+            pairs = pairing.get(v, ())
             for hin, hout in pairs:
                 es += (hin[0], hout[0])
-            cache = _FACTORS.get(cache_key)
-            if cache is None:
-                cache = fresh.setdefault(cache_key, {})
-            comp[last].append((tuple(es), cache, cache_key))
-        order = self.order
-        domains = [self.ext_colors if e in subset else self.sym_colors for e in order]
+            cache_key = (self.key, (k, two_ell, n_sym, len(pairs)), tuple(map(index.get, es)))
+            table = _FACTORS.get(cache_key)
+            if table is None:
+                table = fresh.setdefault(cache_key, {})
+            if index:
+                fixed = tuple(filterfalse(index.__contains__, es))
+                steps[at] = (fixed, table, cache_key, checks[at])
+            else:
+                checks[at].append((tuple(es), table, cache_key))
         slots = []
         for e, side in self.open_ends:
             if e in subset:
                 slots.append((e, k, not is_incoming(state, (e, side))))
             else:
                 slots.append((e, 0, False))
-        colors = [0] * m
+        leaf_edges = self.leaf_edges
+        leaf_colorings = [()]
+        if leaf_edges:
+            leaf_colorings = list(
+                product(*(range(1, (two_ell if e in subset else k) + 1) for e in leaf_edges))
+            )
+        # turned[j][i]: model i's sum of the products of quarter turn j, the subset's added
+        turned = by_turn[turn:] + by_turn[:turn]
+        colors = [0] * len(self.edges)
         getitem = colors.__getitem__
         ell = two_ell // 2
 
-        # depth-first over an explicit stack, so a graph's edge count is not
-        # bounded by the recursion limit: an entry (p, mask, acc, c) is a
-        # node whose edge at position p-1 has color c, and colors at earlier
-        # positions are still those of its ancestors when it is popped
-        stack = [(0, mask, acc, 0)]
+        # depth-first over an explicit stack, so a graph's vertex count is
+        # not bounded by the recursion limit: an entry (s, mask, acc, turns,
+        # free) is a node whose step s-1 colored its free edges ``free``, and
+        # colors of earlier steps are still those of its ancestors when it
+        # is popped
+        stack = [(0, mask, acc, turns, ())]
         pop, push = stack.pop, stack.append
         while stack:
-            p, mask, acc, c = pop()
-            if p:
-                colors[order[p - 1]] = c
-            if p == m:
-                idx = 0
-                negate = False
-                for e, offset, dual in slots:
-                    c = colors[e]
-                    if dual:
-                        s, c = dual_basis(c, ell)
-                        negate ^= s < 0
-                    idx = idx * base + offset + c - 1
-                for i in range(n):
-                    if mask >> i & 1:
-                        leaves[i][idx] += 1
-                        col = coeffs[i]
-                        col[idx] = col[idx] - acc[i] if negate else col[idx] + acc[i]
+            s, mask, acc, turns, free = pop()
+            if s:
+                for e, c in zip(frees[s - 1], free):
+                    colors[e] = c
+            if s == m:
+                for extra in leaf_colorings:
+                    for e, c in zip(leaf_edges, extra):
+                        colors[e] = c
+                    idx = 0
+                    negate = 0
+                    for e, offset, dual in slots:
+                        c = colors[e]
+                        if dual:
+                            sign, c = dual_basis(c, ell)
+                            if sign < 0:
+                                negate ^= 2
+                        idx = idx * base + offset + c - 1
+                    for i in range(n):
+                        if mask >> i & 1:
+                            leaves[i][idx] += 1
+                            turned[(negate + turns[i]) & 3][i][idx] += acc[i]
                 continue
-            e = order[p]
-            cp = comp[p]
-            nxt = p + 1
-            for c in domains[p]:
-                colors[e] = c
-                live = mask
-                f = acc
-                for es, cache, cache_key in cp:
-                    key = tuple(map(getitem, es))
-                    hit = cache.get(key, _MISS)
-                    if hit is _MISS:
-                        hit = _vertex_factors(cache_key[1], key, tables)
-                        _keep(cache_key, cache, key, hit)
-                    if hit is None:
-                        live = 0
-                        break
-                    live &= hit[0]
-                    if not live:
-                        break
-                    if hit[1] is not None:
-                        f = tuple(map(mul, f, hit[1]))
-                if live:
-                    push((nxt, live, f, c))
+            free_edges = frees[s]
+            fixed_edges, table, cache_key, completes = steps[s]
+            fixed = tuple(map(getitem, fixed_edges))
+            live = table.get(fixed)
+            if live is None:
+                live = _live_colorings(cache_key[1], cache_key[2], fixed, tables)
+                _keep(cache_key, table, fixed, live)
+            nxt = s + 1
+            for free, alive, factors, quarters in live:
+                alive &= mask
+                if not alive:
+                    continue
+                f = acc if factors is None else tuple(map(mul, acc, factors))
+                q = turns if quarters is None else tuple(map(add, turns, quarters))
+                if completes:
+                    for e, c in zip(free_edges, free):
+                        colors[e] = c
+                    for es, ctable, ckey in completes:
+                        key = tuple(map(getitem, es))
+                        hit = ctable.get(key)
+                        if hit is None:
+                            hit = _live_colorings(ckey[1], ckey[2], key, tables)
+                            _keep(ckey, ctable, key, hit)
+                        if not hit:
+                            alive = 0
+                            break
+                        [(_, checked, factors, quarters)] = hit
+                        alive &= checked
+                        if not alive:
+                            break
+                        if factors is not None:
+                            f = tuple(map(mul, f, factors))
+                        if quarters is not None:
+                            q = tuple(map(add, q, quarters))
+                    if not alive:
+                        continue
+                push((nxt, alive, f, q, free))
 
 
 def subset_sums(
@@ -457,21 +568,28 @@ def subset_sums(
     """
     ctx = _SubsetContext(frag, models)
     size = (ctx.k + ctx.two_ell) ** frag.t
-    coeffs = [[0] * size for _ in models]
+    by_turn = [[[0] * size for _ in models] for _ in range(4)]
     leaves = [[0] * size for _ in models]
-    ctx.run(subset, state, ctx.alive(subset), coeffs, leaves)
+    ctx.run(subset, state, ctx.alive(subset), 0, by_turn, leaves)
     return [
-        ([_unscale(c, scale) for c in col], sum(n))
-        for col, n, scale in zip(coeffs, leaves, ctx.scales)
+        (_unturn(sums, scale), sum(n)) for sums, n, scale in zip(zip(*by_turn), leaves, ctx.scales)
     ]
 
 
-def _unscale(value, scale: int) -> GaussianRational:
-    """A sum of scaled products back in Q(i), with canonical components."""
-    if not value:
-        return ZERO
-    value = as_gaussian(value)
-    return value if scale == 1 else value / scale
+def _unturn(sums, scale: int) -> list[GaussianRational]:
+    """One model's coefficients in Q(i), with canonical components, from its
+    four sums of scaled products by quarter turn: sum_q i^q * sums[q] / scale."""
+    coeffs = []
+    for a, b, c, d in zip(*sums):
+        value, turned = a - c, b - d
+        if turned:
+            value = value + turned * I
+        if not value:
+            coeffs.append(ZERO)
+        else:
+            value = as_gaussian(value)
+            coeffs.append(value if scale == 1 else value / scale)
+    return coeffs
 
 
 def eulerian_sum(
@@ -553,15 +671,15 @@ def _mode_sums(frag: Fragment, models, mode: str):
     a model's counts are its surviving full colorings, counted at the label
     coordinate of the coefficient each adds to.  The callers have validated
     ``models`` and ``mode`` (:func:`_validate`).  Each subset's tensor is
-    scaled by i^q, q its :func:`subset_prefactor`: the walk adds it,
-    unsigned, to the model's sum of quarter turn q, and the four sums are
-    combined once at the end.  Sums stay scaled by D^(n_vertices - t) until
-    one division per coefficient, and the fragment's own circles multiply
-    them by k - 2*ell each.
+    scaled by i^q, q its :func:`subset_prefactor`: the walk adds q to the
+    quarter turn of each product it sums, and the model's four sums by
+    quarter turn are combined once at the end.  Sums stay scaled by
+    D^(n_vertices - t) until one division per coefficient, and the
+    fragment's own circles multiply them by k - 2*ell each.
     """
     ctx = _SubsetContext(frag, models)
     size = (ctx.k + ctx.two_ell) ** frag.t
-    # by_turn[q][i]: model i's sum of the subsets whose prefactor is i^q
+    # by_turn[q][i]: model i's sum of the products whose quarter turn is q
     by_turn = [[[0] * size for _ in models] for _ in range(4)]
     counts = [[0] * size for _ in models]
     subsets = _mode_subsets(frag, mode)
@@ -570,17 +688,13 @@ def _mode_sums(frag: Fragment, models, mode: str):
         if not mask:
             continue  # every model weighs it zero; it still counts in subsets
         state, circuits, trails = peel(frag, subset)
-        ctx.run(subset, state, mask, by_turn[subset_prefactor(circuits, trails)], counts)
+        ctx.run(subset, state, mask, subset_prefactor(circuits, trails), by_turn, counts)
     # the mode checks make k - 2*ell the circle factor of every mode
     factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
-    results = []
-    for sums, scale, n in zip(zip(*by_turn), ctx.scales, counts):
-        coeffs = []
-        for a, b, c, d in zip(*sums):
-            value, turned = a - c, b - d
-            coeffs.append(_unscale(value + turned * I if turned else value, scale) * factor)
-        results.append((coeffs, n))
-    return len(subsets), results
+    return len(subsets), [
+        ([c * factor for c in _unturn(sums, scale)], n)
+        for sums, scale, n in zip(zip(*by_turn), ctx.scales, counts)
+    ]
 
 
 def tensor_sums(frags, model: EdgeColoringModel, mode: str = "mixed") -> list[list]:

@@ -45,11 +45,13 @@ class EdgeColoringModel:
     ``entries`` maps each canonical pattern to its nonzero weight.  The
     model also keeps, from construction on, the least common ``denominator``
     D of every weight's two components, and the table ``scaled`` of the
-    Gaussian integers D * w: a plain int for a real weight, else a
-    GaussianRational with int components.  The coloring search multiplies
-    scaled weights, so its products need no Fraction; a vertex gives one
-    weight per coloring, so a sum over the colorings of n weighed vertices
-    is D^n times the true one.  ``bidegrees`` holds the (symmetric,
+    Gaussian integers D * w as pairs (r, q), D * w = r * i^q: r an int and q
+    0 for a real weight, 1 for a purely imaginary one; a weight with both
+    parts nonzero keeps D * w, a GaussianRational with int components, as
+    r, with q = 0.  The coloring search multiplies the r and adds the q, so
+    its products need no Fraction; a vertex gives one weight per coloring,
+    so a sum over the colorings of n weighed vertices is D^n times the true
+    one.  ``bidegrees`` holds the (symmetric,
     exterior) degrees of the patterns, so the search can tell which vertices
     the model weighs zero whatever their colors.  The search's factor cache
     is keyed by ``key``, (k, two_ell, the entries' items), not by identity,
@@ -92,7 +94,12 @@ class EdgeColoringModel:
         self.scaled = {}
         for key, value in table.items():
             value = value * d
-            self.scaled[key] = value if value.im else value.re
+            if not value.im:
+                self.scaled[key] = (value.re, 0)
+            elif not value.re:
+                self.scaled[key] = (value.im, 1)
+            else:
+                self.scaled[key] = (value, 0)
         self.bidegrees = frozenset((sum(sym), len(ext)) for sym, ext in table)
         self.key = (k, two_ell, frozenset(table.items()))
 

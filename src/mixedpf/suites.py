@@ -231,6 +231,8 @@ def _gdesc(g: MultiGraph) -> str:
 
 def suite_invariance(seed: int = 0, count: int = 50, trials: int = 10) -> RunReport:
     """Subset values agree across seeded orientation/pairing choices."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1 (a case to check), got {count}")
     if trials < 2:
         raise ValueError(f"trials must be at least 2 (a second state to compare), got {trials}")
     rng = random.Random(seed)
@@ -403,6 +405,8 @@ def suite_gram(seed: int = 0, pairs: int = 30) -> RunReport:
     subset sum over the whole glued graph, which does not rest on this
     identity as a cut of it would.
     """
+    if pairs < 1:
+        raise ValueError(f"pairs must be at least 1 (a pair to glue), got {pairs}")
     rng = random.Random(seed)
     signatures = [(1, 2), (2, 2)]
 

@@ -391,6 +391,21 @@ def test_verify_invariance_refuses_fewer_than_two_trials(capsys, trials):
     )
 
 
+@pytest.mark.parametrize(
+    "suite,flag,message",
+    [
+        ("invariance", "--count", "count must be at least 1 (a case to check), got 0"),
+        ("gram", "--pairs", "pairs must be at least 1 (a pair to glue), got 0"),
+    ],
+)
+def test_verify_refuses_an_empty_run(capsys, suite, flag, message):
+    # no case would run, and "summary 0 cases, 0 failed" would read as a pass
+    assert main(["verify", suite, flag, "0", "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_dglrs_refuses_k_past_its_budget(capsys, monkeypatch):
     # k = 6 would take determinants of 5,040 graphs of 42 vertices; the
     # refusal comes before the family sum of any k, the valid k = 1 included

@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedpf import evaluator
-from mixedpf.algebra import I, ONE, ZERO, GaussianRational
+from mixedpf.algebra import I, ZERO, GaussianRational
 from mixedpf.connection import DirectedMatching, canonical_matching_sign, fragment_tensor
 from mixedpf.evaluator import (
-    _vertex_factors,
     eulerian_sum,
     partition_function,
     partition_function_many,
@@ -237,45 +236,125 @@ def test_subset_sums_equal_coloring_oracle():
     assert checked > 300
 
 
+def quarter_turn_models(rng, k, two_ell, max_degree):
+    """Two models on one random support: one weighs each pattern i, -i, 2i
+    or -1, weights the walk keeps as an int and a quarter turn; the other
+    1 + i, 1/2 - 2i/3 or 3, and it keeps a weight with two nonzero parts
+    whole, as a Gaussian integer of quarter turn 0."""
+    support = random_sparse_model(rng, k, two_ell, max_degree, density=0.7).entries
+    gaussian = (1 + I, GaussianRational(Fraction(1, 2), Fraction(-2, 3)), 3)
+    return [
+        EdgeColoringModel(k, two_ell, [(*pattern, rng.choice(weights)) for pattern in support])
+        for weights in ((I, -I, 2 * I, -1), gaussian)
+    ]
+
+
+def test_the_vertex_walk_equals_the_coloring_oracle():
+    """subset_sums of the two quarter_turn_models together, on every
+    Eulerian subset of every multigraph with at most 3 vertices and 5 edges
+    and of every fragment with 2 labels, at most 2 internal vertices and 4
+    edges, under seeded states: coefficients and surviving colorings are the
+    oracle's.  The counts name the cases that reach each path of the walk."""
+    rng = random.Random(17)
+    reached = dict.fromkeys(
+        ("loop", "edge between two labels", "vertex with no free edge", "Gaussian fallback"), 0
+    )
+    frags = [Fragment(g) for g in enumerate_multigraphs(3, 5)]
+    frags += enumerate_fragments(2, 2, 4)
+    for pos, frag in enumerate(frags):
+        k, two_ell = ((1, 2), (2, 2))[pos % 2]
+        models = quarter_turn_models(rng, k, two_ell, max(frag.graph.max_degree(), 1))
+        walk = evaluator._SubsetContext(frag, models)
+        for subset in enumerate_eulerian_subsets(frag):
+            state = eulerian_state(frag, subset, rng.randrange(100))
+            expected = [coloring_sum_oracle(frag, subset, state, h) for h in models]
+            assert subset_sums(frag, subset, state, models) == expected, (frag, subset)
+            if not expected[1][1]:
+                continue  # no coloring survives the Gaussian model
+            reached["loop"] += any(a == b for a, b in frag.graph.edges)
+            reached["edge between two labels"] += bool(walk.leaf_edges)
+            reached["vertex with no free edge"] += not all(index for _, _, index, _ in walk.vertices)
+            reached["Gaussian fallback"] += any(c.re and c.im for c in expected[1][0])
+    assert reached == {
+        "loop": 1862,
+        "edge between two labels": 106,
+        "vertex with no free edge": 429,
+        "Gaussian fallback": 1839,
+    }
+
+
 def distinct_pattern_model(k, two_ell, max_degree):
-    """A model that gives every canonical pattern up to max_degree its own value."""
+    """A model that gives every canonical pattern up to max_degree its own
+    value n: n, n*i or n*(1 + i) by n mod 3, so that its scaled weights are
+    real, imaginary and Gaussian."""
     entries = []
     for sym in itertools.product(range(max_degree + 1), repeat=k):
         for size in range(max_degree - sum(sym) + 1):
             for ext in itertools.combinations(range(1, two_ell + 1), size):
-                entries.append((sym, ext, len(entries) + 1))
+                n = len(entries) + 1
+                entries.append((sym, ext, n * (1, I, 1 + I)[n % 3]))
     return EdgeColoringModel(k, two_ell, entries, cap=max_degree)
 
 
+def slot_patterns(n_sym, n_pairs):
+    """Slot patterns of a vertex of n_sym symmetric slots and n_pairs pairs:
+    every slot fixed, every slot its own free edge, indexed in slot order and
+    in reverse, and one free edge in the first two slots, a loop's, with the
+    others fixed, when those two slots are of one kind."""
+    degree = n_sym + 2 * n_pairs
+    yield (None,) * degree
+    if degree:
+        yield tuple(range(degree))
+    if degree >= 2:
+        yield tuple(reversed(range(degree)))
+    if n_sym >= 2 or n_sym == 0 < n_pairs:
+        yield (0, 0) + (None,) * (degree - 2)
+
+
 def test_shape_table_equals_model_evaluate(monkeypatch):
-    """The walk's factor for every slot-ordered color tuple of every shape of
-    degree at most 4 is the value that the model's own sym_counts +
-    normalize_wedge path gives, with None meaning ZERO."""
+    """The walk's live local colorings, for every slot pattern of
+    slot_patterns and every fixed color tuple of every shape of degree at
+    most 4, are the colorings of the free edges whose weight by the model's
+    own sym_counts + normalize_wedge path is nonzero, in product order, each
+    with that weight as r * i^q."""
     monkeypatch.setattr(evaluator, "_FACTORS", {})
     monkeypatch.setattr(evaluator, "_held", 0)
     checked = 0
+    kinds = set()
     for k, two_ell in ORACLE_SHAPES:
         h = distinct_pattern_model(k, two_ell, 4)
         for n_pairs in range(3):
             for n_sym in range(5 - 2 * n_pairs):
                 shape = (k, two_ell, n_sym, n_pairs)
-                cache_key, table = ((h.key,), shape), {}
                 domains = [range(1, k + 1)] * n_sym + [range(1, two_ell + 1)] * (2 * n_pairs)
-                for key in itertools.product(*domains):
-                    ext_positions = [(c, p % 2 == 1) for p, c in enumerate(key[n_sym:])]
-                    expected = h.evaluate(key[:n_sym], ext_positions)
-                    hit = _vertex_factors(shape, key, [h.entries])
-                    evaluator._keep(cache_key, table, key, hit)
-                    # a second lookup is served from the cache
-                    assert evaluator._FACTORS[cache_key][key] is hit
-                    if hit is None:
-                        got = ZERO
-                    else:
-                        assert hit[0] == 1
-                        got = ONE if hit[1] is None else hit[1][0]
-                    assert got == expected, (k, two_ell, n_sym, n_pairs, key)
-                    checked += 1
-    assert checked == 469
+                for pattern in slot_patterns(n_sym, n_pairs):
+                    cache_key, table = ((h.key,), shape, pattern), {}
+                    free_domains = {j: d for d, j in zip(domains, pattern) if j is not None}
+                    fixed_domains = [d for d, j in zip(domains, pattern) if j is None]
+                    for fixed in itertools.product(*fixed_domains):
+                        expected = []
+                        for free in itertools.product(*map(free_domains.get, sorted(free_domains))):
+                            colors = iter(fixed)
+                            key = [next(colors) if j is None else free[j] for j in pattern]
+                            ext_positions = [(c, p % 2 == 1) for p, c in enumerate(key[n_sym:])]
+                            value = h.evaluate(key[:n_sym], ext_positions)
+                            if value:
+                                expected.append((free, value))
+                            checked += 1
+                        live = evaluator._live_colorings(shape, pattern, fixed, [h.scaled])
+                        evaluator._keep(cache_key, table, fixed, live)
+                        # a second lookup is served from the cache
+                        assert evaluator._FACTORS[cache_key][fixed] is live
+                        got = []
+                        for free, mask, factors, turns in live:
+                            assert mask == 1
+                            r, q = (factors or (1,))[0], (turns or (0,))[0]
+                            kinds.add((type(r), q))
+                            got.append((free, r * I**q))
+                        assert got == expected, (k, two_ell, n_sym, n_pairs, pattern, fixed)
+    assert checked == 1551
+    # real and imaginary weights as ints, and Gaussian ones whole
+    assert kinds == {(int, 0), (int, 1), (GaussianRational, 0)}
     assert evaluator._held == factor_numbers()
 
 
@@ -301,13 +380,17 @@ def test_the_walk_leaves_no_reference_cycles():
 
 def factor_numbers():
     """The numbers the factor cache holds, counted from its contents: per
-    table its shape and each model key's entries times colors, per color
-    tuple its colors and factors."""
+    table its shape, its slot pattern and each model key's entries times
+    colors, per list its fixed colors and, per live coloring, its free
+    colors, mask, factors and turns."""
     total = 0
-    for (models_key, shape), table in evaluator._FACTORS.items():
-        total += len(shape) + sum(2 + len(items) * (k + l2) for k, l2, items in models_key)
-        for key, hit in table.items():
-            total += len(key) + (0 if hit is None else 1 + len(hit[1] or ()))
+    for (models_key, shape, pattern), table in evaluator._FACTORS.items():
+        total += len(shape) + len(pattern)
+        total += sum(2 + len(items) * (k + l2) for k, l2, items in models_key)
+        for fixed, live in table.items():
+            total += len(fixed)
+            for free, _, factors, turns in live:
+                total += 1 + len(free) + len(factors or ()) + len(turns or ())
     return total
 
 
@@ -323,23 +406,25 @@ class CountedDict(dict):
 
 def test_factor_cache_holds_a_charpoly_pass(monkeypatch):
     """The charpoly family under its four models stays far under the bound,
-    so the cache is never emptied: every color tuple it met is still held."""
+    so the cache is never emptied: every list of live local colorings it
+    made is still held."""
     monkeypatch.setattr(evaluator, "_FACTORS", CountedDict())
     monkeypatch.setattr(evaluator, "_held", 0)
     models = [charpoly_model(t, cap=12) for t in (0, 1, -2, Fraction(3, 2))]
     for g in enumerate_multigraphs(3, 6):
         partition_function_many(g, models, "mixed")
     assert evaluator._FACTORS.emptied == 0
-    assert (len(evaluator._FACTORS), sum(map(len, evaluator._FACTORS.values()))) == (23, 1912)
+    assert (len(evaluator._FACTORS), sum(map(len, evaluator._FACTORS.values()))) == (636, 1685)
     assert evaluator._held == factor_numbers() < evaluator.MAX_MODEL_SIZE
 
 
 def test_factor_cache_is_emptied_at_its_bound(monkeypatch):
     """Past the bound the cache starts over, and the values stay the same.
     A table's key alone holds 78 numbers (the model's 18 entries times 4
-    colors, its (k, 2l) and the shape), so a bound of 40 keeps nothing, and
-    one of 118 keeps a table at a time.  Every table a walk filled is in the
-    cache at the end: none escaped the count."""
+    colors, its (k, 2l) and the shape) and one per slot of its pattern, so
+    a bound of 40 keeps nothing, and one of 118 keeps a table at a time.
+    Every table a walk filled is in the cache at the end: none escaped the
+    count."""
     graphs = [
         MultiGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1))),
         MultiGraph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (0, 0))),
@@ -999,8 +1084,7 @@ def test_the_walk_order_checks_ladders_early_under_any_names(ladder, n, rng):
              for a, b in g.edges]
     rng.shuffle(edges)
     moved = MultiGraph(g.n_vertices, tuple(edges))
-    walk = evaluator._SubsetContext(Fragment(moved), [charpoly_model(0, cap=3)])
-    assert backlog(moved, walk.order) <= 2
+    assert backlog(moved, evaluator._walk_order(moved)) <= 2
 
 
 MODEL_SHAPES = (

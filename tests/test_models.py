@@ -348,17 +348,31 @@ def test_color_count_is_limited():
 
 
 def test_weights_are_scaled_by_their_common_denominator():
+    # D * w = r * i^q: a real weight gives q = 0, an imaginary one q = 1, and
+    # one with two nonzero parts keeps its Gaussian value as r, with q = 0
     h = EdgeColoringModel(
-        1, 2, [((0,), (), Fraction(3, 4)), ((1,), (), GaussianRational(2, Fraction(-1, 6)))]
+        1,
+        2,
+        [
+            ((0,), (), Fraction(3, 4)),
+            ((1,), (), GaussianRational(2, Fraction(-1, 6))),
+            ((2,), (), GaussianRational(0, Fraction(-1, 3))),
+        ],
     )
     assert h.denominator == 12
-    assert h.scaled == {((0,), ()): 9, ((1,), ()): GaussianRational(24, -2)}
-    assert type(h.scaled[((0,), ())]) is int
-    assert [type(c) for c in (h.scaled[((1,), ())].re, h.scaled[((1,), ())].im)] == [int, int]
-    # integral weights: D = 1, and the real ones become plain ints
+    assert h.scaled == {
+        ((0,), ()): (9, 0),
+        ((1,), ()): (GaussianRational(24, -2), 0),
+        ((2,), ()): (-4, 1),
+    }
+    assert type(h.scaled[((0,), ())][0]) is int and type(h.scaled[((2,), ())][0]) is int
+    gaussian = h.scaled[((1,), ())][0]
+    assert [type(c) for c in (gaussian.re, gaussian.im)] == [int, int]
+    # integral weights: D = 1, and every r is a plain int
     h = charpoly_model(0, cap=2)
     assert h.denominator == 1
-    assert {type(v) for v in h.scaled.values()} == {int, GaussianRational}
+    assert {type(r) for r, _ in h.scaled.values()} == {int}
+    assert {q for _, q in h.scaled.values()} == {0, 1}
     assert EdgeColoringModel(1, 0, []).denominator == 1
 
 
