@@ -46,7 +46,9 @@ weights, never object identity), the vertex's local shape and its slot
 pattern (which slots its free edges fill), and then by the colors of its
 fixed slots; on a miss they are computed from the canonical patterns.  A
 vertex with no free edge has the one-coloring list of its factors, or an
-empty one.  The cache memoises a pure function, so sharing it cannot change
+empty one, and a list with free slots reads each candidate from the table
+of its shape with every slot fixed, so vertices of one shape weigh a color
+tuple once.  The cache memoises a pure function, so sharing it cannot change
 a value.  ``_held`` counts every number it holds, model keys included, and
 an insertion that would pass ``MAX_MODEL_SIZE`` empties it.
 
@@ -62,6 +64,18 @@ survives is skipped, and the walk starts from the models that do.  Under
 the charpoly models only disjoint unions of cycles survive.  A skipped
 subset adds zero to every value and coloring count, and it still counts
 in ``subsets``, which is every Eulerian subset of the mode.
+
+In mixed mode the loop runs over parallel-edge classes of subsets
+(:func:`_eulerian_classes`), not over the subsets themselves.  The edges of
+one endpoint pair form a group, as do the loops at one vertex, and
+swapping two edges of a group is an automorphism that fixes every vertex
+and label, so the subsets that take the same number of edges from each
+group have equal signed tensors and equal coloring counts.  Each class is
+checked, peeled and walked once, by its representative, and its weight,
+the number of subsets in it, multiplies the walk's starting products and
+each surviving coloring's count.  ``subsets`` is the sum of the weights
+and ``colorings`` the weighted count, so both keep their meaning: every
+Eulerian subset, and every surviving full coloring.
 
 Each subset's state comes from the rng-free
 :func:`~mixedpf.graph.peel`, which counts circuits and lists the trails as
@@ -95,7 +109,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import filterfalse, product
+from itertools import chain, filterfalse, product
+from math import comb, prod
 from operator import add, mul
 
 from .algebra import (
@@ -216,31 +231,62 @@ def _vertex_factors(shape, key, tables):
     )
 
 
-def _live_colorings(shape, pattern, fixed, tables) -> list:
-    """The live local colorings of a vertex: each coloring of its free edges
-    that, with the colors ``fixed`` of its other slots, some model weighs
-    nonzero, as (free colors, alive mask, factors, turns) of
-    :func:`_vertex_factors`.
+def _weighed(cache_key, table: dict, key, tables) -> tuple:
+    """The live local colorings of a vertex whose slots are all fixed, with
+    slot-ordered colors ``key``: (((), alive mask, factors, turns),) of
+    :func:`_vertex_factors`, or () when every model weighs it zero, tuples
+    so that a table of many dead keys stays small.  Read from ``table``,
+    the walk's table of ``cache_key``, whose slot pattern fixes every slot;
+    on a miss weighed and kept there."""
+    hit = table.get(key)
+    if hit is None:
+        weights = _vertex_factors(cache_key[1], key, tables)
+        hit = () if weights is None else (((), *weights),)
+        _keep(cache_key, table, key, hit)
+    return hit
+
+
+def _live_colorings(shape, pattern, fixed, tables, full) -> list:
+    """The live local colorings of a vertex with a free slot: each coloring
+    of its free edges that, with the colors ``fixed`` of its other slots,
+    some model weighs nonzero, as (free colors, alive mask, factors, turns)
+    of :func:`_vertex_factors`.
 
     ``pattern`` gives each slot, in slot order, the index of its free edge,
     or None for a fixed slot, whose colors ``fixed`` lists in slot order.  A
     loop's edge fills two slots.  A free edge takes the symmetric colors in
-    a symmetric slot and the exterior ones in a pair slot.  With no free
-    slot the list holds the one coloring () or none.
+    a symmetric slot and the exterior ones in a pair slot.  Each candidate's
+    weights are read by :func:`_weighed` from ``full``, the (cache key,
+    table) of the shape's fully fixed pattern, so vertices of one shape
+    weigh a color tuple once, whichever of their slots are free.
     """
     k, two_ell, n_sym, _ = shape
     domains = [None] * len(set(pattern) - {None})
     for p, j in enumerate(pattern):
         if j is not None:
             domains[j] = range(1, k + 1) if p < n_sym else range(1, two_ell + 1)
+    full_key, full_table = full
     live = []
     for free in product(*domains):
         colors = iter(fixed)
         key = tuple(next(colors) if j is None else free[j] for j in pattern)
-        hit = _vertex_factors(shape, key, tables)
-        if hit is not None:
-            live.append((free, *hit))
+        hit = _weighed(full_key, full_table, key, tables)
+        if hit:
+            live.append((free, *hit[0][1:]))
     return live
+
+
+def _table(walk: dict, cache_key) -> dict:
+    """The table of ``cache_key``, a fully fixed slot pattern, that a walk
+    reads and fills: the cache's, or a new one that its first insertion
+    puts in (:func:`_keep`).  ``walk`` holds the walk's tables new to the
+    cache and its fully fixed ones, so that the walk fills one table per
+    key even after the cache is emptied, and the cache holds that table or
+    none."""
+    table = walk.get(cache_key)
+    if table is None:
+        table = walk[cache_key] = _FACTORS.get(cache_key, {})
+    return table
 
 
 def _walk_order(g: MultiGraph) -> list[int]:
@@ -416,20 +462,24 @@ class _SubsetContext:
             mask &= bidegrees.get((degree - x, x), 0)
         return mask
 
-    def run(self, subset, state: EulerianState, mask: int, turn: int, by_turn, leaves) -> None:
+    def run(
+        self, subset, state: EulerianState, mask: int, turn: int, weight: int, by_turn, leaves
+    ) -> None:
         """Sum per-coloring products of internal-vertex weights by label colors.
 
         ``mask`` is :meth:`alive` of the subset.  One walk of the coloring
         tree serves every model it holds: each step colors one vertex's free
         edges from its live local colorings, and a branch is cut once every
         model weighs some vertex zero.  Adds each full coloring's product of
-        r's for model i to the list ``by_turn[q % 4][i]``, at the coefficient
-        of its label colors among the (k+2*ell)^t of the subset's tensor: q
-        is ``turn``, the subset's prefactor, plus the turns of its weights
-        and 2 for each dual label color of sign -1.  Adds the full colorings
-        the model weighs nonzero, counted at the same coordinates, to the
-        list ``leaves[i]``.  Callers pass zeros for one subset's sums alone.
-        With no labels the single coefficient is the scalar sum.  The sums
+        r's for model i, times ``weight``, to the list ``by_turn[q % 4][i]``,
+        at the coefficient of its label colors among the (k+2*ell)^t of the
+        subset's tensor: q is ``turn``, the subset's prefactor, plus the
+        turns of its weights and 2 for each dual label color of sign -1.
+        Adds ``weight`` for each full coloring the model weighs nonzero,
+        at the same coordinates, to the list ``leaves[i]``.  ``weight`` is
+        the number of subsets in the subset's parallel-edge class, which all
+        have its sums, or 1.  Callers pass zeros for one subset's sums
+        alone.  With no labels the single coefficient is the scalar sum.  The sums
         hold ints, or Gaussian integers once a weight with two nonzero parts
         enters, each model's times its entry of ``scales``.
         """
@@ -439,6 +489,8 @@ class _SubsetContext:
         n = len(tables)
         base = k + two_ell
         _, acc, turns = self.start
+        if weight != 1:
+            acc = tuple(a * weight for a in acc)
 
         # per step: its vertex's fixed slots' edges, its table, the table's cache
         # key, and the (slot edges, table, cache key) of each vertex with no free
@@ -448,7 +500,7 @@ class _SubsetContext:
         steps = [None] * m
         checks = [[] for _ in frees]
         pairing = state.pairing
-        fresh = {}  # the tables new to the cache, each put in by its first insertion
+        walk = {}  # the walk's tables new to the cache, and its fully fixed ones
         for v, incident, index, at in self.vertices:
             es = [e for e in incident if e not in subset]
             n_sym = len(es)
@@ -458,11 +510,12 @@ class _SubsetContext:
             cache_key = (self.key, (k, two_ell, n_sym, len(pairs)), tuple(map(index.get, es)))
             table = _FACTORS.get(cache_key)
             if table is None:
-                table = fresh.setdefault(cache_key, {})
+                table = walk.setdefault(cache_key, {})
             if index:
                 fixed = tuple(filterfalse(index.__contains__, es))
                 steps[at] = (fixed, table, cache_key, checks[at])
             else:
+                walk[cache_key] = table  # where _table finds a fully fixed table
                 checks[at].append((tuple(es), table, cache_key))
         slots = []
         for e, side in self.open_ends:
@@ -509,7 +562,7 @@ class _SubsetContext:
                         idx = idx * base + offset + c - 1
                     for i in range(n):
                         if mask >> i & 1:
-                            leaves[i][idx] += 1
+                            leaves[i][idx] += weight
                             turned[(negate + turns[i]) & 3][i][idx] += acc[i]
                 continue
             free_edges = frees[s]
@@ -517,7 +570,10 @@ class _SubsetContext:
             fixed = tuple(map(getitem, fixed_edges))
             live = table.get(fixed)
             if live is None:
-                live = _live_colorings(cache_key[1], cache_key[2], fixed, tables)
+                models_key, shape, pattern = cache_key
+                full_key = (models_key, shape, (None,) * len(pattern))
+                full = full_key, _table(walk, full_key)
+                live = _live_colorings(shape, pattern, fixed, tables, full)
                 _keep(cache_key, table, fixed, live)
             nxt = s + 1
             for free, alive, factors, quarters in live:
@@ -533,8 +589,7 @@ class _SubsetContext:
                         key = tuple(map(getitem, es))
                         hit = ctable.get(key)
                         if hit is None:
-                            hit = _live_colorings(ckey[1], ckey[2], key, tables)
-                            _keep(ckey, ctable, key, hit)
+                            hit = _weighed(ckey, ctable, key, tables)
                         if not hit:
                             alive = 0
                             break
@@ -570,7 +625,7 @@ def subset_sums(
     size = (ctx.k + ctx.two_ell) ** frag.t
     by_turn = [[[0] * size for _ in models] for _ in range(4)]
     leaves = [[0] * size for _ in models]
-    ctx.run(subset, state, ctx.alive(subset), 0, by_turn, leaves)
+    ctx.run(subset, state, ctx.alive(subset), 0, 1, by_turn, leaves)
     return [
         (_unturn(sums, scale), sum(n)) for sums, n, scale in zip(zip(*by_turn), leaves, ctx.scales)
     ]
@@ -638,13 +693,59 @@ def subset_prefactor(circuits: int, trails) -> int:
     return q % 4
 
 
-def _mode_subsets(frag: Fragment, mode: str):
+def _eulerian_classes(frag: Fragment) -> list[tuple[frozenset, int]]:
+    """The parallel-edge classes of a fragment's Eulerian subsets, each as
+    (representative, weight).
+
+    The edges of one unordered endpoint pair form a group, and so do the
+    loops at one vertex.  A class takes a count c_j in [0, mu_j] of edges
+    from each group j of mu_j edges; its representative takes the first c_j
+    edges of each group, and its weight, prod C(mu_j, c_j), is the number
+    of subsets in it.  The classes come from the Eulerian subsets of the
+    support, the graph with one edge per group, as parity patterns: a
+    non-loop group takes every count of its edge's parity in the pattern, a
+    loop group every count, so a pattern with a loop in it is skipped.  A
+    fragment without a repeated group has its Eulerian subsets as classes,
+    each of weight 1.
+    """
+    edges = frag.graph.edges
+    groups = {}
+    for e, (a, b) in enumerate(edges):
+        groups.setdefault((a, b) if a <= b else (b, a), []).append(e)
+    if len(groups) == len(edges):
+        return [(subset, 1) for subset in enumerate_eulerian_subsets(frag)]
+    # options[j][p]: group j's (first edges, C(mu_j, c)) for each count c of parity p
+    options = []
+    loops = set()
+    for j, ((a, b), es) in enumerate(groups.items()):
+        counts = [(es[:c], comb(len(es), c)) for c in range(len(es) + 1)]
+        if a == b:
+            loops.add(j)
+            options.append((counts, counts))
+        else:
+            options.append((counts[::2], counts[1::2]))
+    support = Fragment(MultiGraph(frag.graph.n_vertices, tuple(groups)), frag.labels)
+    classes = []
+    for pattern in enumerate_eulerian_subsets(support):
+        if not loops.isdisjoint(pattern):
+            continue
+        for choice in product(*(opts[j in pattern] for j, opts in enumerate(options))):
+            subset = frozenset(chain.from_iterable(es for es, _ in choice))
+            classes.append((subset, prod(weight for _, weight in choice)))
+    return classes
+
+
+def _mode_classes(frag: Fragment, mode: str) -> list[tuple[frozenset, int]]:
+    """The (representative, weight) classes of a mode's subsets: the empty
+    subset in ordinary mode, the full edge set in skew mode when it is
+    Eulerian, each of weight 1, and :func:`_eulerian_classes` in mixed
+    mode."""
     if mode == "ordinary":
-        return [frozenset()]
+        return [(frozenset(), 1)]
     if mode == "skew":
         full = frozenset(range(frag.graph.n_edges))
-        return [full] if is_eulerian_subset(frag, full) else []
-    return enumerate_eulerian_subsets(frag)
+        return [(full, 1)] if is_eulerian_subset(frag, full) else []
+    return _eulerian_classes(frag)
 
 
 def _validate(frags, models, mode: str) -> None:
@@ -670,10 +771,13 @@ def _mode_sums(frag: Fragment, models, mode: str):
     Returns (number of subsets, one (coefficients, counts) pair per model):
     a model's counts are its surviving full colorings, counted at the label
     coordinate of the coefficient each adds to.  The callers have validated
-    ``models`` and ``mode`` (:func:`_validate`).  Each subset's tensor is
-    scaled by i^q, q its :func:`subset_prefactor`: the walk adds q to the
-    quarter turn of each product it sums, and the model's four sums by
-    quarter turn are combined once at the end.  Sums stay scaled by
+    ``models`` and ``mode`` (:func:`_validate`).  Each class of
+    :func:`_mode_classes` is walked once, by its representative and with
+    its weight, so the subsets and counts are those of a walk of every
+    subset.  Each subset's tensor is scaled by i^q, q its
+    :func:`subset_prefactor`: the walk adds q to the quarter turn of each
+    product it sums, and the model's four sums by quarter turn are
+    combined once at the end.  Sums stay scaled by
     D^(n_vertices - t) until one division per coefficient, and the
     fragment's own circles multiply them by k - 2*ell each.
     """
@@ -682,16 +786,17 @@ def _mode_sums(frag: Fragment, models, mode: str):
     # by_turn[q][i]: model i's sum of the products whose quarter turn is q
     by_turn = [[[0] * size for _ in models] for _ in range(4)]
     counts = [[0] * size for _ in models]
-    subsets = _mode_subsets(frag, mode)
-    for subset in subsets:
+    subsets = 0
+    for subset, weight in _mode_classes(frag, mode):
+        subsets += weight
         mask = ctx.alive(subset)
         if not mask:
             continue  # every model weighs it zero; it still counts in subsets
         state, circuits, trails = peel(frag, subset)
-        ctx.run(subset, state, mask, subset_prefactor(circuits, trails), by_turn, counts)
+        ctx.run(subset, state, mask, subset_prefactor(circuits, trails), weight, by_turn, counts)
     # the mode checks make k - 2*ell the circle factor of every mode
     factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
-    return len(subsets), [
+    return subsets, [
         ([c * factor for c in _unturn(sums, scale)], n)
         for sums, scale, n in zip(zip(*by_turn), ctx.scales, counts)
     ]
@@ -802,7 +907,7 @@ def _by_cut(g: MultiGraph, side, model: EdgeColoringModel, mode: str) -> Evaluat
     pairing of the halves' counts with every sign +1: a full coloring of g
     is one of each half that agrees on the cut edges, and it survives when
     both do.  Its subsets are 2^cyc(g) in mixed mode, counted in closed
-    form, and in ordinary and skew mode those of :func:`_mode_subsets`.
+    form, and in ordinary and skew mode those of :func:`_mode_classes`.
     The caller has validated ``model`` and ``mode``.
     """
     f1, f2 = split(g, side)
@@ -815,7 +920,7 @@ def _by_cut(g: MultiGraph, side, model: EdgeColoringModel, mode: str) -> Evaluat
     if mode == "mixed":
         subsets = 2 ** (g.n_edges - g.n_vertices + n_components(g))
     else:
-        subsets = len(_mode_subsets(as_fragment(g), mode))
+        subsets = sum(weight for _, weight in _mode_classes(as_fragment(g), mode))
     return EvaluationResult(value, subsets, colorings)
 
 

@@ -3,7 +3,9 @@
 import gc
 import heapq
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -316,19 +318,24 @@ def test_shape_table_equals_model_evaluate(monkeypatch):
     slot_patterns and every fixed color tuple of every shape of degree at
     most 4, are the colorings of the free edges whose weight by the model's
     own sym_counts + normalize_wedge path is nonzero, in product order, each
-    with that weight as r * i^q."""
+    with that weight as r * i^q.  A fully fixed pattern's list is weighed by
+    _weighed; the others read their candidates from that list's table."""
     monkeypatch.setattr(evaluator, "_FACTORS", {})
     monkeypatch.setattr(evaluator, "_held", 0)
     checked = 0
     kinds = set()
+    walk = {}
     for k, two_ell in ORACLE_SHAPES:
         h = distinct_pattern_model(k, two_ell, 4)
         for n_pairs in range(3):
             for n_sym in range(5 - 2 * n_pairs):
                 shape = (k, two_ell, n_sym, n_pairs)
                 domains = [range(1, k + 1)] * n_sym + [range(1, two_ell + 1)] * (2 * n_pairs)
+                full_key = ((h.key,), shape, (None,) * (n_sym + 2 * n_pairs))
+                full = full_key, evaluator._table(walk, full_key)
                 for pattern in slot_patterns(n_sym, n_pairs):
-                    cache_key, table = ((h.key,), shape, pattern), {}
+                    cache_key = ((h.key,), shape, pattern)
+                    table = evaluator._table(walk, cache_key)
                     free_domains = {j: d for d, j in zip(domains, pattern) if j is not None}
                     fixed_domains = [d for d, j in zip(domains, pattern) if j is None]
                     for fixed in itertools.product(*fixed_domains):
@@ -341,8 +348,11 @@ def test_shape_table_equals_model_evaluate(monkeypatch):
                             if value:
                                 expected.append((free, value))
                             checked += 1
-                        live = evaluator._live_colorings(shape, pattern, fixed, [h.scaled])
-                        evaluator._keep(cache_key, table, fixed, live)
+                        if cache_key == full_key:
+                            live = evaluator._weighed(cache_key, table, fixed, [h.scaled])
+                        else:
+                            live = evaluator._live_colorings(shape, pattern, fixed, [h.scaled], full)
+                            evaluator._keep(cache_key, table, fixed, live)
                         # a second lookup is served from the cache
                         assert evaluator._FACTORS[cache_key][fixed] is live
                         got = []
@@ -414,7 +424,7 @@ def test_factor_cache_holds_a_charpoly_pass(monkeypatch):
     for g in enumerate_multigraphs(3, 6):
         partition_function_many(g, models, "mixed")
     assert evaluator._FACTORS.emptied == 0
-    assert (len(evaluator._FACTORS), sum(map(len, evaluator._FACTORS.values()))) == (636, 1685)
+    assert (len(evaluator._FACTORS), sum(map(len, evaluator._FACTORS.values()))) == (379, 2917)
     assert evaluator._held == factor_numbers() < evaluator.MAX_MODEL_SIZE
 
 
@@ -430,6 +440,10 @@ def test_factor_cache_is_emptied_at_its_bound(monkeypatch):
         MultiGraph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (0, 0))),
         # K4 with loops at two vertices
         MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 2), (3, 3))),
+        # vertex 2, with no free edge, is checked in the fully fixed table
+        # that vertex 1's list reads its candidates from, once the loop's
+        # list at vertex 0 has emptied the cache
+        MultiGraph(3, ((0, 0), (1, 2))),
     ]
     h = charpoly_model(Fraction(3, 2), cap=6)
     assert len(h.entries) == 18
@@ -456,6 +470,29 @@ def test_factor_cache_is_emptied_at_its_bound(monkeypatch):
         assert least <= evaluator._held == factor_numbers() <= bound
         held = [id(table) for table in evaluator._FACTORS.values()]
         assert all(id(table) in held for table in filled if table)
+
+
+def test_a_shape_weighs_each_color_tuple_once(monkeypatch):
+    """The triangle's vertices share one local shape, two symmetric slots:
+    the walk's first vertex has both edges free, its second one, its third
+    none.  Each reads its candidates from the shape's fully fixed table, so
+    the 300^2 color pairs are weighed once, not once per slot pattern
+    (180,300 calls)."""
+    monkeypatch.setattr(evaluator, "_FACTORS", {})
+    monkeypatch.setattr(evaluator, "_held", 0)
+    weigh = evaluator._vertex_factors
+    calls = 0
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return weigh(*args)
+
+    monkeypatch.setattr(evaluator, "_vertex_factors", spy)
+    result = partition_function(K3, circuit_pos_model(300, cap=2), "ordinary")
+    assert (result.value, result.subsets, result.colorings) == (300, 1, 300)
+    assert calls <= 90300
+    assert evaluator._held == factor_numbers() <= evaluator.MAX_MODEL_SIZE
 
 
 def test_equal_models_built_apart_share_one_cache(monkeypatch):
@@ -894,10 +931,37 @@ def test_the_bidegree_check_keeps_every_tensor():
     assert checked == 272 + 175 + 364 + 474
 
 
+def edge_groups(g):
+    """The edges of each unordered endpoint pair, the loops at one vertex
+    together, in edge order."""
+    groups = {}
+    for e, (a, b) in enumerate(g.edges):
+        groups.setdefault(frozenset((a, b)), []).append(e)
+    return list(groups.values())
+
+
+def class_of(groups, subset):
+    """The parallel-edge class of a subset: how many edges it takes from
+    each group."""
+    return tuple(len(subset.intersection(es)) for es in groups)
+
+
+def representative(groups, counts):
+    """The subset of a class that takes the first edges of each group."""
+    return frozenset(e for es, c in zip(groups, counts) for e in es[:c])
+
+
+def class_size(groups, counts):
+    return math.prod(math.comb(len(es), c) for es, c in zip(groups, counts))
+
+
 def test_peel_runs_only_on_subsets_some_model_can_weigh(monkeypatch):
     """Under the four charpoly models a vertex weighs nonzero only with 0 or
     2 of its half-edges in the subset, so only disjoint unions of cycles
-    are peeled; the others still count in ``subsets``."""
+    are peeled, and of those one per parallel-edge class, its
+    representative: each weighted by its class's size, the peeled subsets
+    cover exactly the unions of cycles.  The others still count in
+    ``subsets``."""
     peeled = []
 
     def spy(frag, subset, rng=None):
@@ -906,19 +970,102 @@ def test_peel_runs_only_on_subsets_some_model_can_weigh(monkeypatch):
 
     monkeypatch.setattr(evaluator, "peel", spy)
     models = [charpoly_model(t, cap=12) for t in (0, 1, -2, Fraction(3, 2))]
-    subsets = peeled_total = 0
+    subsets = peeled_total = weighted = 0
     for g in enumerate_multigraphs(3, 6):
         del peeled[:]
         [res, *_] = partition_function_many(g, models, "mixed")
-        cycles = []
+        groups = edge_groups(g)
+        cycles = Counter()
         for s in enumerate_eulerian_subsets(g):
             sub = MultiGraph(g.n_vertices, tuple(g.edges[e] for e in s))
             if set(sub.degrees()) <= {0, 2}:
-                cycles.append(s)
-        assert peeled == cycles, g
+                cycles[class_of(groups, s)] += 1
+        covered = Counter()
+        for s in peeled:
+            counts = class_of(groups, s)
+            assert s == representative(groups, counts), (g, s)
+            covered[counts] += class_size(groups, counts)
+        assert len(peeled) == len(covered) and covered == cycles, g
         subsets += res.subsets
         peeled_total += len(peeled)
-    assert (peeled_total, subsets) == (7987, 17921)
+        weighted += sum(covered.values())
+    assert (peeled_total, weighted, subsets) == (4270, 7987, 17921)
+
+
+def class_test_models():
+    """Two calls' models, each (k, 2l) once: charpoly(1/3 + i/2) with the
+    two quarter_turn_models of (2, 2), and circuit_odd(1) with those of
+    (1, 2), built per degree cap and seeded."""
+    rng = random.Random(21)
+    built = {}
+
+    def models(cap):
+        if cap not in built:
+            t = GaussianRational(Fraction(1, 3), Fraction(1, 2))
+            built[cap] = [
+                [charpoly_model(t, cap=cap), *quarter_turn_models(rng, 2, 2, cap)],
+                [circuit_odd_model(1, cap=cap), *quarter_turn_models(rng, 1, 2, cap)],
+            ]
+        return built[cap]
+
+    return models
+
+
+def test_a_parallel_edge_class_sums_as_its_representative(monkeypatch):
+    """On every multigraph with at most 3 vertices and 6 edges and every
+    fragment with 2 or 3 labels, at most 2 internal vertices and 4 edges:
+
+    - every Eulerian subset's signed tensor and surviving colorings, from
+      subset_sums under a seeded state times i^subset_prefactor, are those
+      of its class's representative;
+    - the classes are each subset's class once, represented by the first
+      edges of each group and weighted by their number of subsets, so the
+      weights sum to every Eulerian subset;
+    - _mode_sums gives the coefficients, subsets and per-coordinate counts
+      of the plain loop, every Eulerian subset walked with weight 1."""
+    rng = random.Random(22)
+    models_of = class_test_models()
+    frags = [Fragment(g) for g in enumerate_multigraphs(3, 6)]
+    frags += [*enumerate_fragments(2, 2, 4), *enumerate_fragments(3, 2, 4)]
+    repeated = heavy = 0
+    for frag in frags:
+        groups = edge_groups(frag.graph)
+        subsets = enumerate_eulerian_subsets(frag)
+        sizes = Counter(class_of(groups, s) for s in subsets)
+        classes = evaluator._eulerian_classes(frag)
+        assert sorted(classes, key=lambda c: sorted(c[0])) == sorted(
+            ((representative(groups, counts), n) for counts, n in sizes.items()),
+            key=lambda c: sorted(c[0]),
+        ), frag
+        assert all(n == class_size(groups, counts) for counts, n in sizes.items())
+        assert sum(weight for _, weight in classes) == len(subsets)
+        if len(groups) == frag.graph.n_edges:
+            continue  # each class is one subset, and _mode_sums walks each
+        repeated += 1
+        # a subset alone in its class is its representative
+        shared = [s for s in subsets if sizes[class_of(groups, s)] > 1]
+        for models in models_of(max(frag.graph.max_degree(), 1)):
+            signed = {}
+            for s in shared:
+                state, circuits, trails = peel(frag, s, rng)
+                turn = I ** evaluator.subset_prefactor(circuits, trails)
+                sums = subset_sums(frag, s, state, models)
+                signed[s] = [([c * turn for c in coeffs], n) for coeffs, n in sums]
+            for s in shared:
+                rep = representative(groups, class_of(groups, s))
+                assert signed[s] == signed[rep], (frag, s)
+                heavy += s == rep and any(n for _, n in signed[s])
+            got = evaluator._mode_sums(frag, models, "mixed")
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    evaluator,
+                    "_eulerian_classes",
+                    lambda f: [(s, 1) for s in enumerate_eulerian_subsets(f)],
+                )
+                assert got == evaluator._mode_sums(frag, models, "mixed"), frag
+    # the fragments with a repeated group, and the classes of more than one
+    # subset whose representative has surviving colorings under some model
+    assert (repeated, heavy) == (989, 2737)
 
 
 def test_dead_subsets_are_not_walked(monkeypatch):
