@@ -45,6 +45,8 @@ graph and call shares, keyed by the models' keys (from (k, two_ell) and the
 weights, never object identity), the vertex's local shape and its slot
 pattern (which slots its free edges fill), and then by the colors of its
 fixed slots; on a miss they are computed from the canonical patterns.  A
+walk takes the models key object the cache already holds for equal models,
+so that its lookups compare keys by identity, not weight by weight.  A
 vertex with no free edge has the one-coloring list of its factors, or an
 empty one, and a list with free slots reads each candidate from the table
 of its shape with every slot fixed, so vertices of one shape weigh a color
@@ -160,6 +162,10 @@ class EvaluationResult:
 # live coloring, its free colors, mask, factors and turns.
 _FACTORS: dict[tuple, dict] = {}
 _held = 0
+# The models keys of the tables in _FACTORS, each its own value: a walk takes
+# its key from here, so that its lookups find it by identity under equal
+# models built apart.  Emptied with _FACTORS; counted with its tables.
+_KEYS: dict[tuple, tuple] = {}
 
 
 def _keep(cache_key, table: dict, fixed, live: list) -> None:
@@ -184,10 +190,12 @@ def _keep(cache_key, table: dict, fixed, live: list) -> None:
             for emptied in _FACTORS.values():
                 emptied.clear()
             _FACTORS.clear()
+            _KEYS.clear()
             _held = 0
             if size > MAX_MODEL_SIZE:
                 return
         _FACTORS[cache_key] = table
+        _KEYS.setdefault(models_key, models_key)
     table[fixed] = live
     _held += size
 
@@ -392,7 +400,8 @@ class _SubsetContext:
         self.two_ell = two_ell
         self.edges = g.edges
         self.tables = [h.scaled for h in models]
-        self.key = tuple(h.key for h in models)
+        key = tuple(h.key for h in models)
+        self.key = _KEYS.get(key, key)
         labeled = set(frag.labels)
         incident = [[] for _ in range(g.n_vertices)]  # in slot order, a loop twice
         for e, (a, b) in enumerate(g.edges):
@@ -761,8 +770,9 @@ def _validate(frags, models, mode: str) -> None:
     if mode == "skew" and sig[0] != 0:
         raise ValueError("skew mode needs a purely exterior model (k=0)")
     for frag in frags:
+        d = frag.max_degree()
         for h in models:
-            h.check_cap(frag)
+            h.check_degree(d)
 
 
 def _mode_sums(frag: Fragment, models, mode: str):
@@ -794,12 +804,12 @@ def _mode_sums(frag: Fragment, models, mode: str):
             continue  # every model weighs it zero; it still counts in subsets
         state, circuits, trails = peel(frag, subset)
         ctx.run(subset, state, mask, subset_prefactor(circuits, trails), weight, by_turn, counts)
-    # the mode checks make k - 2*ell the circle factor of every mode
-    factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
-    return subsets, [
-        ([c * factor for c in _unturn(sums, scale)], n)
-        for sums, scale, n in zip(zip(*by_turn), ctx.scales, counts)
-    ]
+    sums = [_unturn(turned, scale) for turned, scale in zip(zip(*by_turn), ctx.scales)]
+    if frag.graph.n_circles:
+        # the mode checks make k - 2*ell the circle factor of every mode
+        factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
+        sums = [[c * factor for c in coeffs] for coeffs in sums]
+    return subsets, list(zip(sums, counts))
 
 
 def tensor_sums(frags, model: EdgeColoringModel, mode: str = "mixed") -> list[list]:

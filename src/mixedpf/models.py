@@ -54,8 +54,10 @@ class EdgeColoringModel:
     one.  ``bidegrees`` holds the (symmetric,
     exterior) degrees of the patterns, so the search can tell which vertices
     the model weighs zero whatever their colors.  The search's factor cache
-    is keyed by ``key``, (k, two_ell, the entries' items), not by identity,
-    which a later model may reuse: models of equal weights share it.
+    is keyed by ``key``, (k, two_ell, the items of ``scaled``, the only
+    weights the search reads), not by identity, which a later model may
+    reuse: models of equal weights share it, and keys of real and imaginary
+    weights compare as ints.
     """
 
     __slots__ = ("k", "two_ell", "entries", "cap", "denominator", "scaled", "bidegrees", "key")
@@ -101,7 +103,7 @@ class EdgeColoringModel:
             else:
                 self.scaled[key] = (value, 0)
         self.bidegrees = frozenset((sum(sym), len(ext)) for sym, ext in table)
-        self.key = (k, two_ell, frozenset(table.items()))
+        self.key = (k, two_ell, frozenset(self.scaled.items()))
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoringModel):
@@ -122,7 +124,10 @@ class EdgeColoringModel:
     def check_cap(self, graph) -> None:
         """Refuse a graph, or a fragment, with a weighed vertex of degree
         beyond the degree cap."""
-        d = graph.max_degree()
+        self.check_degree(graph.max_degree())
+
+    def check_degree(self, d: int) -> None:
+        """Refuse a largest weighed degree ``d`` beyond the degree cap."""
         if self.cap is not None and d > self.cap:
             raise ValueError(
                 f"graph has a vertex of degree {d} beyond the model's degree cap {self.cap}"

@@ -7,8 +7,9 @@ subset by trying every coloring, characteristic polynomials (an integer
 trace recurrence and the subgraph expansion, deliberately separate code
 paths), the circuit partition polynomial via transition systems, matching
 counts, and matching-permutation signs via exhaustive search.  The subgraph
-expansion classifies a graph's edge subsets once, as a polynomial in t, and
-evaluates it at each t.  Nothing in this module calls the evaluator.
+expansion enumerates a graph's elementary subgraphs once, as a polynomial in
+t, and evaluates it at each t; the tests check it against a test of every
+edge subset.  Nothing in this module calls the evaluator.
 """
 
 from __future__ import annotations
@@ -42,11 +43,20 @@ class Polynomial:
         return not self.coeffs
 
     def evaluate(self, x) -> GaussianRational:
+        """The value at x, by Horner's rule on plain int or Fraction
+        components: on the real parts alone when x and every coefficient
+        are real, since a Fraction times 0 is still a Fraction."""
         x = as_gaussian(x)
-        total = ZERO
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
+        a, b = x.re, x.im
+        coeffs = self.coeffs[::-1]
+        re = im = 0
+        if not b and not any(c.im for c in coeffs):
+            for c in coeffs:
+                re = re * a + c.re
+        else:
+            for c in coeffs:
+                re, im = re * a - im * b + c.re, re * b + im * a + c.im
+        return GaussianRational(re, im)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -194,8 +204,8 @@ def _matmul(a, b) -> list[list[int]]:
 def sachs_oracle(g: MultiGraph, t) -> GaussianRational:
     """The subgraph expansion of det(tI - A), evaluated at t.
 
-    Evaluates ``sachs_polynomial(g)``, so the edge subsets of a graph are
-    classified once however many t values it is asked for.
+    Evaluates ``sachs_polynomial(g)``, so the elementary subgraphs of a
+    graph are enumerated once however many t values it is asked for.
     """
     return sachs_polynomial(g).evaluate(t)
 
@@ -204,66 +214,59 @@ def sachs_oracle(g: MultiGraph, t) -> GaussianRational:
 def sachs_polynomial(g: MultiGraph) -> Polynomial:
     """The subgraph expansion of det(tI - A) as a polynomial in t.
 
-    Classifies every edge subset once, and adds (-1)^(edge components) *
-    (-2)^(cycle components) to the coefficient of t^(uncovered vertices) for
-    each subset whose components are single edges or cycles; loops count as
-    cycles and parallel pairs as 2-cycles.  The memo holds the last graph
-    only, which serves the t values asked for one graph in a row.
+    Enumerates the elementary subgraphs, the edge subsets whose components
+    are single edges or cycles (loops count as cycles and parallel pairs as
+    2-cycles), and adds (-1)^(edge components) * (-2)^(cycle components) of
+    each to the coefficient of t^(uncovered vertices).  It backtracks over
+    the edges, taking an edge only while both its ends stay at degree at
+    most 2 (a loop counts 2), and drops a complete choice with a path of
+    two or more edges: an edge whose ends have degrees 1 and 2.  What is
+    left is single edges, both ends of degree 1, and cycles, whose count a
+    union-find of their edges gives.  The memo holds the last graph only,
+    which serves the t values asked for one graph in a row.
     """
     if g.n_circles:
         raise ValueError("Sachs expansion undefined for circle components")
-    m = g.n_edges
+    edges = g.edges
     n = g.n_vertices
     coeffs = [0] * (n + 1)
-    for mask in range(1 << m):
-        chosen = [e for e in range(m) if mask >> e & 1]
-        kinds = _sachs_components(g, chosen)
-        if kinds is None:
-            continue
-        covered = set()
-        for e in chosen:
-            covered.update(g.edges[e])
-        coeffs[n - len(covered)] += (-1) ** kinds.count("edge") * (-2) ** kinds.count("cycle")
+    degree = [0] * n
+    chosen = []
+    # depth-first over the edges, each taken or not, on an explicit stack so
+    # that the edge count is not bounded by the recursion limit: an entry is
+    # the next edge to decide, or its complement ~e to undo edge e
+    stack = [0]
+    while stack:
+        e = stack.pop()
+        if e < 0:
+            u, v = chosen.pop()
+            degree[u] -= 1
+            degree[v] -= 1
+        elif e < len(edges):
+            stack.append(e + 1)  # leave edge e out, after the branches that take it
+            u, v = edges[e]
+            if degree[u] + (u == v) < 2 and degree[v] < 2:
+                degree[u] += 1
+                degree[v] += 1
+                chosen.append((u, v))
+                stack += (~e, e + 1)
+        elif all(degree[u] == degree[v] for u, v in chosen):
+            singles = cycles = 0
+            parent = list(range(n))
+            for u, v in chosen:
+                if degree[u] == 1:
+                    singles += 1
+                    continue
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u == v:
+                    cycles += 1  # the edge that closes a cycle, a loop its only one
+                else:
+                    parent[u] = v
+            coeffs[degree.count(0)] += (-1) ** singles * (-2) ** cycles
     return Polynomial(tuple(coeffs))
-
-
-def _sachs_components(g: MultiGraph, chosen):
-    """Classify the components of an edge subset as edges/cycles, or None."""
-    deg = {}
-    adj = {}
-    for e in chosen:
-        u, v = g.edges[e]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        adj.setdefault(u, []).append((e, v))
-        adj.setdefault(v, []).append((e, u))
-    if any(d > 2 for d in deg.values()):
-        return None
-    kinds = []
-    seen_v = set()
-    for start in sorted(deg):
-        if start in seen_v:
-            continue
-        stack = [start]
-        comp_v = set()
-        comp_e = set()
-        while stack:
-            u = stack.pop()
-            if u in comp_v:
-                continue
-            comp_v.add(u)
-            for e, w in adj[u]:
-                comp_e.add(e)
-                if w not in comp_v:
-                    stack.append(w)
-        seen_v.update(comp_v)
-        if len(comp_e) == 1 and len(comp_v) == 2:
-            kinds.append("edge")
-        elif all(deg[v] == 2 for v in comp_v):
-            kinds.append("cycle")
-        else:
-            return None
-    return kinds
 
 
 def circuit_partition_oracle(g: MultiGraph) -> Polynomial:

@@ -511,6 +511,44 @@ def test_equal_models_built_apart_share_one_cache(monkeypatch):
     assert weighed == [] and evaluator._FACTORS == tables
 
 
+def test_equal_model_sets_built_apart_compare_no_weights(monkeypatch):
+    """A second set of models, equal to the first but built apart, makes no
+    GaussianRational.__eq__ call over the charpoly family: each walk reads
+    its models key once, whose real and imaginary weights are ints, and its
+    cache lookups find that key by identity.  Values and counters are those
+    of the first set."""
+    monkeypatch.setattr(evaluator, "_FACTORS", {})
+    monkeypatch.setattr(evaluator, "_held", 0)
+    monkeypatch.setattr(evaluator, "_KEYS", {})
+    ts = (0, 1, -2, Fraction(3, 2))
+    first = [charpoly_model(t, cap=12) for t in ts]
+    graphs = list(enumerate_multigraphs(3, 6))
+    expected = [partition_function_many(g, first, "mixed") for g in graphs]
+    second = [charpoly_model(t, cap=12) for t in ts]
+    assert all(a is not b and a.key == b.key for a, b in zip(first, second))
+    compared = []
+    eq = GaussianRational.__eq__
+    monkeypatch.setattr(GaussianRational, "__eq__", lambda a, b: compared.append(1) or eq(a, b))
+    got = [partition_function_many(g, second, "mixed") for g in graphs]
+    monkeypatch.setattr(GaussianRational, "__eq__", eq)
+    assert compared == []
+    assert got == expected
+
+
+def test_the_first_model_whose_cap_a_graph_passes_refuses_it(monkeypatch):
+    """A graph's largest degree is read once for all the models of a call,
+    and the refusal names the first model's cap that it passes."""
+    reads = []
+    max_degree = Fragment.max_degree
+    monkeypatch.setattr(Fragment, "max_degree", lambda f: reads.append(f) or max_degree(f))
+    k4_loop = MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 0)))
+    models = [charpoly_model(t, cap=cap) for t, cap in ((0, 5), (1, 4), (2, 3), (3, 2))]
+    with pytest.raises(ValueError) as refused:
+        partition_function_many(k4_loop, models, "mixed")
+    assert str(refused.value) == "graph has a vertex of degree 5 beyond the model's degree cap 4"
+    assert len(reads) == 1
+
+
 def test_a_later_model_gets_its_own_factors(monkeypatch):
     """Each model is freed before the next of the same (k, 2l) and cap is
     built, so a later one may take a freed one's id; each gets the values it

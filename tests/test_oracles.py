@@ -1,11 +1,12 @@
 """Oracle self-consistency tests (the oracles must stand on their own)."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from mixedpf.algebra import GaussianRational
+from mixedpf.algebra import GaussianRational, as_gaussian
 from mixedpf.graph import MultiGraph, circle_graph, cycle_graph, disjoint_union
 from mixedpf.linalg import determinant
 from mixedpf.oracles import (
@@ -31,6 +32,53 @@ def test_polynomial_basics():
     assert Polynomial((0, 0)) == Polynomial(())
     q = Polynomial((-2, 1))
     assert (p * q).evaluate(5) == p.evaluate(5) * q.evaluate(5)
+
+
+def gaussian_horner(coeffs, x) -> GaussianRational:
+    """Horner's rule in GaussianRational arithmetic, a step at a time."""
+    total = GaussianRational(0)
+    for c in reversed(coeffs):
+        total = total * as_gaussian(x) + c
+    return total
+
+
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (),
+        (7,),
+        (-2, -3, 0, 1),
+        (HALF, HALF),
+        (THIRD, -3, Fraction(2, 3), Fraction(-5, 4)),
+        (GaussianRational(1, -2), THIRD, GaussianRational(0, HALF)),
+        (GaussianRational(0, 1), 0, GaussianRational(0, 1)),
+    ],
+)
+@pytest.mark.parametrize(
+    "x", [0, 1, -2, Fraction(3, 2), GaussianRational(0, 1), GaussianRational(THIRD, HALF)]
+)
+def test_polynomial_evaluate_is_gaussian_horner(coeffs, x):
+    """Real and Gaussian x, real and Gaussian coefficients and the zero
+    polynomial give the value of Horner's rule over Q(i), with the same
+    canonical components: an int where a part is integral."""
+    p = Polynomial(coeffs)
+    value, expected = p.evaluate(x), gaussian_horner(p.coeffs, x)
+    assert isinstance(value, GaussianRational)
+    assert (value.re, value.im) == (expected.re, expected.im)
+    for part in (value.re, value.im):
+        assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+
+
+def test_polynomial_evaluate_reduces_integral_fractions():
+    assert type(Polynomial((HALF, HALF)).evaluate(1).re) is int
+    assert type(Polynomial((HALF, Fraction(3, 4))).evaluate(Fraction(2, 3)).re) is int
+    i_squared = Polynomial((0, 0, 1)).evaluate(GaussianRational(0, 1))
+    assert (i_squared.re, type(i_squared.re), i_squared.im, type(i_squared.im)) == (-1, int, 0, int)
+    zero = Polynomial(()).evaluate(GaussianRational(THIRD, HALF))
+    assert (zero.re, type(zero.re), zero.im, type(zero.im)) == (0, int, 0, int)
 
 
 def test_adjacency_conventions():
@@ -99,6 +147,87 @@ def test_sachs_agrees_with_charpoly():
 def test_sachs_polynomial_is_charpoly():
     for g in enumerate_multigraphs(3, 6):
         assert sachs_polynomial(g) == charpoly_oracle(g), g
+
+
+def sachs_polynomial_by_masks(g: MultiGraph) -> Polynomial:
+    """The subgraph expansion by testing all 2^m edge subsets, the reference
+    for sachs_polynomial's enumeration of the elementary subgraphs alone.
+
+    Each subset whose components are single edges or cycles (loops count as
+    cycles and parallel pairs as 2-cycles) adds (-1)^(edge components) *
+    (-2)^(cycle components) to the coefficient of t^(uncovered vertices).
+    """
+    m = g.n_edges
+    n = g.n_vertices
+    coeffs = [0] * (n + 1)
+    for mask in range(1 << m):
+        chosen = [e for e in range(m) if mask >> e & 1]
+        kinds = sachs_components(g, chosen)
+        if kinds is None:
+            continue
+        covered = set()
+        for e in chosen:
+            covered.update(g.edges[e])
+        coeffs[n - len(covered)] += (-1) ** kinds.count("edge") * (-2) ** kinds.count("cycle")
+    return Polynomial(tuple(coeffs))
+
+
+def sachs_components(g: MultiGraph, chosen):
+    """Classify the components of an edge subset as edges/cycles, or None."""
+    deg = {}
+    adj = {}
+    for e in chosen:
+        u, v = g.edges[e]
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+        adj.setdefault(u, []).append((e, v))
+        adj.setdefault(v, []).append((e, u))
+    if any(d > 2 for d in deg.values()):
+        return None
+    kinds = []
+    seen_v = set()
+    for start in sorted(deg):
+        if start in seen_v:
+            continue
+        stack = [start]
+        comp_v = set()
+        comp_e = set()
+        while stack:
+            u = stack.pop()
+            if u in comp_v:
+                continue
+            comp_v.add(u)
+            for e, w in adj[u]:
+                comp_e.add(e)
+                if w not in comp_v:
+                    stack.append(w)
+        seen_v.update(comp_v)
+        if len(comp_e) == 1 and len(comp_v) == 2:
+            kinds.append("edge")
+        elif all(deg[v] == 2 for v in comp_v):
+            kinds.append("cycle")
+        else:
+            return None
+    return kinds
+
+
+def test_sachs_polynomial_equals_the_mask_reference():
+    for g in enumerate_multigraphs(3, 6):
+        assert sachs_polynomial(g) == sachs_polynomial_by_masks(g), g
+
+
+def test_sachs_polynomial_on_larger_random_multigraphs():
+    """Up to 6 vertices and 10 edges, where paths, cycles of length 3 to 6
+    and vertices of degree beyond 2 meet loops and parallel edges."""
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(40):
+        n, m = rng.randint(4, 6), rng.randint(6, 10)
+        g = MultiGraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m)))
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len({frozenset(ends) for ends in g.edges}) < m
+        assert sachs_polynomial(g) == sachs_polynomial_by_masks(g) == charpoly_oracle(g), g
+    assert seen["loop"] >= 20 and seen["parallel"] >= 20
 
 
 @pytest.mark.parametrize("g", [circle_graph(), disjoint_union(K3, circle_graph())])
