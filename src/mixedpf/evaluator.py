@@ -38,25 +38,33 @@ the last of them, and an edge between two labels is colored at the leaf.
 A branch is thus cut as soon as every model weighs some vertex zero, which
 is what makes the sparse built-in models fast.  The exact sum does not
 depend on the order and ``colorings`` counts full colorings, so the order
-changes only how many nodes the walk visits.
+changes only how many nodes the walk visits.  The children of the last step
+are the leaves: each is summed where the step finds it, never pushed, and a
+graph with no vertex to color walks one empty step to reach the same code.
 
 A vertex's live local colorings come from one cache that every subset,
 graph and call shares, keyed by the models' keys (from (k, two_ell) and the
 weights, never object identity), the vertex's local shape and its slot
 pattern (which slots its free edges fill), and then by the colors of its
 fixed slots; on a miss they are computed from the canonical patterns.  A
-walk takes the models key object the cache already holds for equal models,
-so that its lookups compare keys by identity, not weight by weight.  A
 vertex with no free edge has the one-coloring list of its factors, or an
 empty one, and a list with free slots reads each candidate from the table
 of its shape with every slot fixed, so vertices of one shape weigh a color
 tuple once.  The cache memoises a pure function, so sharing it cannot change
-a value.  ``_held`` counts every number it holds, model keys included, and
-an insertion that would pass ``MAX_MODEL_SIZE`` empties it.
+a value.
+
+Each set of models has one record beside the cache (:func:`_model_set`),
+found by the models key: the key object itself, which the walk's cache keys
+then hold, so that lookups compare keys by identity, not weight by weight;
+the mask of the models with a pattern of each vertex bidegree; and the
+weight of an isolated vertex.  Equal models built apart thus share one
+record and its tables.  ``_held`` counts every number the cache holds, each
+record once, and an insertion that would pass ``MAX_MODEL_SIZE`` empties
+the cache and the records together, then holds the walk's record again.
 
 Work that does not depend on the subset is done once per call: the edge
-order, the vertex order, each vertex's edges and free edges, and the
-models alive at each vertex bidegree.
+order, the vertex order and each vertex's edges and free edges; what does
+not depend on the graph either is read from the record.
 
 A vertex with x of its d half-edges in a subset reads d - x symmetric
 colors and x exterior ones, so a model with no pattern of that bidegree
@@ -111,8 +119,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain, filterfalse, product
-from math import comb, prod
+from itertools import filterfalse, product
+from math import comb
 from operator import add, mul
 
 from .algebra import (
@@ -130,6 +138,7 @@ from .graph import (
     EulerianState,
     Fragment,
     MultiGraph,
+    _eulerian_masks,
     as_fragment,
     decompose,
     enumerate_eulerian_subsets,
@@ -155,17 +164,71 @@ class EvaluationResult:
     colorings: int
 
 
-# The factor cache, {(model keys, local shape (k, two_ell, n_sym, n_pairs),
+# The factor cache, {(models key, local shape (k, two_ell, n_sym, n_pairs),
 # slot pattern): {fixed colors: live local colorings}}, and the numbers it
-# holds: per table its shape, its pattern and each model key's entries times
-# colors, as models count a table, and per list its fixed colors and, per
-# live coloring, its free colors, mask, factors and turns.
+# holds: per table its shape and its pattern, per list its fixed colors and,
+# per live coloring, its free colors, mask, factors and turns, and per
+# model-set record in _KEYS the numbers of _record_numbers.
 _FACTORS: dict[tuple, dict] = {}
 _held = 0
-# The models keys of the tables in _FACTORS, each its own value: a walk takes
-# its key from here, so that its lookups find it by identity under equal
-# models built apart.  Emptied with _FACTORS; counted with its tables.
+# The model-set records, {models key: (the same key, bidegree masks, one
+# isolated vertex's (mask, factors, turns))}, one per set of models a call
+# has used since the cache was last emptied.  A call takes its key from
+# here, so that its lookups find the key by identity under equal models
+# built apart; every table of _FACTORS has its models key here.
 _KEYS: dict[tuple, tuple] = {}
+
+
+def _record_numbers(record) -> int:
+    """The numbers a model-set record holds: per model its entries times
+    colors and its (k, two_ell), 3 per bidegree mask, and the isolated
+    vertex's mask, factors and turns."""
+    key, bidegrees, (_, factors, turns) = record
+    size = sum(2 + len(items) * (k + l2) for k, l2, items in key)
+    return size + 3 * len(bidegrees) + 1 + len(factors or ()) + len(turns or ())
+
+
+def _empty() -> None:
+    """Empty the factor cache and the model-set records, clearing each table
+    in place, so that a walk still filling one fills no stale table."""
+    global _held
+    for emptied in _FACTORS.values():
+        emptied.clear()
+    _FACTORS.clear()
+    _KEYS.clear()
+    _held = 0
+
+
+def _model_set(models) -> tuple:
+    """The record of ``models``: the one _KEYS holds for equal models, or a
+    new one, held and counted once the cache is emptied if it would pass
+    MAX_MODEL_SIZE.  One that passes it alone is not held, and neither are
+    its tables.
+
+    Its bidegree masks map (s, x) to the mask of the models with a pattern
+    of s symmetric colors and x exterior ones, and its isolated vertex's
+    (mask, factors, turns) are those of :func:`_vertex_factors`, (0, None,
+    None) when every model weighs it zero.
+    """
+    global _held
+    key = tuple(h.key for h in models)
+    record = _KEYS.get(key)
+    if record is None:
+        bidegrees = {}
+        for i, h in enumerate(models):
+            for bidegree in h.bidegrees:
+                bidegrees[bidegree] = bidegrees.get(bidegree, 0) | 1 << i
+        k, two_ell = models[0].k, models[0].two_ell
+        tables = [h.scaled for h in models]
+        isolated = _vertex_factors((k, two_ell, 0, 0), (), tables) or (0, None, None)
+        record = (key, bidegrees, isolated)
+        size = _record_numbers(record)
+        if _held + size > MAX_MODEL_SIZE:
+            _empty()
+        if size <= MAX_MODEL_SIZE:
+            _KEYS[key] = record
+            _held += size
+    return record
 
 
 def _keep(cache_key, table: dict, fixed, live: list) -> None:
@@ -174,9 +237,10 @@ def _keep(cache_key, table: dict, fixed, live: list) -> None:
     the cache if it is not there: during a walk the cache holds that table
     or none for its key.
 
-    An insertion that would pass MAX_MODEL_SIZE first empties the cache,
-    clearing each table in place, so a table a walk still fills is put back
-    and counted again.  One that passes it alone is not kept.
+    A table is kept only while the record of its models key is held.  An
+    insertion that would pass MAX_MODEL_SIZE first empties the cache and
+    holds that record again, so a table a walk still fills is put back and
+    counted again.  One that passes it with the record alone is not kept.
     """
     global _held
     size = len(fixed)
@@ -184,18 +248,17 @@ def _keep(cache_key, table: dict, fixed, live: list) -> None:
         size += 1 + len(free) + len(factors or ()) + len(turns or ())
     if cache_key not in _FACTORS or _held + size > MAX_MODEL_SIZE:
         models_key, shape, pattern = cache_key
+        record = _KEYS.get(models_key)
+        if record is None:
+            return
         size += len(shape) + len(pattern)
-        size += sum(2 + len(items) * (k + l2) for k, l2, items in models_key)
         if _held + size > MAX_MODEL_SIZE:
-            for emptied in _FACTORS.values():
-                emptied.clear()
-            _FACTORS.clear()
-            _KEYS.clear()
-            _held = 0
-            if size > MAX_MODEL_SIZE:
+            _empty()
+            _KEYS[models_key] = record
+            _held = _record_numbers(record)
+            if _held + size > MAX_MODEL_SIZE:
                 return
         _FACTORS[cache_key] = table
-        _KEYS.setdefault(models_key, models_key)
     table[fixed] = live
     _held += size
 
@@ -297,6 +360,12 @@ def _table(walk: dict, cache_key) -> dict:
     return table
 
 
+# The step of a graph with no vertex to color: its one live coloring colors
+# nothing and keeps every model, so that its one leaf is summed as the
+# children of any last step are.
+_NO_STEP = ((), {(): (((), -1, None, None),)}, None, ())
+
+
 def _walk_order(g: MultiGraph) -> list[int]:
     """An edge order, read from the graph's structure, whose completions
     give the coloring walk its vertex order: the walk colors the internal
@@ -365,11 +434,14 @@ class _SubsetContext:
     free edges, and ``vertices``, in walk order, each vertex, its edges (a
     loop twice), the index of each of its free edges and its step.  A
     vertex with no free edge has no step of its own: it is checked at the
-    step that colors its last edge.  The context also holds the degree of
-    each vertex, the labels' open ends, the weight of isolated
-    vertices, the mask of models with a pattern of each bidegree, and
-    ``key``, the model keys that, with a local shape and a slot pattern,
-    key the factor cache's tables.
+    step that colors its last edge.  A graph with no vertex to color has
+    one empty step, :data:`_NO_STEP`.  The context also holds the degree of
+    each vertex, the labels' open ends and ``start``, the alive mask,
+    factors and turns of the isolated vertices.  It reads from the models'
+    record (:func:`_model_set`) ``key``, the models key that, with a local
+    shape and a slot pattern, keys the factor cache's tables, the mask of
+    models with a pattern of each bidegree, and the weight of one isolated
+    vertex, so that none of them is built again for equal models.
 
     :meth:`alive` is the bidegree check of a subset: callers skip a subset
     it finds dead, before its state is built, yet still count it in
@@ -400,8 +472,7 @@ class _SubsetContext:
         self.two_ell = two_ell
         self.edges = g.edges
         self.tables = [h.scaled for h in models]
-        key = tuple(h.key for h in models)
-        self.key = _KEYS.get(key, key)
+        self.key, self.bidegrees, lone = _model_set(models)
         labeled = set(frag.labels)
         incident = [[] for _ in range(g.n_vertices)]  # in slot order, a loop twice
         for e, (a, b) in enumerate(g.edges):
@@ -429,26 +500,24 @@ class _SubsetContext:
                 at = max(map(colored.__getitem__, es))
             self.vertices.append((v, es, index, at))
             self.degrees.append((v, len(es)))
+        if not self.frees:
+            self.frees.append(())  # the one step of _NO_STEP
         self.leaf_edges = [e for e in range(g.n_edges) if e not in colored]
         self.n_vertices = g.n_vertices
-        # bit i of bidegrees[(s, x)] is set iff model i weighs some pattern of
-        # s symmetric colors and x exterior ones
-        self.bidegrees = {}
-        for i, h in enumerate(models):
-            for key in h.bidegrees:
-                self.bidegrees[key] = self.bidegrees.get(key, 0) | 1 << i
         self.open_ends = [frag.open_end(pos) for pos in range(frag.t)]
         # the weight of the isolated internal vertices, common to every subset: one
-        # vertex's factors and turns times their number; with none, (-1, None, None) keeps all
+        # vertex's factors and turns times their number; with none, every model is alive
+        n = len(models)
         weighed = g.n_vertices - len(labeled)
         isolated = weighed - len(self.vertices)  # labels have an edge each
-        hit = _vertex_factors((k, two_ell, 0, 0), (), self.tables) if isolated else (-1, None, None)
-        acc, turns = (1,) * len(models), (0,) * len(models)
-        if hit and hit[1] is not None:
-            acc = tuple(f**isolated for f in hit[1])
-        if hit and hit[2] is not None:
-            turns = tuple(q * isolated for q in hit[2])
-        self.start = ((1 << len(models)) - 1) & (hit[0] if hit else 0), acc, turns
+        mask, acc, turns = (1 << n) - 1, (1,) * n, (0,) * n
+        if isolated:
+            mask, factors, quarters = lone
+            if factors is not None:
+                acc = tuple(f**isolated for f in factors)
+            if quarters is not None:
+                turns = tuple(q * isolated for q in quarters)
+        self.start = mask, acc, turns
         self.scales = [h.denominator**weighed for h in models]
 
     def alive(self, subset) -> int:
@@ -491,6 +560,11 @@ class _SubsetContext:
         alone.  With no labels the single coefficient is the scalar sum.  The sums
         hold ints, or Gaussian integers once a weight with two nonzero parts
         enters, each model's times its entry of ``scales``.
+
+        The full colorings are the surviving children of the last step,
+        each with the colors of its edges between two labels: they are
+        added where the step finds them, with the child's own alive mask,
+        products and turns, and never pushed.
         """
         if not mask:
             return
@@ -506,7 +580,7 @@ class _SubsetContext:
         # edge it checks
         frees = self.frees
         m = len(frees)
-        steps = [None] * m
+        steps = [_NO_STEP] * m  # each step but that of a graph with none is set below
         checks = [[] for _ in frees]
         pairing = state.pairing
         walk = {}  # the walk's tables new to the cache, and its fully fixed ones
@@ -548,7 +622,9 @@ class _SubsetContext:
         # not bounded by the recursion limit: an entry (s, mask, acc, turns,
         # free) is a node whose step s-1 colored its free edges ``free``, and
         # colors of earlier steps are still those of its ancestors when it
-        # is popped
+        # is popped.  The last step's children are the leaves: each is summed
+        # where it is found, not pushed.
+        last = m - 1
         stack = [(0, mask, acc, turns, ())]
         pop, push = stack.pop, stack.append
         while stack:
@@ -556,24 +632,6 @@ class _SubsetContext:
             if s:
                 for e, c in zip(frees[s - 1], free):
                     colors[e] = c
-            if s == m:
-                for extra in leaf_colorings:
-                    for e, c in zip(leaf_edges, extra):
-                        colors[e] = c
-                    idx = 0
-                    negate = 0
-                    for e, offset, dual in slots:
-                        c = colors[e]
-                        if dual:
-                            sign, c = dual_basis(c, ell)
-                            if sign < 0:
-                                negate ^= 2
-                        idx = idx * base + offset + c - 1
-                    for i in range(n):
-                        if mask >> i & 1:
-                            leaves[i][idx] += weight
-                            turned[(negate + turns[i]) & 3][i][idx] += acc[i]
-                continue
             free_edges = frees[s]
             fixed_edges, table, cache_key, completes = steps[s]
             fixed = tuple(map(getitem, fixed_edges))
@@ -584,14 +642,14 @@ class _SubsetContext:
                 full = full_key, _table(walk, full_key)
                 live = _live_colorings(shape, pattern, fixed, tables, full)
                 _keep(cache_key, table, fixed, live)
-            nxt = s + 1
+            leaf = s == last
             for free, alive, factors, quarters in live:
                 alive &= mask
                 if not alive:
                     continue
                 f = acc if factors is None else tuple(map(mul, acc, factors))
                 q = turns if quarters is None else tuple(map(add, turns, quarters))
-                if completes:
+                if completes or leaf:
                     for e, c in zip(free_edges, free):
                         colors[e] = c
                     for es, ctable, ckey in completes:
@@ -612,7 +670,25 @@ class _SubsetContext:
                             q = tuple(map(add, q, quarters))
                     if not alive:
                         continue
-                push((nxt, alive, f, q, free))
+                if not leaf:
+                    push((s + 1, alive, f, q, free))
+                    continue
+                for extra in leaf_colorings:
+                    for e, c in zip(leaf_edges, extra):
+                        colors[e] = c
+                    idx = 0
+                    negate = 0
+                    for e, offset, dual in slots:
+                        c = colors[e]
+                        if dual:
+                            sign, c = dual_basis(c, ell)
+                            if sign < 0:
+                                negate ^= 2
+                        idx = idx * base + offset + c - 1
+                    for i in range(n):
+                        if alive >> i & 1:
+                            leaves[i][idx] += weight
+                            turned[(negate + q[i]) & 3][i][idx] += f[i]
 
 
 def subset_sums(
@@ -713,9 +789,11 @@ def _eulerian_classes(frag: Fragment) -> list[tuple[frozenset, int]]:
     of subsets in it.  The classes come from the Eulerian subsets of the
     support, the graph with one edge per group, as parity patterns: a
     non-loop group takes every count of its edge's parity in the pattern, a
-    loop group every count, so a pattern with a loop in it is skipped.  A
-    fragment without a repeated group has its Eulerian subsets as classes,
-    each of weight 1.
+    loop group every count, so a pattern with a loop in it is skipped.  The
+    patterns are the group masks of :func:`~mixedpf.graph._eulerian_masks`
+    over the groups' endpoint pairs, which the fragment's own validation
+    covers, so no support graph is built.  A fragment without a repeated
+    group has its Eulerian subsets as classes, each of weight 1.
     """
     edges = frag.graph.edges
     groups = {}
@@ -725,22 +803,25 @@ def _eulerian_classes(frag: Fragment) -> list[tuple[frozenset, int]]:
         return [(subset, 1) for subset in enumerate_eulerian_subsets(frag)]
     # options[j][p]: group j's (first edges, C(mu_j, c)) for each count c of parity p
     options = []
-    loops = set()
+    loops = 0  # the mask of the loop groups
     for j, ((a, b), es) in enumerate(groups.items()):
         counts = [(es[:c], comb(len(es), c)) for c in range(len(es) + 1)]
         if a == b:
-            loops.add(j)
+            loops |= 1 << j
             options.append((counts, counts))
         else:
             options.append((counts[::2], counts[1::2]))
-    support = Fragment(MultiGraph(frag.graph.n_vertices, tuple(groups)), frag.labels)
     classes = []
-    for pattern in enumerate_eulerian_subsets(support):
-        if not loops.isdisjoint(pattern):
+    for pattern in _eulerian_masks(groups, frag.labels):
+        if pattern & loops:
             continue
-        for choice in product(*(opts[j in pattern] for j, opts in enumerate(options))):
-            subset = frozenset(chain.from_iterable(es for es, _ in choice))
-            classes.append((subset, prod(weight for _, weight in choice)))
+        for choice in product(*(opts[pattern >> j & 1] for j, opts in enumerate(options))):
+            subset = []
+            weight = 1
+            for es, count in choice:
+                subset += es
+                weight *= count
+            classes.append((frozenset(subset), weight))
     return classes
 
 
@@ -949,7 +1030,8 @@ def partition_function(
     is cut by :func:`_balanced_cut` when a cut pays, and evaluated by
     :func:`_by_cut`; any other goes to :func:`partition_function_many`.
     In ordinary and skew mode a graph has a single subset, so no cut can
-    pay.
+    pay.  Each path validates the graph and model once, after the cut
+    finder, which reads the graph alone, and before any subset is summed.
     """
     frag = as_fragment(g)
     if frag.t:
@@ -957,8 +1039,8 @@ def partition_function(
     g = frag.graph
     # m - n + 1 is a connected graph's cycle rank, read before the pass over its edges
     if mode == "mixed" and g.n_edges - g.n_vertices + 1 >= CUT_GATE and n_components(g) == 1:
-        _validate([frag], [model], mode)
         side = _balanced_cut(g)
         if side is not None:
+            _validate([frag], [model], mode)
             return _by_cut(g, side, model, mode)
     return partition_function_many(g, [model], mode)[0]

@@ -157,8 +157,18 @@ def enumerate_eulerian_subsets(frag) -> list[frozenset]:
     bitmask sum(1 << e for e in subset); callers may rely on that order.
     """
     frag = as_fragment(frag)
-    edges = frag.graph.edges
-    node = {v: -1 for v in frag.labels}  # every label becomes the node -1
+    m = frag.graph.n_edges
+    return [
+        frozenset(e for e in range(m) if mask >> e & 1)
+        for mask in _eulerian_masks(frag.graph.edges, frag.labels)
+    ]
+
+
+def _eulerian_masks(edges, labels) -> list[int]:
+    """The edge bitmasks of :func:`enumerate_eulerian_subsets`, in ascending
+    order, of the edges ``edges``, (a, b) pairs of vertices, with the
+    vertices ``labels`` labeled: neither is validated."""
+    node = {v: -1 for v in labels}  # every label becomes the node -1
     ends = [(node.get(a, a), node.get(b, b)) for a, b in edges]
     adjacent = defaultdict(list)
     for e, (a, b) in enumerate(ends):
@@ -185,8 +195,7 @@ def enumerate_eulerian_subsets(frag) -> list[frozenset]:
             cycle = 1 << e ^ path[a] ^ path[b]
             masks += [mask ^ cycle for mask in masks]
     masks.sort()
-    m = len(edges)
-    return [frozenset(e for e in range(m) if mask >> e & 1) for mask in masks]
+    return masks
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,7 @@ def test_eval_many_colors_leave_the_factor_cache_bounded(tmp_path, capsys, monke
     # 2000 canonical forms of a 2000-count vector each were once held: 31 MiB
     monkeypatch.setattr(evaluator, "_FACTORS", {})
     monkeypatch.setattr(evaluator, "_held", 0)
+    monkeypatch.setattr(evaluator, "_KEYS", {})
     path = write(tmp_path, "edge.graph", ONE_EDGE_TEXT)
     tracemalloc.start()
     try:

@@ -31,6 +31,7 @@ from mixedpf.graph import (
     decompose,
     enumerate_eulerian_subsets,
     eulerian_state,
+    is_incoming,
     peel,
     split,
 )
@@ -252,36 +253,69 @@ def quarter_turn_models(rng, k, two_ell, max_degree):
 
 
 def test_the_vertex_walk_equals_the_coloring_oracle():
-    """subset_sums of the two quarter_turn_models together, on every
-    Eulerian subset of every multigraph with at most 3 vertices and 5 edges
-    and of every fragment with 2 labels, at most 2 internal vertices and 4
-    edges, under seeded states: coefficients and surviving colorings are the
-    oracle's.  The counts name the cases that reach each path of the walk."""
+    """subset_sums of the two quarter_turn_models and a third that keeps
+    every other pattern of the first, so that it dies on its own, together,
+    on every Eulerian subset of every multigraph with at most 3 vertices and
+    5 edges and of every fragment with 2 or 3 labels, at most 2 internal
+    vertices and 4 edges, under seeded states: coefficients and surviving
+    colorings are the oracle's, and a walk of weight 2, as of a
+    parallel-edge class of two subsets, sums twice each.  The counts name
+    the cases that reach each path of the walk; the last two reach the last
+    step, whose children are summed in place: it colors a label's dual
+    slot, or it completes a vertex with no free edge."""
     rng = random.Random(17)
     reached = dict.fromkeys(
-        ("loop", "edge between two labels", "vertex with no free edge", "Gaussian fallback"), 0
+        (
+            "loop",
+            "edge between two labels",
+            "vertex with no free edge",
+            "Gaussian fallback",
+            "last step colors a dual label slot",
+            "last step completes a vertex",
+        ),
+        0,
     )
     frags = [Fragment(g) for g in enumerate_multigraphs(3, 5)]
     frags += enumerate_fragments(2, 2, 4)
+    frags += enumerate_fragments(3, 2, 4)
     for pos, frag in enumerate(frags):
         k, two_ell = ((1, 2), (2, 2))[pos % 2]
         models = quarter_turn_models(rng, k, two_ell, max(frag.graph.max_degree(), 1))
+        models.append(EdgeColoringModel(k, two_ell, dict(list(models[0].entries.items())[::2])))
         walk = evaluator._SubsetContext(frag, models)
+        size = (k + two_ell) ** frag.t
+        last = len(walk.frees) - 1
+        completed = any(not index and at == last for _, _, index, at in walk.vertices)
         for subset in enumerate_eulerian_subsets(frag):
             state = eulerian_state(frag, subset, rng.randrange(100))
             expected = [coloring_sum_oracle(frag, subset, state, h) for h in models]
             assert subset_sums(frag, subset, state, models) == expected, (frag, subset)
+            by_turn = [[[0] * size for _ in models] for _ in range(4)]
+            counts = [[0] * size for _ in models]
+            walk.run(subset, state, walk.alive(subset), 0, 2, by_turn, counts)
+            weighted = [
+                (evaluator._unturn(sums, scale), sum(n))
+                for sums, n, scale in zip(zip(*by_turn), counts, walk.scales)
+            ]
+            assert weighted == [([2 * c for c in coeffs], 2 * n) for coeffs, n in expected]
             if not expected[1][1]:
                 continue  # no coloring survives the Gaussian model
             reached["loop"] += any(a == b for a, b in frag.graph.edges)
             reached["edge between two labels"] += bool(walk.leaf_edges)
             reached["vertex with no free edge"] += not all(index for _, _, index, _ in walk.vertices)
             reached["Gaussian fallback"] += any(c.re and c.im for c in expected[1][0])
+            reached["last step colors a dual label slot"] += any(
+                e in subset and e in walk.frees[last] and not is_incoming(state, (e, side))
+                for e, side in walk.open_ends
+            )
+            reached["last step completes a vertex"] += completed
     assert reached == {
-        "loop": 1862,
-        "edge between two labels": 106,
-        "vertex with no free edge": 429,
-        "Gaussian fallback": 1839,
+        "loop": 2069,
+        "edge between two labels": 304,
+        "vertex with no free edge": 433,
+        "Gaussian fallback": 2072,
+        "last step colors a dual label slot": 61,
+        "last step completes a vertex": 379,
     }
 
 
@@ -322,19 +356,21 @@ def test_shape_table_equals_model_evaluate(monkeypatch):
     _weighed; the others read their candidates from that list's table."""
     monkeypatch.setattr(evaluator, "_FACTORS", {})
     monkeypatch.setattr(evaluator, "_held", 0)
+    monkeypatch.setattr(evaluator, "_KEYS", {})
     checked = 0
     kinds = set()
     walk = {}
     for k, two_ell in ORACLE_SHAPES:
         h = distinct_pattern_model(k, two_ell, 4)
+        models_key = evaluator._model_set([h])[0]
         for n_pairs in range(3):
             for n_sym in range(5 - 2 * n_pairs):
                 shape = (k, two_ell, n_sym, n_pairs)
                 domains = [range(1, k + 1)] * n_sym + [range(1, two_ell + 1)] * (2 * n_pairs)
-                full_key = ((h.key,), shape, (None,) * (n_sym + 2 * n_pairs))
+                full_key = (models_key, shape, (None,) * (n_sym + 2 * n_pairs))
                 full = full_key, evaluator._table(walk, full_key)
                 for pattern in slot_patterns(n_sym, n_pairs):
-                    cache_key = ((h.key,), shape, pattern)
+                    cache_key = (models_key, shape, pattern)
                     table = evaluator._table(walk, cache_key)
                     free_domains = {j: d for d, j in zip(domains, pattern) if j is not None}
                     fixed_domains = [d for d, j in zip(domains, pattern) if j is None]
@@ -390,13 +426,18 @@ def test_the_walk_leaves_no_reference_cycles():
 
 def factor_numbers():
     """The numbers the factor cache holds, counted from its contents: per
-    table its shape, its slot pattern and each model key's entries times
-    colors, per list its fixed colors and, per live coloring, its free
-    colors, mask, factors and turns."""
+    model-set record its key's entries times colors and (k, 2l) per model,
+    3 per bidegree mask and the isolated vertex's mask, factors and turns;
+    per table its shape and its slot pattern; per list its fixed colors
+    and, per live coloring, its free colors, mask, factors and turns.  Each
+    table's models key is the key of a record held."""
     total = 0
+    for key, bidegrees, (_, factors, turns) in evaluator._KEYS.values():
+        total += sum(2 + len(items) * (k + l2) for k, l2, items in key)
+        total += 3 * len(bidegrees) + 1 + len(factors or ()) + len(turns or ())
     for (models_key, shape, pattern), table in evaluator._FACTORS.items():
+        assert evaluator._KEYS[models_key][0] is models_key
         total += len(shape) + len(pattern)
-        total += sum(2 + len(items) * (k + l2) for k, l2, items in models_key)
         for fixed, live in table.items():
             total += len(fixed)
             for free, _, factors, turns in live:
@@ -420,6 +461,7 @@ def test_factor_cache_holds_a_charpoly_pass(monkeypatch):
     made is still held."""
     monkeypatch.setattr(evaluator, "_FACTORS", CountedDict())
     monkeypatch.setattr(evaluator, "_held", 0)
+    monkeypatch.setattr(evaluator, "_KEYS", {})
     models = [charpoly_model(t, cap=12) for t in (0, 1, -2, Fraction(3, 2))]
     for g in enumerate_multigraphs(3, 6):
         partition_function_many(g, models, "mixed")
@@ -430,9 +472,11 @@ def test_factor_cache_holds_a_charpoly_pass(monkeypatch):
 
 def test_factor_cache_is_emptied_at_its_bound(monkeypatch):
     """Past the bound the cache starts over, and the values stay the same.
-    A table's key alone holds 78 numbers (the model's 18 entries times 4
-    colors, its (k, 2l) and the shape) and one per slot of its pattern, so
-    a bound of 40 keeps nothing, and one of 118 keeps a table at a time.
+    The model's record, counted once, holds 112 numbers (its 18 entries
+    times 4 colors, its (k, 2l), 3 for each of its 12 bidegree masks, and
+    the isolated vertex's mask and factor), and a table at least 9 (its
+    shape, one per slot of its pattern, and its lists), so a bound of 40
+    keeps nothing, and one of 128 keeps the record and a table at a time.
     Every table a walk filled is in the cache at the end: none escaped the
     count."""
     graphs = [
@@ -458,13 +502,14 @@ def test_factor_cache_is_emptied_at_its_bound(monkeypatch):
         del filled[:]
         monkeypatch.setattr(evaluator, "_FACTORS", CountedDict())
         monkeypatch.setattr(evaluator, "_held", 0)
+        monkeypatch.setattr(evaluator, "_KEYS", {})
         monkeypatch.setattr(evaluator, "MAX_MODEL_SIZE", bound)
         return [partition_function(g, h, "mixed").value for g in graphs]
 
     monkeypatch.setattr(evaluator, "_keep", spy)
     unbounded = values(evaluator.MAX_MODEL_SIZE)
     assert factor_numbers() > 400 and evaluator._FACTORS.emptied == 0
-    for bound, least in ((40, 0), (118, 79)):
+    for bound, least in ((40, 0), (128, 121)):
         assert values(bound) == unbounded
         assert evaluator._FACTORS.emptied >= 2
         assert least <= evaluator._held == factor_numbers() <= bound
@@ -480,6 +525,7 @@ def test_a_shape_weighs_each_color_tuple_once(monkeypatch):
     (180,300 calls)."""
     monkeypatch.setattr(evaluator, "_FACTORS", {})
     monkeypatch.setattr(evaluator, "_held", 0)
+    monkeypatch.setattr(evaluator, "_KEYS", {})
     weigh = evaluator._vertex_factors
     calls = 0
 
@@ -500,6 +546,7 @@ def test_equal_models_built_apart_share_one_cache(monkeypatch):
     the tables the first filled."""
     monkeypatch.setattr(evaluator, "_FACTORS", {})
     monkeypatch.setattr(evaluator, "_held", 0)
+    monkeypatch.setattr(evaluator, "_KEYS", {})
     first, second = charpoly_model(Fraction(3, 2), cap=3), charpoly_model(Fraction(3, 2), cap=3)
     assert first is not second and first.key == second.key
     g = MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -549,20 +596,107 @@ def test_the_first_model_whose_cap_a_graph_passes_refuses_it(monkeypatch):
     assert len(reads) == 1
 
 
+def test_equal_model_sets_built_apart_share_one_record(monkeypatch):
+    """Equal model sets built apart get one record, counted once: the
+    contexts of both read its key, bidegree masks and isolated vertex."""
+    monkeypatch.setattr(evaluator, "_FACTORS", {})
+    monkeypatch.setattr(evaluator, "_held", 0)
+    monkeypatch.setattr(evaluator, "_KEYS", {})
+    ts = (0, 1, -2, Fraction(3, 2))
+    first = [charpoly_model(t, cap=12) for t in ts]
+    second = [charpoly_model(t, cap=12) for t in ts]
+    record = evaluator._model_set(first)
+    held = evaluator._held
+    assert evaluator._model_set(second) is record
+    frag = Fragment(MultiGraph(4, ((0, 1), (0, 1), (1, 1))))
+    contexts = [evaluator._SubsetContext(frag, models) for models in (first, second)]
+    for ctx in contexts:
+        assert ctx.key is record[0] and ctx.bidegrees is record[1]
+    # vertices 2 and 3 are isolated, and t = 0 weighs them zero: every walk
+    # starts without that model
+    assert record[2] == (0b1110, (1, 1, -2, 3), None)
+    assert contexts[0].start == (0b1110, (1, 1, 4, 9), (0, 0, 0, 0))
+    assert list(evaluator._KEYS.values()) == [record]
+    assert evaluator._held == held == factor_numbers()
+
+
+def test_emptying_the_factor_cache_empties_the_records(monkeypatch):
+    """A cache emptied at its bound drops the records of the model sets it
+    held with their tables, and holds again the record of the walk that
+    emptied it."""
+    monkeypatch.setattr(evaluator, "_FACTORS", CountedDict())
+    monkeypatch.setattr(evaluator, "_held", 0)
+    monkeypatch.setattr(evaluator, "_KEYS", {})
+    g = MultiGraph(3, ((0, 1), (1, 2), (2, 0), (0, 0)))
+    first, second = charpoly_model(1, cap=4), charpoly_model(2, cap=4)
+    partition_function(g, first, "mixed")
+    assert list(evaluator._KEYS) == [(first.key,)] and evaluator._FACTORS
+    monkeypatch.setattr(evaluator, "MAX_MODEL_SIZE", evaluator._held)
+    assert partition_function(g, second, "mixed").value == charpoly_oracle(g).evaluate(2)
+    assert evaluator._FACTORS.emptied >= 1
+    assert list(evaluator._KEYS) == [(second.key,)]
+    assert all(models_key == (second.key,) for models_key, _, _ in evaluator._FACTORS)
+    assert evaluator._held == factor_numbers() <= evaluator.MAX_MODEL_SIZE
+
+
+def test_isolated_vertices_weigh_as_the_oracle():
+    """Every graph of enumerate_multigraphs(3, 4) with an isolated vertex,
+    under charpoly at t = 0, which weighs such a vertex zero, so that every
+    walk starts without that model, at t = 1/3 + i/2, a weight with two
+    nonzero parts, and at t = -2i/5, a quarter turn: each power of t
+    starts the products of its model.  Values are charpoly_oracle's."""
+    ts = (0, GaussianRational(Fraction(1, 3), Fraction(1, 2)), GaussianRational(0, Fraction(-2, 5)))
+    models = [charpoly_model(t, cap=8) for t in ts]
+    checked = 0
+    for g in enumerate_multigraphs(3, 4):
+        isolated = g.degrees().count(0)
+        if not isolated:
+            continue
+        mask, factors, turns = evaluator._SubsetContext(Fragment(g), models).start
+        assert mask == 0b110
+        assert factors[1:] == (6**isolated * ts[1] ** isolated, (-2) ** isolated)
+        assert turns == (0, 0, isolated)
+        results = partition_function_many(g, models, "mixed")
+        poly = charpoly_oracle(g)
+        assert [r.value for r in results] == [poly.evaluate(t) for t in ts], g
+        assert results[0].colorings == 0
+        checked += 1
+    assert checked == 101
+
+
+def test_partition_function_validates_once(monkeypatch):
+    """The Petersen graph is offered a cut and none pays, and the 5-prism is
+    cut: either way its largest degree is read once, and a cap it passes is
+    refused with the message of partition_function_many."""
+    reads = []
+    max_degree = Fragment.max_degree
+    monkeypatch.setattr(Fragment, "max_degree", lambda f: reads.append(f) or max_degree(f))
+    x = Fraction(3, 2)
+    for g in (PETERSEN, prism(5)):
+        del reads[:]
+        assert partition_function(g, charpoly_model(x, cap=3), "mixed").value == (
+            charpoly_oracle(g).evaluate(x)
+        )
+        assert len(reads) == 1
+    with pytest.raises(ValueError) as refused:
+        partition_function(PETERSEN, charpoly_model(x, cap=2), "mixed")
+    assert str(refused.value) == "graph has a vertex of degree 3 beyond the model's degree cap 2"
+
+
 def test_a_later_model_gets_its_own_factors(monkeypatch):
     """Each model is freed before the next of the same (k, 2l) and cap is
     built, so a later one may take a freed one's id; each gets the values it
     gives from an emptied cache."""
     monkeypatch.setattr(evaluator, "_FACTORS", {})
     monkeypatch.setattr(evaluator, "_held", 0)
+    monkeypatch.setattr(evaluator, "_KEYS", {})
     g = MultiGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1)))
     shared = []
     for t in range(-2, 4):
         shared.append(partition_function(g, charpoly_model(t, cap=4), "mixed"))
         gc.collect()
     for t, result in zip(range(-2, 4), shared):
-        evaluator._FACTORS.clear()
-        evaluator._held = 0
+        evaluator._empty()
         assert partition_function(g, charpoly_model(t, cap=4), "mixed") == result, t
 
 
@@ -1109,12 +1243,15 @@ def test_a_parallel_edge_class_sums_as_its_representative(monkeypatch):
 def test_dead_subsets_are_not_walked(monkeypatch):
     """eulerian_sum and fragment_tensor start their walk from the same check:
     the figure eight's full subset gives its vertex 4 exterior half-edges,
-    which no charpoly pattern has, so no vertex is weighed."""
+    which no charpoly pattern has, so no vertex is weighed.  The model's
+    record, which weighs an isolated vertex, is made first."""
     monkeypatch.setattr(evaluator, "_FACTORS", {})
     monkeypatch.setattr(evaluator, "_held", 0)
+    monkeypatch.setattr(evaluator, "_KEYS", {})
+    h = charpoly_model(1)
+    evaluator._model_set([h])
     weighed = []
     monkeypatch.setattr(evaluator, "_vertex_factors", lambda *args: weighed.append(args))
-    h = charpoly_model(1)
     assert eulerian_sum(FIG8, {0, 1}, h) == ZERO
     assert fragment_tensor(Fragment(FIG8), {0, 1}, h).coeffs == (ZERO,)
     assert weighed == []
