@@ -87,6 +87,17 @@ each surviving coloring's count.  ``subsets`` is the sum of the weights
 and ``colorings`` the weighted count, so both keep their meaning: every
 Eulerian subset, and every surviving full coloring.
 
+The same holds for any automorphism of the fragment that fixes each label:
+it maps a subset and its colorings one to one onto another subset and its
+colorings, with the same signed tensor, coloring counts and bidegrees, and
+it maps each parallel-edge group to one of the same size, so a class to a
+class of the same weight.  So once the classes that pass the bidegree check
+number :data:`ORBIT_GATE` or more, they are merged into their orbits under
+the generators that :func:`~mixedpf.graph._automorphisms` finds
+(:func:`_orbits`), and each orbit is peeled and walked once, by its first
+class, with the summed weight of its classes.  Below the gate the search
+costs more than the walks it saves.
+
 Each subset's state comes from the rng-free
 :func:`~mixedpf.graph.peel`, which counts circuits and lists the trails as
 it builds the state, so the sign needs no second trace; any valid state
@@ -138,6 +149,7 @@ from .graph import (
     EulerianState,
     Fragment,
     MultiGraph,
+    _automorphisms,
     _eulerian_masks,
     as_fragment,
     decompose,
@@ -838,6 +850,39 @@ def _mode_classes(frag: Fragment, mode: str) -> list[tuple[frozenset, int]]:
     return _eulerian_classes(frag)
 
 
+def _orbits(frag: Fragment, live: list) -> list[tuple[frozenset, int, int]]:
+    """The orbits of the live classes ``live``, (representative, weight,
+    alive mask) triples, under the automorphisms of the fragment that fix
+    each label (:func:`~mixedpf.graph._automorphisms`), each as its first
+    class with the summed weight of its classes.
+
+    An automorphism maps a representative, the first c_j edges of each
+    group j, to the first c_j edges of the image group, another
+    representative; so the classes are merged by union-find, with one image
+    per class and generator.  Classes of one orbit have equal signed
+    tensors, coloring counts and alive masks, so the orbit walks as its
+    first class.
+    """
+    index = {subset: j for j, (subset, _, _) in enumerate(live)}
+    root = list(range(len(live)))
+    for moved in _automorphisms(frag.graph.edges, frag.labels):
+        for j, (subset, _, _) in enumerate(live):
+            a, b = _root(root, j), _root(root, index[frozenset(map(moved.__getitem__, subset))])
+            root[max(a, b)] = min(a, b)
+    weights = [0] * len(live)
+    for j, (_, weight, _) in enumerate(live):
+        weights[_root(root, j)] += weight
+    return [(subset, weights[j], mask) for j, (subset, _, mask) in enumerate(live) if root[j] == j]
+
+
+def _root(root: list, j: int) -> int:
+    """The root of j in the union-find forest ``root``, halving its path."""
+    while root[j] != j:
+        root[j] = root[root[j]]
+        j = root[j]
+    return j
+
+
 def _validate(frags, models, mode: str) -> None:
     """Refuse, before any work, models that differ in (k, two_ell), a mode
     they do not fit, or a vertex beyond a model's degree cap."""
@@ -863,8 +908,11 @@ def _mode_sums(frag: Fragment, models, mode: str):
     a model's counts are its surviving full colorings, counted at the label
     coordinate of the coefficient each adds to.  The callers have validated
     ``models`` and ``mode`` (:func:`_validate`).  Each class of
-    :func:`_mode_classes` is walked once, by its representative and with
-    its weight, so the subsets and counts are those of a walk of every
+    :func:`_mode_classes` is checked by :meth:`_SubsetContext.alive` once,
+    and a dead one only counts in the subsets.  The live classes are merged
+    into their :func:`_orbits` once they number :data:`ORBIT_GATE` or more,
+    and each class or orbit left is walked once, by its representative and
+    with its weight, so the subsets and counts are those of a walk of every
     subset.  Each subset's tensor is scaled by i^q, q its
     :func:`subset_prefactor`: the walk adds q to the quarter turn of each
     product it sums, and the model's four sums by quarter turn are
@@ -878,11 +926,15 @@ def _mode_sums(frag: Fragment, models, mode: str):
     by_turn = [[[0] * size for _ in models] for _ in range(4)]
     counts = [[0] * size for _ in models]
     subsets = 0
+    live = []  # (representative, weight, alive mask) of each class some model survives
     for subset, weight in _mode_classes(frag, mode):
         subsets += weight
         mask = ctx.alive(subset)
-        if not mask:
-            continue  # every model weighs it zero; it still counts in subsets
+        if mask:  # a dead class adds zero to every sum, yet counts in subsets
+            live.append((subset, weight, mask))
+    if len(live) >= ORBIT_GATE:
+        live = _orbits(frag, live)
+    for subset, weight, mask in live:
         state, circuits, trails = peel(frag, subset)
         ctx.run(subset, state, mask, subset_prefactor(circuits, trails), weight, by_turn, counts)
     sums = [_unturn(turned, scale) for turned, scale in zip(zip(*by_turn), ctx.scales)]
@@ -928,6 +980,9 @@ def partition_function_many(
     return [EvaluationResult(value, n_subsets, n) for (value,), (n,) in sums]
 
 
+#: the least number of live classes that are merged into orbits: below it
+#: the search for automorphisms costs more than the walks it saves
+ORBIT_GATE = 16
 #: the least cycle rank at which a connected graph is offered a cut
 CUT_GATE = 6
 #: the most edges a cut may have: its halves' tensors have (k+2*ell)^t coefficients

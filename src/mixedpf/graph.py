@@ -198,6 +198,140 @@ def _eulerian_masks(edges, labels) -> list[int]:
     return masks
 
 
+def _automorphisms(edges, labels) -> list[tuple[int, ...]]:
+    """Generators of the automorphisms of the multigraph of the edges
+    ``edges``, (a, b) pairs of vertices, that fix each vertex of
+    ``labels``: neither is validated.
+
+    An automorphism is a permutation of the vertices with edges that keeps
+    the number of edges between any two vertices, and of loops at each.
+    Each generator is given as a permutation of the edges: the edges of one
+    endpoint pair, in index order, go to those of the image pair in index
+    order.
+
+    The search follows individualisation and pruning (McKay, "Practical
+    graph isomorphism", 1981).  The base is a breadth-first order from the
+    labels, then from the lowest vertex not yet reached, so each vertex but
+    those starts has an earlier neighbour.  Level by level from
+    the last, :func:`_extend` looks for an automorphism that fixes the base
+    vertices before the level's and moves the level's vertex to each vertex
+    not yet in its orbit under the generators found so far; each one found
+    is a generator.  Once a level is done the generators are transitive on
+    its vertex's orbit under the level's stabiliser and hold the next
+    level's, so they generate the stabiliser, and after the first level
+    the group.  The labels are the first base vertices and are never
+    moved.
+    """
+    n = 1 + max((max(pair) for pair in edges), default=-1)
+    adjacent = [{} for _ in range(n)]  # adjacent[u][w]: the edges between u and w, loops once
+    for a, b in edges:
+        adjacent[a][b] = adjacent[a].get(b, 0) + 1
+        if a != b:
+            adjacent[b][a] = adjacent[b].get(a, 0) + 1
+    # breadth first from the labels, then from each vertex with edges not yet reached
+    order = list(labels)
+    position = {v: j for j, v in enumerate(order)}
+    j = 0
+    for root in range(n + 1):
+        while j < len(order):
+            for w in sorted(adjacent[order[j]]):
+                if w not in position:
+                    position[w] = len(order)
+                    order.append(w)
+            j += 1
+        if root < n and root not in position and adjacent[root]:
+            position[root] = len(order)
+            order.append(root)
+    # earlier[j]: the base vertex j's edges to earlier base vertices, as (vertex, count)
+    earlier = [
+        [(u, c) for u, c in adjacent[v].items() if position[u] < j] for j, v in enumerate(order)
+    ]
+    shape = [(adj.get(v, 0), *sorted(adj.values())) for v, adj in enumerate(adjacent)]
+    base = (order, earlier, adjacent, shape)
+    generators = []
+    for i in range(len(order) - 1, len(labels) - 1, -1):
+        v = order[i]
+        orbit = {v}
+        for x in order[i + 1 :]:
+            if x in orbit:
+                continue
+            image = _extend(base, i, x)
+            if image is None:
+                continue
+            generators.append(image)
+            grown = [v]
+            for u in grown:
+                for g in generators:
+                    if g[u] not in orbit:
+                        orbit.add(g[u])
+                        grown.append(g[u])
+    groups = {}
+    for e, (a, b) in enumerate(edges):
+        groups.setdefault((a, b) if a <= b else (b, a), []).append(e)
+    ranks = {e: r for es in groups.values() for r, e in enumerate(es)}
+    maps = []
+    for g in generators:
+        moved = []
+        for e, (a, b) in enumerate(edges):
+            a, b = g[a], g[b]
+            moved.append(groups[(a, b) if a <= b else (b, a)][ranks[e]])
+        maps.append(tuple(moved))
+    return maps
+
+
+def _extend(base, i: int, x: int) -> list[int] | None:
+    """A vertex map of an automorphism that fixes the base vertices before
+    position ``i`` and maps base vertex i to ``x``, or None if there is
+    none: a depth-first search over an explicit stack that maps the base
+    vertices after i in base order, each to an unused vertex of its shape
+    (loops and sorted edge counts) whose edges to the vertices mapped so far
+    are the images of its own.  A vertex with an earlier neighbour goes only
+    to a neighbour of that neighbour's image, itself first."""
+    order, earlier, adjacent, shape = base
+    image = [-1] * len(adjacent)
+    used = [False] * len(adjacent)
+    for v in order[:i]:
+        image[v] = v
+        used[v] = True
+    candidates = [x]
+    j = i
+    stack = []
+    while True:
+        v = order[j]
+        for w in candidates:
+            if used[w] or shape[w] != shape[v]:
+                continue
+            edges_w = adjacent[w]
+            if sum(used[u] for u in edges_w if u != w) != len(earlier[j]):
+                continue
+            if all(edges_w.get(image[u]) == c for u, c in earlier[j]):
+                break
+        else:
+            # no candidate is left at this position: back up to the last choice
+            if not stack:
+                return None
+            j, candidates = stack.pop()
+            used[image[order[j]]] = False
+            image[order[j]] = -1
+            continue
+        image[v] = w
+        used[w] = True
+        rest = candidates[candidates.index(w) + 1 :]
+        stack.append((j, rest))
+        j += 1
+        if j == len(order):
+            for u in range(len(image)):
+                if image[u] < 0:
+                    image[u] = u  # a vertex with no edge stays
+            return image
+        v = order[j]
+        if earlier[j]:
+            neighbours = adjacent[image[earlier[j][0][0]]]
+            candidates = [v] * (v in neighbours) + [u for u in neighbours if u != v]
+        else:
+            candidates = [v] + [u for u in order if u != v]
+
+
 @dataclass(frozen=True)
 class EulerianState:
     """An Eulerian orientation plus a compatible local pairing of a subset.

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedpf import evaluator
+from mixedpf import evaluator, graph
 from mixedpf.algebra import I, ZERO, GaussianRational
 from mixedpf.connection import DirectedMatching, canonical_matching_sign, fragment_tensor
 from mixedpf.evaluator import (
@@ -20,6 +20,7 @@ from mixedpf.evaluator import (
     partition_function,
     partition_function_many,
     subset_sums,
+    tensor_sums,
 )
 from mixedpf.graph import (
     EulerianState,
@@ -405,7 +406,9 @@ def test_shape_table_equals_model_evaluate(monkeypatch):
 
 
 def test_the_walk_leaves_no_reference_cycles():
-    """A coloring walk frees its state without the cycle collector."""
+    """A coloring walk, and the search for automorphisms on the Petersen
+    graph, whose 64 live classes partition_function merges into orbits,
+    free their state without the cycle collector."""
     prism = MultiGraph(
         6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5))
     )
@@ -417,6 +420,7 @@ def test_the_walk_leaves_no_reference_cycles():
     gc.disable()
     try:
         partition_function(prism, h, "mixed")
+        partition_function(PETERSEN, h, "mixed")
         for subset in subsets:
             fragment_tensor(frag, subset, h)
         assert gc.collect() == 0
@@ -1603,3 +1607,127 @@ def test_the_cut_finder_is_bounded(monkeypatch):
     side = evaluator._balanced_cut(g)
     assert len(pushes) <= evaluator.CUT_STARTS * 2 * g.n_edges
     assert split(g, side)[0].t == 4
+
+
+# -- orbits of the live classes under the label-fixing automorphisms -------------
+
+
+def test_orbits_keep_every_value_subset_and_coloring(monkeypatch):
+    """With the orbit gate forced open, every multigraph with at most 3
+    vertices and 6 edges, under the four charpoly models and under
+    circuit_odd(1), and every fragment with 1 to 3 labels, at most 2
+    internal vertices and 4 edges, through tensor_sums and _mode_sums, gives
+    exactly the values, subsets and per-coordinate colorings of the
+    per-class loop with the gate out of reach."""
+    merged = Counter()
+    orbits = evaluator._orbits
+
+    def spy(frag, live):
+        out = orbits(frag, live)
+        merged[frag.t] += len(out) < len(live)
+        return out
+
+    monkeypatch.setattr(evaluator, "_orbits", spy)
+
+    def both(call):
+        monkeypatch.setattr(evaluator, "ORBIT_GATE", 1)
+        got = call()
+        monkeypatch.setattr(evaluator, "ORBIT_GATE", math.inf)
+        return got, call()
+
+    charpoly = [charpoly_model(t, cap=12) for t in (0, 1, -2, Fraction(3, 2))]
+    calls = (charpoly, [circuit_odd_model(1, cap=12)])
+    for g in enumerate_multigraphs(3, 6):
+        for models in calls:
+            got, expected = both(lambda: partition_function_many(g, models, "mixed"))
+            assert got == expected, g
+    for t in (1, 2, 3):
+        frags = list(enumerate_fragments(t, 2, 4))
+        for models in calls:
+            for h in models:
+                got, expected = both(lambda: tensor_sums(frags, h, "mixed"))
+                assert got == expected, (t, h)
+            for frag in frags:
+                got, expected = both(lambda: evaluator._mode_sums(frag, models, "mixed"))
+                assert got == expected, frag
+    # the graphs and fragments, by label count, whose live classes fall into
+    # fewer orbits under some call
+    assert merged == {0: 173, 1: 0, 2: 12, 3: 0}
+
+
+def automorphisms_by_brute_force(frag):
+    """Every permutation of the vertices that fixes each label and keeps the
+    number of edges of every endpoint pair, as a list over the vertices."""
+    g = frag.graph
+    count = Counter(frozenset(e) for e in g.edges)
+    free = [v for v in range(g.n_vertices) if v not in frag.labels]
+    found = []
+    for image in itertools.permutations(free):
+        sigma = list(range(g.n_vertices))
+        for v, w in zip(free, image):
+            sigma[v] = w
+        if all(count[frozenset(sigma[v] for v in pair)] == c for pair, c in count.items()):
+            found.append(sigma)
+    return found
+
+
+def test_orbits_are_those_of_the_whole_group():
+    """On every multigraph with at most 4 vertices and 5 edges and every
+    fragment with 2 labels, at most 2 internal vertices and 4 edges, each
+    generator permutes the edges as some label-fixing automorphism maps
+    their endpoint pairs, and the classes fall into as many orbits under
+    the generators as under every such automorphism."""
+    frags = [Fragment(g) for g in enumerate_multigraphs(4, 5)]
+    frags += list(enumerate_fragments(2, 2, 4))
+    merged = 0
+    for frag in frags:
+        edges = frag.graph.edges
+        sigmas = automorphisms_by_brute_force(frag)
+        pair_maps = {tuple(frozenset(sigma[v] for v in e) for e in edges) for sigma in sigmas}
+        for moved in graph._automorphisms(edges, frag.labels):
+            assert sorted(moved) == list(range(len(edges))), frag
+            assert tuple(frozenset(edges[moved[e]]) for e in range(len(edges))) in pair_maps
+        classes = evaluator._eulerian_classes(frag)
+        groups = edge_groups(frag.graph)
+        pairs = [frozenset(edges[es[0]]) for es in groups]
+        vectors = {class_of(groups, subset) for subset, _ in classes}
+        orbits = set()
+        for vector in vectors:
+            counts = dict(zip(pairs, vector))
+            orbits.add(
+                min(
+                    tuple(counts[frozenset(sigma[v] for v in pair)] for pair in pairs)
+                    for sigma in sigmas
+                )
+            )
+        got = evaluator._orbits(frag, [(subset, weight, 1) for subset, weight in classes])
+        assert len(got) == len(orbits), frag
+        assert sum(weight for _, weight, _ in got) == sum(weight for _, weight in classes)
+        merged += len(orbits) < len(classes)
+    assert (len(frags), merged) == (3596, 453)
+
+
+@pytest.mark.parametrize(
+    "name, g, live, orbits, peeled",
+    [
+        ("K4", MultiGraph(4, tuple(itertools.combinations(range(4), 2))), 8, 3, 8),
+        ("K3,3", mobius_ladder(3), 16, 3, 3),
+        ("prism-4", prism(4), 32, 6, 6),
+        ("Petersen", PETERSEN, 64, 6, 6),
+    ],
+)
+def test_charpoly_live_classes_fall_into_few_orbits(monkeypatch, name, g, live, orbits, peeled):
+    """The live classes of charpoly(3/2), their orbits, and the subsets
+    partition_function peels: one per orbit once the live classes reach the
+    gate, one per class below it."""
+    h = charpoly_model(Fraction(3, 2))
+    frag = Fragment(g)
+    ctx = evaluator._SubsetContext(frag, [h])
+    classes = [(s, w, ctx.alive(s)) for s, w in evaluator._eulerian_classes(frag)]
+    classes = [c for c in classes if c[2]]
+    assert (len(classes), len(evaluator._orbits(frag, classes))) == (live, orbits)
+    calls = []
+    monkeypatch.setattr(evaluator, "peel", lambda *args: calls.append(args) or peel(*args))
+    result = partition_function(g, h, "mixed")
+    assert len(calls) == peeled
+    assert result.value == charpoly_oracle(g).evaluate(Fraction(3, 2))
