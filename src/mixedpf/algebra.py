@@ -31,7 +31,8 @@ def _component(x):
 
 
 def _fraction(x) -> Fraction:
-    """Fraction(x) for parsed input, where every malformed x is a ValueError.
+    """Fraction(x) for parsed input, where every malformed x is the one
+    ValueError "not an exact rational: x".
 
     A float is refused, as a bool is: Fraction would read its binary value
     exactly (0.1 as 3602879701896397/36028797018963968), never what was
@@ -42,7 +43,7 @@ def _fraction(x) -> Fraction:
         raise ValueError(f"not an exact rational: {x!r}")
     try:
         return Fraction(x)
-    except (TypeError, ZeroDivisionError, OverflowError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"not an exact rational: {x!r}") from None
 
 

@@ -87,16 +87,26 @@ each surviving coloring's count.  ``subsets`` is the sum of the weights
 and ``colorings`` the weighted count, so both keep their meaning: every
 Eulerian subset, and every surviving full coloring.
 
-The same holds for any automorphism of the fragment that fixes each label:
-it maps a subset and its colorings one to one onto another subset and its
-colorings, with the same signed tensor, coloring counts and bidegrees, and
-it maps each parallel-edge group to one of the same size, so a class to a
-class of the same weight.  So once the classes that pass the bidegree check
-number :data:`ORBIT_GATE` or more, they are merged into their orbits under
-the generators that :func:`~mixedpf.graph._automorphisms` finds
-(:func:`_orbits`), and each orbit is peeled and walked once, by its first
-class, with the summed weight of its classes.  Below the gate the search
-costs more than the walks it saves.
+Much the same holds for any automorphism of the fragment that maps labels
+to labels and its other vertices to other vertices.  It maps each
+parallel-edge group to one of the same size, so a class to a class of the
+same weight, with the same bidegrees, and it maps a subset and its
+colorings one to one onto another subset and its colorings.  When it fixes
+each label the signed tensors and coloring counts are equal.  When it moves
+label q to label p(q), the tensor V^(x)t of the image class is that of the
+class with its coordinates permuted: at c it is the class's at c', where
+c'_q = c_p(q), times the Koszul sign, the sign of the sequence of p(q) over
+the q, in increasing order, whose c'_q is exterior; the counts move with no
+sign.  So once the classes that pass the bidegree check number
+:data:`ORBIT_GATE` or more, they are merged into their orbits under the
+generators that :func:`~mixedpf.graph._automorphisms` finds
+(:func:`_orbits`), each class with the label permutation of one group
+element that maps its orbit's first class onto it.  Each orbit is peeled
+and walked once, by its first class, into one sum per label permutation
+with the summed weight of its classes of that permutation, and each sum
+but that of the unmoved labels is permuted into the total once, at the end
+(:func:`_relabel`), a sign of -1 as two quarter turns.  Below the gate the
+search costs more than the walks it saves.
 
 Each subset's state comes from the rng-free
 :func:`~mixedpf.graph.peel`, which counts circuits and lists the trails as
@@ -552,9 +562,7 @@ class _SubsetContext:
             mask &= bidegrees.get((degree - x, x), 0)
         return mask
 
-    def run(
-        self, subset, state: EulerianState, mask: int, turn: int, weight: int, by_turn, leaves
-    ) -> None:
+    def run(self, subset, state: EulerianState, mask: int, turn: int, targets) -> None:
         """Sum per-coloring products of internal-vertex weights by label colors.
 
         ``mask`` is :meth:`alive` of the subset.  One walk of the coloring
@@ -566,17 +574,21 @@ class _SubsetContext:
         subset's tensor: q is ``turn``, the subset's prefactor, plus the
         turns of its weights and 2 for each dual label color of sign -1.
         Adds ``weight`` for each full coloring the model weighs nonzero,
-        at the same coordinates, to the list ``leaves[i]``.  ``weight`` is
-        the number of subsets in the subset's parallel-edge class, which all
-        have its sums, or 1.  Callers pass zeros for one subset's sums
-        alone.  With no labels the single coefficient is the scalar sum.  The sums
-        hold ints, or Gaussian integers once a weight with two nonzero parts
-        enters, each model's times its entry of ``scales``.
+        at the same coordinates, to the list ``leaves[i]``.  It does so for
+        each (weight, by_turn, leaves) of ``targets``: ``weight`` is the
+        number of subsets, in the orbit of the subset's parallel-edge class,
+        whose sums that target takes, or 1.  Callers pass zeros for one
+        subset's sums alone.  With no labels the single coefficient is the
+        scalar sum.  The sums hold ints, or Gaussian integers once a weight
+        with two nonzero parts enters, each model's times its entry of
+        ``scales``.
 
         The full colorings are the surviving children of the last step,
         each with the colors of its edges between two labels: they are
         added where the step finds them, with the child's own alive mask,
-        products and turns, and never pushed.
+        products and turns, and never pushed.  A lone target's weight
+        multiplies the walk's starting products; with more, each leaf
+        multiplies its products by each target's weight.
         """
         if not mask:
             return
@@ -584,8 +596,17 @@ class _SubsetContext:
         n = len(tables)
         base = k + two_ell
         _, acc, turns = self.start
-        if weight != 1:
-            acc = tuple(a * weight for a in acc)
+        # turned[j][i]: model i's sum of the products of quarter turn j, the
+        # subset's added; with several targets, sinks holds each one's weight,
+        # turned sums and leaves
+        sinks = None
+        if len(targets) == 1:
+            [(weight, by_turn, leaves)] = targets
+            turned = by_turn[turn:] + by_turn[:turn]
+            if weight != 1:
+                acc = tuple(a * weight for a in acc)
+        else:
+            sinks = [(w, sums[turn:] + sums[:turn], counts) for w, sums, counts in targets]
 
         # per step: its vertex's fixed slots' edges, its table, the table's cache
         # key, and the (slot edges, table, cache key) of each vertex with no free
@@ -624,8 +645,6 @@ class _SubsetContext:
             leaf_colorings = list(
                 product(*(range(1, (two_ell if e in subset else k) + 1) for e in leaf_edges))
             )
-        # turned[j][i]: model i's sum of the products of quarter turn j, the subset's added
-        turned = by_turn[turn:] + by_turn[:turn]
         colors = [0] * len(self.edges)
         getitem = colors.__getitem__
         ell = two_ell // 2
@@ -697,10 +716,17 @@ class _SubsetContext:
                             if sign < 0:
                                 negate ^= 2
                         idx = idx * base + offset + c - 1
-                    for i in range(n):
-                        if alive >> i & 1:
-                            leaves[i][idx] += weight
-                            turned[(negate + q[i]) & 3][i][idx] += f[i]
+                    if sinks is None:
+                        for i in range(n):
+                            if alive >> i & 1:
+                                leaves[i][idx] += weight
+                                turned[(negate + q[i]) & 3][i][idx] += f[i]
+                        continue
+                    for w, sums, counts in sinks:
+                        for i in range(n):
+                            if alive >> i & 1:
+                                counts[i][idx] += w
+                                sums[(negate + q[i]) & 3][i][idx] += f[i] * w
 
 
 def subset_sums(
@@ -722,7 +748,7 @@ def subset_sums(
     size = (ctx.k + ctx.two_ell) ** frag.t
     by_turn = [[[0] * size for _ in models] for _ in range(4)]
     leaves = [[0] * size for _ in models]
-    ctx.run(subset, state, ctx.alive(subset), 0, 1, by_turn, leaves)
+    ctx.run(subset, state, ctx.alive(subset), 0, [(1, by_turn, leaves)])
     return [
         (_unturn(sums, scale), sum(n)) for sums, n, scale in zip(zip(*by_turn), leaves, ctx.scales)
     ]
@@ -850,37 +876,83 @@ def _mode_classes(frag: Fragment, mode: str) -> list[tuple[frozenset, int]]:
     return _eulerian_classes(frag)
 
 
-def _orbits(frag: Fragment, live: list) -> list[tuple[frozenset, int, int]]:
+def _orbits(frag: Fragment, live: list) -> list[tuple[frozenset, int, dict]]:
     """The orbits of the live classes ``live``, (representative, weight,
-    alive mask) triples, under the automorphisms of the fragment that fix
-    each label (:func:`~mixedpf.graph._automorphisms`), each as its first
-    class with the summed weight of its classes.
+    alive mask) triples, under the automorphisms of the fragment that map
+    labels to labels (:func:`~mixedpf.graph._automorphisms`), each as
+    (first class, alive mask, weights): ``weights`` maps a label
+    permutation p to the summed weight of the orbit's classes that an
+    automorphism of label permutation p maps the first class onto.
 
     An automorphism maps a representative, the first c_j edges of each
     group j, to the first c_j edges of the image group, another
-    representative; so the classes are merged by union-find, with one image
-    per class and generator.  Classes of one orbit have equal signed
-    tensors, coloring counts and alive masks, so the orbit walks as its
-    first class.
+    representative.  Each orbit is grown breadth first from its first
+    class, one image per class and generator, and each class takes the
+    label permutation of the path that reached it, the generators' label
+    permutations composed along it; the group is never listed.  Classes of
+    one orbit have equal alive masks, and their signed tensors are those of
+    the first class with the labels moved (:func:`_relabel`).
     """
     index = {subset: j for j, (subset, _, _) in enumerate(live)}
-    root = list(range(len(live)))
-    for moved in _automorphisms(frag.graph.edges, frag.labels):
-        for j, (subset, _, _) in enumerate(live):
-            a, b = _root(root, j), _root(root, index[frozenset(map(moved.__getitem__, subset))])
-            root[max(a, b)] = min(a, b)
-    weights = [0] * len(live)
-    for j, (_, weight, _) in enumerate(live):
-        weights[_root(root, j)] += weight
-    return [(subset, weights[j], mask) for j, (subset, _, mask) in enumerate(live) if root[j] == j]
+    generators = _automorphisms(frag.graph.edges, frag.labels)
+    perms = [None] * len(live)  # each class's label permutation, once reached
+    orbits = []
+    for j, (first, _, mask) in enumerate(live):
+        if perms[j] is not None:
+            continue
+        perms[j] = tuple(range(frag.t))
+        weights = {}
+        grown = [j]
+        for u in grown:
+            subset, weight, _ = live[u]
+            perm = perms[u]
+            weights[perm] = weights.get(perm, 0) + weight
+            for edge_map, label_map in generators:
+                v = index[frozenset(map(edge_map.__getitem__, subset))]
+                if perms[v] is None:
+                    perms[v] = tuple(label_map[q] for q in perm)
+                    grown.append(v)
+        orbits.append((first, mask, weights))
+    return orbits
 
 
-def _root(root: list, j: int) -> int:
-    """The root of j in the union-find forest ``root``, halving its path."""
-    while root[j] != j:
-        root[j] = root[root[j]]
-        j = root[j]
-    return j
+def _relabel(perm, k: int, base: int, source, target) -> None:
+    """Add to ``target``, the (sums by quarter turn, counts) of a fragment
+    F, those of ``source``, taken with F's labels moved by ``perm``:
+    ``labels'[q] = labels[perm[q]]``.  An orbit's first class walked with
+    its weight stands so for the classes that an automorphism of label
+    permutation ``perm`` maps it onto.
+
+    F's tensor at coordinate c is that of F with its labels moved at c',
+    c'_q = c_perm[q], times the Koszul sign of the move: the sign of the
+    sequence of perm[q] over the q, in increasing order, whose c'_q is
+    exterior (offset k or more).  So each coordinate c' of ``source`` is
+    added at c, a sign of -1 as two quarter turns; counts take no sign.  A
+    coordinate that no coloring reached is skipped.
+    """
+    t = len(perm)
+    steps = [base ** (t - 1 - p) for p in perm]
+    flips = {}  # by the mask of the exterior q: 2 if the sign is -1, else 0
+    source_turns, source_counts = source
+    target_turns, target_counts = target
+    for c in {c for counts in source_counts for c, n in enumerate(counts) if n}:
+        idx = exterior = 0
+        rest = c
+        for q in range(t - 1, -1, -1):  # the last label's digit is the least significant
+            rest, d = divmod(rest, base)
+            idx += d * steps[q]
+            if d >= k:
+                exterior |= 1 << q
+        flip = flips.get(exterior)
+        if flip is None:
+            moved = [perm[q] for q in range(t) if exterior >> q & 1]
+            flip = flips[exterior] = 2 if permutation_sign(moved) < 0 else 0
+        for i, counts in enumerate(source_counts):
+            if counts[c]:
+                target_counts[i][idx] += counts[c]
+                for j in range(4):
+                    if source_turns[j][i][c]:
+                        target_turns[(j + flip) & 3][i][idx] += source_turns[j][i][c]
 
 
 def _validate(frags, models, mode: str) -> None:
@@ -910,21 +982,27 @@ def _mode_sums(frag: Fragment, models, mode: str):
     ``models`` and ``mode`` (:func:`_validate`).  Each class of
     :func:`_mode_classes` is checked by :meth:`_SubsetContext.alive` once,
     and a dead one only counts in the subsets.  The live classes are merged
-    into their :func:`_orbits` once they number :data:`ORBIT_GATE` or more,
-    and each class or orbit left is walked once, by its representative and
-    with its weight, so the subsets and counts are those of a walk of every
-    subset.  Each subset's tensor is scaled by i^q, q its
-    :func:`subset_prefactor`: the walk adds q to the quarter turn of each
-    product it sums, and the model's four sums by quarter turn are
-    combined once at the end.  Sums stay scaled by
+    into their :func:`_orbits`, under the automorphisms that map labels to
+    labels, once they number :data:`ORBIT_GATE` or more.  Each class or
+    orbit left is walked once, by its representative, into one sum per
+    label permutation of its classes, with their summed weight; each sum of
+    moved labels is then added to the total by :func:`_relabel`, with the
+    Koszul sign of its permutation at each coordinate.  So the subsets and
+    counts are those of a walk of every subset.  Each subset's tensor is
+    scaled by i^q, q its :func:`subset_prefactor`: the walk adds q to the
+    quarter turn of each product it sums, and the model's four sums by
+    quarter turn are combined once at the end.  Sums stay scaled by
     D^(n_vertices - t) until one division per coefficient, and the
     fragment's own circles multiply them by k - 2*ell each.
     """
     ctx = _SubsetContext(frag, models)
-    size = (ctx.k + ctx.two_ell) ** frag.t
-    # by_turn[q][i]: model i's sum of the products whose quarter turn is q
-    by_turn = [[[0] * size for _ in models] for _ in range(4)]
-    counts = [[0] * size for _ in models]
+    base = ctx.k + ctx.two_ell
+    size = base**frag.t
+
+    def zeros():
+        # by_turn[q][i]: model i's sum of the products whose quarter turn is q; counts[i]
+        return [[[0] * size for _ in models] for _ in range(4)], [[0] * size for _ in models]
+
     subsets = 0
     live = []  # (representative, weight, alive mask) of each class some model survives
     for subset, weight in _mode_classes(frag, mode):
@@ -932,11 +1010,26 @@ def _mode_sums(frag: Fragment, models, mode: str):
         mask = ctx.alive(subset)
         if mask:  # a dead class adds zero to every sum, yet counts in subsets
             live.append((subset, weight, mask))
-    if len(live) >= ORBIT_GATE:
-        live = _orbits(frag, live)
-    for subset, weight, mask in live:
+    by_turn, counts = total = zeros()
+    # (by_turn, counts) of the walks by label permutation; the identity's is the total
+    moved = {}
+    if len(live) < ORBIT_GATE:
+        walks = ((subset, mask, [(weight, by_turn, counts)]) for subset, weight, mask in live)
+    else:
+        unmoved = tuple(range(frag.t))
+        walks = []
+        for first, mask, weights in _orbits(frag, live):
+            targets = []
+            for perm, weight in weights.items():
+                if perm != unmoved and perm not in moved:
+                    moved[perm] = zeros()
+                targets.append((weight, *moved.get(perm, total)))
+            walks.append((first, mask, targets))
+    for subset, mask, targets in walks:
         state, circuits, trails = peel(frag, subset)
-        ctx.run(subset, state, mask, subset_prefactor(circuits, trails), weight, by_turn, counts)
+        ctx.run(subset, state, mask, subset_prefactor(circuits, trails), targets)
+    for perm, sums in moved.items():
+        _relabel(perm, ctx.k, base, sums, total)
     sums = [_unturn(turned, scale) for turned, scale in zip(zip(*by_turn), ctx.scales)]
     if frag.graph.n_circles:
         # the mode checks make k - 2*ell the circle factor of every mode

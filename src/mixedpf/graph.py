@@ -198,29 +198,32 @@ def _eulerian_masks(edges, labels) -> list[int]:
     return masks
 
 
-def _automorphisms(edges, labels) -> list[tuple[int, ...]]:
+def _automorphisms(edges, labels) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Generators of the automorphisms of the multigraph of the edges
-    ``edges``, (a, b) pairs of vertices, that fix each vertex of
-    ``labels``: neither is validated.
+    ``edges``, (a, b) pairs of vertices, that map labels to labels and the
+    other vertices to other vertices, the vertices ``labels`` being the
+    labels: neither is validated.
 
     An automorphism is a permutation of the vertices with edges that keeps
     the number of edges between any two vertices, and of loops at each.
-    Each generator is given as a permutation of the edges: the edges of one
-    endpoint pair, in index order, go to those of the image pair in index
-    order.
+    Each generator is given as (edge permutation, label permutation).  The
+    edges of one endpoint pair, in index order, go to those of the image
+    pair in index order; the label permutation p has the generator map
+    ``labels[q]`` to ``labels[p[q]]``.
 
     The search follows individualisation and pruning (McKay, "Practical
     graph isomorphism", 1981).  The base is a breadth-first order from the
-    labels, then from the lowest vertex not yet reached, so each vertex but
-    those starts has an earlier neighbour.  Level by level from
-    the last, :func:`_extend` looks for an automorphism that fixes the base
-    vertices before the level's and moves the level's vertex to each vertex
-    not yet in its orbit under the generators found so far; each one found
-    is a generator.  Once a level is done the generators are transitive on
-    its vertex's orbit under the level's stabiliser and hold the next
-    level's, so they generate the stabiliser, and after the first level
-    the group.  The labels are the first base vertices and are never
-    moved.
+    first label, restarted from the first label not yet reached, then from
+    the lowest vertex not yet reached, so each vertex but those starts has
+    an earlier neighbour.  Level by level from the last, :func:`_extend`
+    looks for an automorphism that fixes the base vertices before the
+    level's and moves the level's vertex to each vertex of its shape not
+    yet in its orbit under the generators found so far; each one found is
+    a generator.  Once a level is done the generators are transitive on its
+    vertex's orbit under the level's stabiliser and hold the next level's,
+    so they generate the stabiliser, and after the first level the group.
+    A label goes only to a label: being a label is part of a vertex's
+    shape.
     """
     n = 1 + max((max(pair) for pair in edges), default=-1)
     adjacent = [{} for _ in range(n)]  # adjacent[u][w]: the edges between u and w, loops once
@@ -228,11 +231,11 @@ def _automorphisms(edges, labels) -> list[tuple[int, ...]]:
         adjacent[a][b] = adjacent[a].get(b, 0) + 1
         if a != b:
             adjacent[b][a] = adjacent[b].get(a, 0) + 1
-    # breadth first from the labels, then from each vertex with edges not yet reached
-    order = list(labels)
-    position = {v: j for j, v in enumerate(order)}
+    # breadth first from each label not yet reached, then from each vertex with edges
+    order = []
+    position = {}
     j = 0
-    for root in range(n + 1):
+    for root in (*labels, *range(n + 1)):
         while j < len(order):
             for w in sorted(adjacent[order[j]]):
                 if w not in position:
@@ -246,14 +249,17 @@ def _automorphisms(edges, labels) -> list[tuple[int, ...]]:
     earlier = [
         [(u, c) for u, c in adjacent[v].items() if position[u] < j] for j, v in enumerate(order)
     ]
-    shape = [(adj.get(v, 0), *sorted(adj.values())) for v, adj in enumerate(adjacent)]
+    labelled = set(labels)
+    shape = [
+        (v in labelled, adj.get(v, 0), *sorted(adj.values())) for v, adj in enumerate(adjacent)
+    ]
     base = (order, earlier, adjacent, shape)
     generators = []
-    for i in range(len(order) - 1, len(labels) - 1, -1):
+    for i in range(len(order) - 1, -1, -1):
         v = order[i]
         orbit = {v}
         for x in order[i + 1 :]:
-            if x in orbit:
+            if x in orbit or shape[x] != shape[v]:
                 continue
             image = _extend(base, i, x)
             if image is None:
@@ -269,13 +275,14 @@ def _automorphisms(edges, labels) -> list[tuple[int, ...]]:
     for e, (a, b) in enumerate(edges):
         groups.setdefault((a, b) if a <= b else (b, a), []).append(e)
     ranks = {e: r for es in groups.values() for r, e in enumerate(es)}
+    label_of = {v: q for q, v in enumerate(labels)}
     maps = []
     for g in generators:
         moved = []
         for e, (a, b) in enumerate(edges):
             a, b = g[a], g[b]
             moved.append(groups[(a, b) if a <= b else (b, a)][ranks[e]])
-        maps.append(tuple(moved))
+        maps.append((tuple(moved), tuple(label_of[g[v]] for v in labels)))
     return maps
 
 
@@ -284,9 +291,10 @@ def _extend(base, i: int, x: int) -> list[int] | None:
     position ``i`` and maps base vertex i to ``x``, or None if there is
     none: a depth-first search over an explicit stack that maps the base
     vertices after i in base order, each to an unused vertex of its shape
-    (loops and sorted edge counts) whose edges to the vertices mapped so far
-    are the images of its own.  A vertex with an earlier neighbour goes only
-    to a neighbour of that neighbour's image, itself first."""
+    (whether it is a label, its loops and its sorted edge counts) whose
+    edges to the vertices mapped so far are the images of its own.  A
+    vertex with an earlier neighbour goes only to a neighbour of that
+    neighbour's image, itself first."""
     order, earlier, adjacent, shape = base
     image = [-1] * len(adjacent)
     used = [False] * len(adjacent)

@@ -82,6 +82,15 @@ def test_exponents_are_refused(text):
         GaussianRational.from_json({"re": text})
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "abc", "1/2/3"])
+def test_malformed_literals_are_refused_alike(text):
+    # Fraction's own ValueError would name its own message for these
+    for parse in (GaussianRational.from_string, lambda x: GaussianRational.from_json({"im": x})):
+        with pytest.raises(ValueError) as refused:
+            parse(text)
+        assert str(refused.value) == f"not an exact rational: {text!r}"
+
+
 def test_i_squared():
     assert I * I == -1
     assert I**2 == GaussianRational(-1)

@@ -73,6 +73,15 @@ def test_eval_zero_denominator_in_model_spec_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("literal", ["nan", "inf", "abc", "1/2/3"])
+def test_eval_malformed_model_parameter_names_the_literal(tmp_path, capsys, literal):
+    path = write(tmp_path, "k3.graph", K3_TEXT)
+    assert main(["eval", path, "--model", f"charpoly?t={literal}", "--mode", "mixed"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: not an exact rational: '{literal}'\n"
+
+
 def test_eval_repeated_model_parameter_is_input_error(tmp_path, capsys):
     path = write(tmp_path, "k3.graph", K3_TEXT)
     assert main(["eval", path, "--model", "charpoly?t=1&t=2", "--mode", "mixed"]) == 2

@@ -259,11 +259,13 @@ def test_the_vertex_walk_equals_the_coloring_oracle():
     on every Eulerian subset of every multigraph with at most 3 vertices and
     5 edges and of every fragment with 2 or 3 labels, at most 2 internal
     vertices and 4 edges, under seeded states: coefficients and surviving
-    colorings are the oracle's, and a walk of weight 2, as of a
-    parallel-edge class of two subsets, sums twice each.  The counts name
-    the cases that reach each path of the walk; the last two reach the last
-    step, whose children are summed in place: it colors a label's dual
-    slot, or it completes a vertex with no free edge."""
+    colorings are the oracle's, a walk of weight 2, as of a parallel-edge
+    class of two subsets, sums twice each, and one walk into two targets of
+    weights 1 and 3, as of an orbit whose classes move the labels in two
+    ways, sums once into the first and thrice into the second.  The counts
+    name the cases that reach each path of the walk; the last two reach the
+    last step, whose children are summed in place: it colors a label's
+    dual slot, or it completes a vertex with no free edge."""
     rng = random.Random(17)
     reached = dict.fromkeys(
         (
@@ -291,14 +293,21 @@ def test_the_vertex_walk_equals_the_coloring_oracle():
             state = eulerian_state(frag, subset, rng.randrange(100))
             expected = [coloring_sum_oracle(frag, subset, state, h) for h in models]
             assert subset_sums(frag, subset, state, models) == expected, (frag, subset)
-            by_turn = [[[0] * size for _ in models] for _ in range(4)]
-            counts = [[0] * size for _ in models]
-            walk.run(subset, state, walk.alive(subset), 0, 2, by_turn, counts)
-            weighted = [
-                (evaluator._unturn(sums, scale), sum(n))
-                for sums, n, scale in zip(zip(*by_turn), counts, walk.scales)
+            zeros = [0] * size
+            targets = [
+                (weight, [[zeros[:] for _ in models] for _ in range(4)], [zeros[:] for _ in models])
+                for weight in (2, 1, 3)
             ]
-            assert weighted == [([2 * c for c in coeffs], 2 * n) for coeffs, n in expected]
+            walk.run(subset, state, walk.alive(subset), 0, targets[:1])
+            walk.run(subset, state, walk.alive(subset), 0, targets[1:])
+            for weight, by_turn, counts in targets:
+                weighted = [
+                    (evaluator._unturn(sums, scale), sum(n))
+                    for sums, n, scale in zip(zip(*by_turn), counts, walk.scales)
+                ]
+                assert weighted == [
+                    ([weight * c for c in coeffs], weight * n) for coeffs, n in expected
+                ]
             if not expected[1][1]:
                 continue  # no coloring survives the Gaussian model
             reached["loop"] += any(a == b for a, b in frag.graph.edges)
@@ -1609,22 +1618,39 @@ def test_the_cut_finder_is_bounded(monkeypatch):
     assert split(g, side)[0].t == 4
 
 
-# -- orbits of the live classes under the label-fixing automorphisms -------------
+# -- orbits of the live classes under the automorphisms that map labels to labels --
+
+
+# a triangle with a label at each corner and, beside each side, a vertex with a
+# double edge to one end and a single edge to the other: its automorphisms are
+# the three rotations, whose label permutations are 3-cycles, not involutions
+ROTATED_TRIANGLE = Fragment(
+    MultiGraph(
+        9,
+        ((0, 1), (1, 2), (2, 0))
+        + tuple(e for i in range(3) for e in ((3 + i, i), (3 + i, i), (3 + i, (i + 1) % 3)))
+        + ((0, 6), (1, 7), (2, 8)),
+    ),
+    (6, 7, 8),
+)
 
 
 def test_orbits_keep_every_value_subset_and_coloring(monkeypatch):
     """With the orbit gate forced open, every multigraph with at most 3
     vertices and 6 edges, under the four charpoly models and under
-    circuit_odd(1), and every fragment with 1 to 3 labels, at most 2
-    internal vertices and 4 edges, through tensor_sums and _mode_sums, gives
-    exactly the values, subsets and per-coordinate colorings of the
-    per-class loop with the gate out of reach."""
+    circuit_odd(1), and every fragment with 1 to 4 labels, at most 2
+    internal vertices and 4 edges, and the rotated triangle, through
+    tensor_sums and _mode_sums, gives exactly the values, subsets and
+    per-coordinate colorings of the per-class loop with the gate out of
+    reach."""
     merged = Counter()
+    moving = Counter()
     orbits = evaluator._orbits
 
     def spy(frag, live):
         out = orbits(frag, live)
         merged[frag.t] += len(out) < len(live)
+        moving[frag.t] += any(perm != tuple(range(frag.t)) for _, _, w in out for perm in w)
         return out
 
     monkeypatch.setattr(evaluator, "_orbits", spy)
@@ -1641,8 +1667,10 @@ def test_orbits_keep_every_value_subset_and_coloring(monkeypatch):
         for models in calls:
             got, expected = both(lambda: partition_function_many(g, models, "mixed"))
             assert got == expected, g
-    for t in (1, 2, 3):
+    for t in (1, 2, 3, 4):
         frags = list(enumerate_fragments(t, 2, 4))
+        if t == 3:
+            frags.append(ROTATED_TRIANGLE)
         for models in calls:
             for h in models:
                 got, expected = both(lambda: tensor_sums(frags, h, "mixed"))
@@ -1650,61 +1678,85 @@ def test_orbits_keep_every_value_subset_and_coloring(monkeypatch):
             for frag in frags:
                 got, expected = both(lambda: evaluator._mode_sums(frag, models, "mixed"))
                 assert got == expected, frag
-    # the graphs and fragments, by label count, whose live classes fall into
-    # fewer orbits under some call
-    assert merged == {0: 173, 1: 0, 2: 12, 3: 0}
+    # the calls of _orbits, by label count, whose live classes fall into fewer
+    # orbits, and those with an orbit whose classes move the labels
+    assert merged == {0: 173, 1: 0, 2: 22, 3: 81, 4: 359}
+    assert moving == {0: 0, 1: 0, 2: 10, 3: 81, 4: 359}
 
 
 def automorphisms_by_brute_force(frag):
-    """Every permutation of the vertices that fixes each label and keeps the
-    number of edges of every endpoint pair, as a list over the vertices."""
+    """Every permutation of the vertices that maps labels to labels and the
+    other vertices to other vertices and keeps the number of edges of every
+    endpoint pair, as a list over the vertices."""
     g = frag.graph
     count = Counter(frozenset(e) for e in g.edges)
     free = [v for v in range(g.n_vertices) if v not in frag.labels]
     found = []
     for image in itertools.permutations(free):
-        sigma = list(range(g.n_vertices))
-        for v, w in zip(free, image):
-            sigma[v] = w
-        if all(count[frozenset(sigma[v] for v in pair)] == c for pair, c in count.items()):
-            found.append(sigma)
+        for label_image in itertools.permutations(frag.labels):
+            sigma = list(range(g.n_vertices))
+            for v, w in zip(free + list(frag.labels), image + label_image):
+                sigma[v] = w
+            if all(count[frozenset(sigma[v] for v in pair)] == c for pair, c in count.items()):
+                found.append(sigma)
     return found
 
 
 def test_orbits_are_those_of_the_whole_group():
-    """On every multigraph with at most 4 vertices and 5 edges and every
-    fragment with 2 labels, at most 2 internal vertices and 4 edges, each
-    generator permutes the edges as some label-fixing automorphism maps
-    their endpoint pairs, and the classes fall into as many orbits under
-    the generators as under every such automorphism."""
+    """On every multigraph with at most 4 vertices and 5 edges, every
+    fragment with 2 labels, at most 2 internal vertices and 4 edges, and
+    the rotated triangle, each generator permutes the edges as some
+    automorphism that maps labels to labels maps their endpoint pairs, with
+    that automorphism's label permutation, and the classes fall into as
+    many orbits under the generators as under every such automorphism.
+    Each orbit's weights sum to the weight of its classes, each under a
+    label permutation of an automorphism that maps the first class into
+    the orbit."""
     frags = [Fragment(g) for g in enumerate_multigraphs(4, 5)]
-    frags += list(enumerate_fragments(2, 2, 4))
-    merged = 0
+    frags += [*enumerate_fragments(2, 2, 4), ROTATED_TRIANGLE]
+    merged = moving = 0
     for frag in frags:
         edges = frag.graph.edges
+        label_of = {v: q for q, v in enumerate(frag.labels)}
         sigmas = automorphisms_by_brute_force(frag)
-        pair_maps = {tuple(frozenset(sigma[v] for v in e) for e in edges) for sigma in sigmas}
-        for moved in graph._automorphisms(edges, frag.labels):
+        induced = {
+            (
+                tuple(frozenset(sigma[v] for v in e) for e in edges),
+                tuple(label_of[sigma[v]] for v in frag.labels),
+            )
+            for sigma in sigmas
+        }
+        for moved, labelled in graph._automorphisms(edges, frag.labels):
             assert sorted(moved) == list(range(len(edges))), frag
-            assert tuple(frozenset(edges[moved[e]]) for e in range(len(edges))) in pair_maps
+            pair_map = tuple(frozenset(edges[moved[e]]) for e in range(len(edges)))
+            assert (pair_map, labelled) in induced, frag
         classes = evaluator._eulerian_classes(frag)
         groups = edge_groups(frag.graph)
         pairs = [frozenset(edges[es[0]]) for es in groups]
-        vectors = {class_of(groups, subset) for subset, _ in classes}
-        orbits = set()
-        for vector in vectors:
+
+        def images(vector):
+            # each automorphism's image of a class's counts, with its label permutation
             counts = dict(zip(pairs, vector))
-            orbits.add(
-                min(
-                    tuple(counts[frozenset(sigma[v] for v in pair)] for pair in pairs)
-                    for sigma in sigmas
-                )
-            )
+            for sigma in sigmas:
+                image = tuple(counts[frozenset(sigma[v] for v in pair)] for pair in pairs)
+                yield image, tuple(label_of[sigma[v]] for v in frag.labels)
+
+        weight_of = {class_of(groups, subset): weight for subset, weight in classes}
+        orbits = {min(image for image, _ in images(vector)) for vector in weight_of}
         got = evaluator._orbits(frag, [(subset, weight, 1) for subset, weight in classes])
         assert len(got) == len(orbits), frag
-        assert sum(weight for _, weight, _ in got) == sum(weight for _, weight in classes)
+        for first, _, weights in got:
+            orbit = {}  # each class of the orbit: the label permutations that reach it
+            for image, perm in images(class_of(groups, first)):
+                orbit.setdefault(image, set()).add(perm)
+            assert sum(weights.values()) == sum(weight_of[vector] for vector in orbit)
+            for perm in weights:
+                assert any(perm in perms for perms in orbit.values()), frag
         merged += len(orbits) < len(classes)
-    assert (len(frags), merged) == (3596, 453)
+        moving += any(perm != tuple(range(frag.t)) for _, _, w in got for perm in w)
+    # the fragments, those whose classes fall into fewer orbits, and those with
+    # an orbit whose classes move the labels
+    assert (len(frags), merged, moving) == (3597, 456, 3)
 
 
 @pytest.mark.parametrize(
@@ -1721,13 +1773,88 @@ def test_charpoly_live_classes_fall_into_few_orbits(monkeypatch, name, g, live, 
     partition_function peels: one per orbit once the live classes reach the
     gate, one per class below it."""
     h = charpoly_model(Fraction(3, 2))
-    frag = Fragment(g)
+    assert live_classes_and_orbits(Fragment(g), h) == (live, orbits)
+    assert peeled_and_checked(monkeypatch, g, Fraction(3, 2)) == peeled
+
+
+@pytest.mark.parametrize(
+    "name, g, halves, peeled",
+    [
+        ("prism-5", prism(5), [(16, 6), (32, 16)], 22),
+        ("mobius-5", mobius_ladder(5), [(16, 6), (32, 16)], 22),
+        ("prism-6", prism(6), [(32, 16), (32, 16)], 32),
+        ("mobius-6", mobius_ladder(6), [(32, 16), (32, 16)], 32),
+    ],
+)
+def test_charpoly_live_classes_of_cut_halves_fall_into_few_orbits(
+    monkeypatch, name, g, halves, peeled
+):
+    """The same for the two halves that partition_function cuts a 5- or
+    6-ladder into: their automorphisms move their labels."""
+    h = charpoly_model(Fraction(3, 2))
+    side = evaluator._balanced_cut(g)
+    assert [live_classes_and_orbits(f, h) for f in split(g, side)] == halves
+    assert peeled_and_checked(monkeypatch, g, Fraction(3, 2)) == peeled
+
+
+def live_classes_and_orbits(frag, h):
+    """The number of classes of frag that model h keeps alive, and of their orbits."""
     ctx = evaluator._SubsetContext(frag, [h])
     classes = [(s, w, ctx.alive(s)) for s, w in evaluator._eulerian_classes(frag)]
     classes = [c for c in classes if c[2]]
-    assert (len(classes), len(evaluator._orbits(frag, classes))) == (live, orbits)
+    return len(classes), len(evaluator._orbits(frag, classes))
+
+
+def peeled_and_checked(monkeypatch, g, x):
+    """The subsets partition_function peels for g under charpoly(x), once
+    its value is checked against charpoly_oracle."""
     calls = []
     monkeypatch.setattr(evaluator, "peel", lambda *args: calls.append(args) or peel(*args))
-    result = partition_function(g, h, "mixed")
-    assert len(calls) == peeled
-    assert result.value == charpoly_oracle(g).evaluate(Fraction(3, 2))
+    result = partition_function(g, charpoly_model(x), "mixed")
+    assert result.value == charpoly_oracle(g).evaluate(x)
+    return len(calls)
+
+
+def koszul_moves(perm, k, base):
+    """For each coordinate c of a t-label tensor, (c', sign): c'_q = c_perm[q],
+    and the sign of the sequence of perm[q] over the q whose c'_q is exterior,
+    by inversion count."""
+
+    def index(digits):
+        return sum(d * base**j for j, d in enumerate(reversed(digits)))
+
+    moves = []
+    for c in itertools.product(range(base), repeat=len(perm)):
+        moved = tuple(c[p] for p in perm)
+        exterior = [p for p, d in zip(perm, moved) if d >= k]
+        inversions = sum(a > b for a, b in itertools.combinations(exterior, 2))
+        moves.append((index(c), index(moved), -1 if inversions % 2 else 1))
+    return moves
+
+
+def test_moving_the_labels_moves_the_tensor_sum_by_the_koszul_sign(monkeypatch):
+    """The tensor sum of a fragment F with its labels moved by a permutation
+    perm, labels'[q] = labels[perm[q]], is that of F with its coordinates
+    moved: at c' with c'_q = c_perm[q] it is eps * sum T(F)[c], eps the sign
+    of the sequence of perm[q] over the q whose c'_q is exterior.  Every
+    label permutation of every fragment with 2 or 3 labels, at most 2
+    internal vertices and 4 edges, and of every 8th such fragment with 4
+    labels, under charpoly(1/3 + i/2) and circuit_odd(1), with the orbit
+    gate out of reach, so that both sides are walked class by class.  The
+    count pins how many nonzero coordinates take the sign -1."""
+    monkeypatch.setattr(evaluator, "ORBIT_GATE", math.inf)
+    calls = [charpoly_model(Fraction(1, 3) + I / 2, cap=12), circuit_odd_model(1, cap=12)]
+    flipped = Counter()
+    frags = [*enumerate_fragments(2, 2, 4), *enumerate_fragments(3, 2, 4)]
+    frags += list(enumerate_fragments(4, 2, 4))[::8]
+    for frag in frags:
+        perms = list(itertools.permutations(range(frag.t)))
+        moved = [Fragment(frag.graph, tuple(frag.labels[p] for p in perm)) for perm in perms]
+        for h in calls:
+            [sums, *others] = tensor_sums([frag, *moved], h, "mixed")
+            base = h.k + h.two_ell
+            for perm, other in zip(perms, others):
+                for c, c_moved, sign in koszul_moves(perm, h.k, base):
+                    assert other[c_moved] == sign * sums[c], (frag, perm, h)
+                    flipped[frag.t] += sign < 0 and sums[c] != 0
+    assert flipped == {2: 194, 3: 1368, 4: 4416}
