@@ -21,8 +21,14 @@ tensor sums, Z(F1 * F2) = [sum T(F1), sum T(F2)], which visits
 2^cyc(F1) + 2^cyc(F2) subsets of half the graph each instead of 2^cyc(G)
 of the whole.  Its colorings are the pairing of the halves' coloring
 counts, each counted at its label coordinate, with every sign +1, and its
-subsets, 2^cyc(G), are counted in closed form.  The subset sum over the
-whole graph, :func:`partition_function_many`, is what the halves are
+subsets, 2^cyc(G), are counted in closed form.  Isomorphic halves are
+walked once: when an isomorphism maps F1 onto F2, labels to labels
+(:func:`~mixedpf.graph._isomorphism`), only F1 is walked, and sum T(F2)
+is sum T(F1) with its labels moved by the isomorphism's label
+permutation, each coordinate times its Koszul sign (:func:`_relabel`, as
+for the classes of an orbit below).  The cut halves of a prism or Moebius
+ladder with an even number of rungs, 6 or more, are such.  The subset sum
+over the whole graph, :func:`partition_function_many`, is what the halves are
 checked against.  Disconnected graphs are not split into components: on
 the small graphs of the suites a subset sum per component costs more in
 setup than it saves.
@@ -161,6 +167,7 @@ from .graph import (
     MultiGraph,
     _automorphisms,
     _eulerian_masks,
+    _isomorphism,
     as_fragment,
     decompose,
     enumerate_eulerian_subsets,
@@ -921,7 +928,9 @@ def _relabel(perm, k: int, base: int, source, target) -> None:
     F, those of ``source``, taken with F's labels moved by ``perm``:
     ``labels'[q] = labels[perm[q]]``.  An orbit's first class walked with
     its weight stands so for the classes that an automorphism of label
-    permutation ``perm`` maps it onto.
+    permutation ``perm`` maps it onto, and a cut's first half for the
+    second when an isomorphism of label permutation ``perm`` maps one onto
+    the other (:func:`_by_cut`).
 
     F's tensor at coordinate c is that of F with its labels moved at c',
     c'_q = c_perm[q], times the Koszul sign of the move: the sign of the
@@ -973,12 +982,18 @@ def _validate(frags, models, mode: str) -> None:
             h.check_degree(d)
 
 
-def _mode_sums(frag: Fragment, models, mode: str):
+def _mode_sums(frag: Fragment, models, mode: str, twin=None):
     """The signed tensor sums of a fragment over the subsets of its mode.
 
     Returns (number of subsets, one (coefficients, counts) pair per model):
     a model's counts are its surviving full colorings, counted at the label
-    coordinate of the coefficient each adds to.  The callers have validated
+    coordinate of the coefficient each adds to.  With ``twin``, the label
+    permutation of an isomorphism onto another fragment
+    (:func:`~mixedpf.graph._isomorphism`), a third item holds the other
+    fragment's pairs without a walk: its sums by quarter turn and counts
+    are this one's moved by :func:`_relabel` before the division, as the
+    two have equal vertices, labels and circles, so equal scales and circle
+    factors.  The callers have validated
     ``models`` and ``mode`` (:func:`_validate`).  Each class of
     :func:`_mode_classes` is checked by :meth:`_SubsetContext.alive` once,
     and a dead one only counts in the subsets.  The live classes are merged
@@ -1030,12 +1045,19 @@ def _mode_sums(frag: Fragment, models, mode: str):
         ctx.run(subset, state, mask, subset_prefactor(circuits, trails), targets)
     for perm, sums in moved.items():
         _relabel(perm, ctx.k, base, sums, total)
-    sums = [_unturn(turned, scale) for turned, scale in zip(zip(*by_turn), ctx.scales)]
-    if frag.graph.n_circles:
-        # the mode checks make k - 2*ell the circle factor of every mode
-        factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
-        sums = [[c * factor for c in coeffs] for coeffs in sums]
-    return subsets, list(zip(sums, counts))
+    halves = [total]
+    if twin is not None:
+        halves.append(zeros())
+        _relabel(twin, ctx.k, base, total, halves[1])
+    results = []
+    for by_turn, counts in halves:
+        sums = [_unturn(turned, scale) for turned, scale in zip(zip(*by_turn), ctx.scales)]
+        if frag.graph.n_circles:
+            # the mode checks make k - 2*ell the circle factor of every mode
+            factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
+            sums = [[c * factor for c in coeffs] for coeffs in sums]
+        results.append(list(zip(sums, counts)))
+    return subsets, *results
 
 
 def tensor_sums(frags, model: EdgeColoringModel, mode: str = "mixed") -> list[list]:
@@ -1148,11 +1170,20 @@ def _by_cut(g: MultiGraph, side, model: EdgeColoringModel, mode: str) -> Evaluat
     both do.  Its subsets are 2^cyc(g) in mixed mode, counted in closed
     form, and in ordinary and skew mode those of :func:`_mode_classes`.
     The caller has validated ``model`` and ``mode``.
+
+    When :func:`~mixedpf.graph._isomorphism` maps F1 onto F2, labels to
+    labels, only F1 is walked: F2's sums are F1's with the labels moved by
+    the isomorphism's label permutation, each coordinate with its Koszul
+    sign (:func:`_relabel`), as for the classes of an orbit.  Halves that
+    are not isomorphic are both walked.
     """
     f1, f2 = split(g, side)
-    (_, [(values1, counts1)]), (_, [(values2, counts2)]) = (
-        _mode_sums(f, [model], mode) for f in (f1, f2)
-    )
+    twin = _isomorphism(f1, f2)
+    if twin is None:
+        halves = [_mode_sums(f, [model], mode)[1] for f in (f1, f2)]
+    else:
+        halves = _mode_sums(f1, [model], mode, twin)[1:]
+    [(values1, counts1)], [(values2, counts2)] = halves
     k, two_ell, t = model.k, model.two_ell, f1.t
     value = form_pairing(values1, values2, k, two_ell, t)
     colorings = form_pairing(counts1, counts2, k, two_ell, t, signed=False)

@@ -198,6 +198,50 @@ def _eulerian_masks(edges, labels) -> list[int]:
     return masks
 
 
+def _base(edges, labels) -> tuple:
+    """The search base of the multigraph of the edges ``edges``, (a, b)
+    pairs of vertices, with the vertices ``labels`` labeled: neither is
+    validated.  It is (order, earlier, adjacent, shape):
+
+    - ``order`` is a breadth-first order from the first label, restarted
+      from the first label not yet reached, then from the lowest vertex not
+      yet reached, so each vertex but those starts has an earlier
+      neighbour; a vertex with no edge is left out;
+    - ``earlier[j]`` lists base vertex j's edges to earlier base vertices,
+      as (vertex, count);
+    - ``adjacent[u][w]`` is the number of edges between u and w, loops once;
+    - ``shape[v]`` is (whether v is a label, its loops, its sorted edge
+      counts), which an isomorphism keeps.
+    """
+    n = 1 + max((max(pair) for pair in edges), default=-1)
+    adjacent = [{} for _ in range(n)]
+    for a, b in edges:
+        adjacent[a][b] = adjacent[a].get(b, 0) + 1
+        if a != b:
+            adjacent[b][a] = adjacent[b].get(a, 0) + 1
+    order = []
+    position = {}
+    j = 0
+    for root in (*labels, *range(n + 1)):
+        while j < len(order):
+            for w in sorted(adjacent[order[j]]):
+                if w not in position:
+                    position[w] = len(order)
+                    order.append(w)
+            j += 1
+        if root < n and root not in position and adjacent[root]:
+            position[root] = len(order)
+            order.append(root)
+    earlier = [
+        [(u, c) for u, c in adjacent[v].items() if position[u] < j] for j, v in enumerate(order)
+    ]
+    labelled = set(labels)
+    shape = [
+        (v in labelled, adj.get(v, 0), *sorted(adj.values())) for v, adj in enumerate(adjacent)
+    ]
+    return order, earlier, adjacent, shape
+
+
 def _automorphisms(edges, labels) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Generators of the automorphisms of the multigraph of the edges
     ``edges``, (a, b) pairs of vertices, that map labels to labels and the
@@ -212,48 +256,23 @@ def _automorphisms(edges, labels) -> list[tuple[tuple[int, ...], tuple[int, ...]
     ``labels[q]`` to ``labels[p[q]]``.
 
     The search follows individualisation and pruning (McKay, "Practical
-    graph isomorphism", 1981).  The base is a breadth-first order from the
-    first label, restarted from the first label not yet reached, then from
-    the lowest vertex not yet reached, so each vertex but those starts has
-    an earlier neighbour.  Level by level from the last, :func:`_extend`
-    looks for an automorphism that fixes the base vertices before the
-    level's and moves the level's vertex to each vertex of its shape not
-    yet in its orbit under the generators found so far; each one found is
-    a generator.  Once a level is done the generators are transitive on its
-    vertex's orbit under the level's stabiliser and hold the next level's,
-    so they generate the stabiliser, and after the first level the group.
-    A label goes only to a label: being a label is part of a vertex's
-    shape.
+    graph isomorphism", 1981), over the base of :func:`_base`, a
+    breadth-first order from the first label.  Level by level from the
+    last, :func:`_extend`, mapping the graph into itself, looks for an
+    automorphism that fixes the base vertices before the level's and moves
+    the level's vertex to each vertex of its shape not yet in its orbit
+    under the generators found so far; each one found is a generator.
+    Once a level is done the generators are transitive on its vertex's
+    orbit under the level's stabiliser and hold the next level's, so they
+    generate the stabiliser, and after the first level the group.  A label
+    goes only to a label: being a label is part of a vertex's shape.  The
+    same search from the first level alone, mapping one graph into another,
+    is :func:`_isomorphism`, by which the evaluator walks one of two
+    isomorphic cut halves and takes the other's tensor sum by a
+    Koszul-signed label permutation, as for the classes of an orbit.
     """
-    n = 1 + max((max(pair) for pair in edges), default=-1)
-    adjacent = [{} for _ in range(n)]  # adjacent[u][w]: the edges between u and w, loops once
-    for a, b in edges:
-        adjacent[a][b] = adjacent[a].get(b, 0) + 1
-        if a != b:
-            adjacent[b][a] = adjacent[b].get(a, 0) + 1
-    # breadth first from each label not yet reached, then from each vertex with edges
-    order = []
-    position = {}
-    j = 0
-    for root in (*labels, *range(n + 1)):
-        while j < len(order):
-            for w in sorted(adjacent[order[j]]):
-                if w not in position:
-                    position[w] = len(order)
-                    order.append(w)
-            j += 1
-        if root < n and root not in position and adjacent[root]:
-            position[root] = len(order)
-            order.append(root)
-    # earlier[j]: the base vertex j's edges to earlier base vertices, as (vertex, count)
-    earlier = [
-        [(u, c) for u, c in adjacent[v].items() if position[u] < j] for j, v in enumerate(order)
-    ]
-    labelled = set(labels)
-    shape = [
-        (v in labelled, adj.get(v, 0), *sorted(adj.values())) for v, adj in enumerate(adjacent)
-    ]
-    base = (order, earlier, adjacent, shape)
+    base = _base(edges, labels)
+    order, _, _, shape = base
     generators = []
     for i in range(len(order) - 1, -1, -1):
         v = order[i]
@@ -261,7 +280,7 @@ def _automorphisms(edges, labels) -> list[tuple[tuple[int, ...], tuple[int, ...]
         for x in order[i + 1 :]:
             if x in orbit or shape[x] != shape[v]:
                 continue
-            image = _extend(base, i, x)
+            image = _extend(base, base, i, x)
             if image is None:
                 continue
             generators.append(image)
@@ -286,18 +305,61 @@ def _automorphisms(edges, labels) -> list[tuple[tuple[int, ...], tuple[int, ...]
     return maps
 
 
-def _extend(base, i: int, x: int) -> list[int] | None:
-    """A vertex map of an automorphism that fixes the base vertices before
-    position ``i`` and maps base vertex i to ``x``, or None if there is
-    none: a depth-first search over an explicit stack that maps the base
-    vertices after i in base order, each to an unused vertex of its shape
-    (whether it is a label, its loops and its sorted edge counts) whose
-    edges to the vertices mapped so far are the images of its own.  A
-    vertex with an earlier neighbour goes only to a neighbour of that
-    neighbour's image, itself first."""
-    order, earlier, adjacent, shape = base
-    image = [-1] * len(adjacent)
-    used = [False] * len(adjacent)
+def _isomorphism(f1: Fragment, f2: Fragment) -> tuple[int, ...] | None:
+    """The label permutation p of an isomorphism of f1 onto f2 that maps
+    labels to labels and the other vertices to other vertices, with
+    ``f1.labels[q]`` going to ``f2.labels[p[q]]``, or None if there is none.
+
+    Circles are components, so isomorphic fragments have as many: the
+    halves of :func:`split`, which gives every circle to the first, are
+    isomorphic only when the graph has none.  The vertex, edge, circle and
+    label counts and the sorted degrees are compared first; then
+    :func:`_extend` maps f1's base (:func:`_base`), disconnected or not,
+    into f2 from its first vertex, f1's first label when it has labels, to
+    each vertex of f2 in turn, as :func:`_automorphisms` does at each level
+    with the two graphs one.
+    """
+
+    def invariants(f):
+        g = f.graph
+        return g.n_vertices, g.n_edges, g.n_circles, f.t, sorted(g.degrees())
+
+    if invariants(f1) != invariants(f2):
+        return None
+    base, target = _base(f1.graph.edges, f1.labels), _base(f2.graph.edges, f2.labels)
+    if not base[0]:
+        return ()  # no edge, so no label either
+    label_of = {v: q for q, v in enumerate(f2.labels)}
+    first = base[3][base[0][0]]
+    for x in target[0]:
+        if target[3][x] != first:
+            continue
+        image = _extend(base, target, 0, x)
+        if image is not None:
+            return tuple(label_of[image[v]] for v in f1.labels)
+    return None
+
+
+def _extend(base, target, i: int, x: int) -> list[int] | None:
+    """A vertex map of an isomorphism of the graph of ``base`` onto that of
+    ``target``, both from :func:`_base`, that fixes the base vertices
+    before position ``i`` and maps base vertex i to ``x``, or None if there
+    is none; a vertex with no edge maps to -1.  An automorphism is the case
+    where ``target`` is ``base``.  An isomorphism between two graphs, by
+    which a cut's second half takes its sum from the first's walk with a
+    Koszul-signed label permutation, fixes nothing: i = 0.
+
+    The search is depth first, over an explicit stack: it maps the base
+    vertices after i in base order, each to an unused vertex of the target
+    of its shape (whether it is a label, its loops and its sorted edge
+    counts) whose edges to the vertices mapped so far are the images of its
+    own.  A vertex with an earlier neighbour goes only to a neighbour of
+    that neighbour's image, a vertex of the same name first, and any other
+    to any vertex of the target with edges."""
+    order, earlier, _, shape = base
+    targets, _, adjacent, target_shape = target
+    image = [-1] * len(shape)
+    used = [False] * len(target_shape)
     for v in order[:i]:
         image[v] = v
         used[v] = True
@@ -307,7 +369,7 @@ def _extend(base, i: int, x: int) -> list[int] | None:
     while True:
         v = order[j]
         for w in candidates:
-            if used[w] or shape[w] != shape[v]:
+            if used[w] or target_shape[w] != shape[v]:
                 continue
             edges_w = adjacent[w]
             if sum(used[u] for u in edges_w if u != w) != len(earlier[j]):
@@ -328,16 +390,13 @@ def _extend(base, i: int, x: int) -> list[int] | None:
         stack.append((j, rest))
         j += 1
         if j == len(order):
-            for u in range(len(image)):
-                if image[u] < 0:
-                    image[u] = u  # a vertex with no edge stays
             return image
         v = order[j]
         if earlier[j]:
             neighbours = adjacent[image[earlier[j][0][0]]]
-            candidates = [v] * (v in neighbours) + [u for u in neighbours if u != v]
         else:
-            candidates = [v] + [u for u in order if u != v]
+            neighbours = targets
+        candidates = [v] * (v in neighbours) + [u for u in neighbours if u != v]
 
 
 @dataclass(frozen=True)

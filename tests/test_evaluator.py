@@ -1684,20 +1684,31 @@ def test_orbits_keep_every_value_subset_and_coloring(monkeypatch):
     assert moving == {0: 0, 1: 0, 2: 10, 3: 81, 4: 359}
 
 
-def automorphisms_by_brute_force(frag):
-    """Every permutation of the vertices that maps labels to labels and the
-    other vertices to other vertices and keeps the number of edges of every
-    endpoint pair, as a list over the vertices."""
-    g = frag.graph
-    count = Counter(frozenset(e) for e in g.edges)
-    free = [v for v in range(g.n_vertices) if v not in frag.labels]
+def isomorphisms_by_brute_force(f1, f2):
+    """Every bijection of f1's vertices onto f2's that maps labels to labels
+    and the other vertices to other vertices and keeps the number of edges
+    of every endpoint pair, as a list over f1's vertices; none when the two
+    differ in their vertex, edge, circle or label counts.  With f1 = f2
+    these are the automorphisms."""
+    g1, g2 = f1.graph, f2.graph
+    if (g1.n_vertices, g1.n_edges, g1.n_circles, f1.t) != (
+        g2.n_vertices,
+        g2.n_edges,
+        g2.n_circles,
+        f2.t,
+    ):
+        return []
+    count = Counter(frozenset(e) for e in g1.edges)
+    target = Counter(frozenset(e) for e in g2.edges)
+    free = [v for v in range(g1.n_vertices) if v not in f1.labels]
+    free2 = [v for v in range(g2.n_vertices) if v not in f2.labels]
     found = []
-    for image in itertools.permutations(free):
-        for label_image in itertools.permutations(frag.labels):
-            sigma = list(range(g.n_vertices))
-            for v, w in zip(free + list(frag.labels), image + label_image):
+    for image in itertools.permutations(free2):
+        for label_image in itertools.permutations(f2.labels):
+            sigma = list(range(g1.n_vertices))
+            for v, w in zip(free + list(f1.labels), image + label_image):
                 sigma[v] = w
-            if all(count[frozenset(sigma[v] for v in pair)] == c for pair, c in count.items()):
+            if all(target[frozenset(sigma[v] for v in pair)] == c for pair, c in count.items()):
                 found.append(sigma)
     return found
 
@@ -1718,7 +1729,7 @@ def test_orbits_are_those_of_the_whole_group():
     for frag in frags:
         edges = frag.graph.edges
         label_of = {v: q for q, v in enumerate(frag.labels)}
-        sigmas = automorphisms_by_brute_force(frag)
+        sigmas = isomorphisms_by_brute_force(frag, frag)
         induced = {
             (
                 tuple(frozenset(sigma[v] for v in e) for e in edges),
@@ -1782,8 +1793,8 @@ def test_charpoly_live_classes_fall_into_few_orbits(monkeypatch, name, g, live, 
     [
         ("prism-5", prism(5), [(16, 6), (32, 16)], 22),
         ("mobius-5", mobius_ladder(5), [(16, 6), (32, 16)], 22),
-        ("prism-6", prism(6), [(32, 16), (32, 16)], 32),
-        ("mobius-6", mobius_ladder(6), [(32, 16), (32, 16)], 32),
+        ("prism-6", prism(6), [(32, 16), (32, 16)], 16),
+        ("mobius-6", mobius_ladder(6), [(32, 16), (32, 16)], 16),
     ],
 )
 def test_charpoly_live_classes_of_cut_halves_fall_into_few_orbits(
@@ -1858,3 +1869,155 @@ def test_moving_the_labels_moves_the_tensor_sum_by_the_koszul_sign(monkeypatch):
                     assert other[c_moved] == sign * sums[c], (frag, perm, h)
                     flipped[frag.t] += sign < 0 and sums[c] != 0
     assert flipped == {2: 194, 3: 1368, 4: 4416}
+
+
+# -- one walk for the two halves of a cut that are isomorphic --------------------
+
+
+def invariants(frag):
+    """What _isomorphism compares before it searches."""
+    g = frag.graph
+    return g.n_vertices, g.n_edges, g.n_circles, frag.t, sorted(g.degrees())
+
+
+def renamed(frag, rng, rotation=None):
+    """frag with its vertices renamed and its edges reordered, ends swapped
+    at random, and its labels, in the new names, taken in the order
+    ``rotation``: labels'[q] = labels[rotation[q]]."""
+    g = frag.graph
+    rename = list(range(g.n_vertices))
+    rng.shuffle(rename)
+    edges = [(rename[b], rename[a]) if rng.random() < 0.5 else (rename[a], rename[b])
+             for a, b in g.edges]
+    rng.shuffle(edges)
+    rotation = rotation or range(frag.t)
+    labels = tuple(rename[frag.labels[r]] for r in rotation)
+    return Fragment(MultiGraph(g.n_vertices, tuple(edges), g.n_circles), labels)
+
+
+def test_isomorphisms_are_those_of_brute_force():
+    """Every ordered pair of fragments with 3 labels, at most 2 internal
+    vertices and 4 edges that agree in their vertex, edge, circle and label
+    counts and sorted degrees, and a seeded sample of such pairs with 4
+    labels: _isomorphism finds none exactly when no vertex bijection that
+    maps labels to labels does, and otherwise returns the label permutation
+    p of one, which maps f1.labels[q] to f2.labels[p[q]].  Disconnected
+    fragments are searched too, not refused.  A circle on one side only is
+    refused by the counts."""
+    rng = random.Random(26)
+    three = list(enumerate_fragments(3, 2, 4))
+    four = list(enumerate_fragments(4, 2, 4))
+    pairs = [(f1, f2) for f1 in three for f2 in three if invariants(f1) == invariants(f2)]
+    alike = [(f1, f2) for f1 in four for f2 in four if invariants(f1) == invariants(f2)]
+    pairs += rng.sample(alike, 600)
+    found = Counter()
+    for f1, f2 in pairs:
+        label_of = {v: q for q, v in enumerate(f2.labels)}
+        perms = {
+            tuple(label_of[sigma[v]] for v in f1.labels)
+            for sigma in isomorphisms_by_brute_force(f1, f2)
+        }
+        p = graph._isomorphism(f1, f2)
+        assert (p is None) == (not perms), (f1, f2)
+        assert p is None or p in perms, (f1, f2, p)
+        connected = graph.n_components(f1.graph) == 1
+        found[f1.t, connected, p is not None] += 1
+    for frag in three[::7]:
+        circled = Fragment(MultiGraph(frag.graph.n_vertices, frag.graph.edges, 1), frag.labels)
+        assert graph._isomorphism(frag, circled) is None
+        assert graph._isomorphism(circled, renamed(circled, rng)) is not None
+    # the pairs by label count, whether the first is connected, and whether
+    # the two are isomorphic
+    assert found == {
+        (3, False, False): 1206,
+        (3, False, True): 507,
+        (3, True, False): 198,
+        (3, True, True): 42,
+        (4, False, False): 377,
+        (4, False, True): 219,
+        (4, True, False): 4,
+    }
+
+
+def test_the_twin_of_a_renamed_fragment_with_rotated_labels_is_its_own_walk():
+    """Each connected fragment with 3 labels, at most 3 internal vertices
+    and 6 edges, against a copy with its vertices renamed and its labels
+    rotated, labels'[q] = labels[(1, 2, 0)[q]]: the copy's sums that
+    _mode_sums adds up from the fragment's by the label permutation of
+    _isomorphism equal the copy's own walk, coefficients and counts, under
+    a dense Gaussian model with (k, 2l) = (1, 2).  The cuts of the ladders
+    give only involutions; a 3-cycle pins the direction of p."""
+    rng = random.Random(7)
+    frags = [f for f in enumerate_fragments(3, 3, 6) if graph.n_components(f.graph) == 1]
+    h = random_sparse_model(rng, 1, 2, max(f.max_degree() for f in frags), density=1.0)
+    perms = Counter()
+    nonzero = 0
+    for frag in frags:
+        copy = renamed(frag, rng, (1, 2, 0))
+        p = graph._isomorphism(frag, copy)
+        subsets, sums, twin = evaluator._mode_sums(frag, [h], "mixed", p)
+        assert (subsets, twin) == evaluator._mode_sums(copy, [h], "mixed"), frag
+        perms[p] += 1
+        nonzero += any(sums[0][0])
+    assert (len(frags), nonzero) == (597, 597)
+    # (2, 0, 1) is the rotation's own permutation, (1, 2, 0) its inverse
+    assert perms == {(0, 1, 2): 39, (0, 2, 1): 194, (1, 0, 2): 80, (2, 0, 1): 216, (2, 1, 0): 68}
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "skew", "mixed"])
+def test_a_cut_into_isomorphic_halves_gives_the_whole_subset_sum(mode):
+    """Every cut of a multigraph with 4 vertices and at most 6 edges into
+    two sides of 2 vertices each whose halves _isomorphism maps one onto
+    the other, in turn under the mode's CUT_MODELS, and each under a seeded
+    Gaussian model: _by_cut, which walks one half only, gives the value,
+    subsets and colorings of the subset sum over the whole graph.  Halves
+    without labels, and disconnected halves, are among them."""
+    rng = random.Random(11)
+    k, two_ell = HOLED_SHAPES[mode]
+    twins = nonzero = 0
+    for g in enumerate_multigraphs(4, 6):
+        if g.n_vertices != 4:
+            continue
+        for other in (1, 2, 3):
+            if graph._isomorphism(*split(g, (0, other))) is None:
+                continue
+            twins += 1
+            cut_model = CUT_MODELS[mode][twins % len(CUT_MODELS[mode])]
+            gauss = random_sparse_model(rng, k, two_ell, max(g.max_degree(), 1), density=0.6)
+            for h in (cut_model, gauss):
+                expected = whole(g, h, mode)
+                assert evaluator._by_cut(g, (0, other), h, mode) == expected, (g, other, h)
+                nonzero += expected.value != 0
+    assert (twins, nonzero) == (936, {"ordinary": 1367, "skew": 323, "mixed": 1204}[mode])
+
+
+def test_ladders_and_a_grid_cut_into_isomorphic_halves_give_the_whole_subset_sum():
+    """The 6-, 8- and 10-prisms, the 6- and 8-Moebius ladders and the 3 x 6
+    grid, as named and under three seeded renamings each: the halves of
+    _balanced_cut are isomorphic, and _by_cut gives the value, subsets and
+    colorings of the subset sum over the named graph, under charpoly(3/2)
+    and a dense Gaussian model.  The label permutations are pinned."""
+    rng = random.Random(3)
+    graphs = [prism(6), prism(8), prism(10), mobius_ladder(6), mobius_ladder(8), grid(3, 6)]
+    models = [charpoly_model(Fraction(3, 2)), random_sparse_model(rng, 1, 2, 4, density=1.0)]
+    perms = Counter()
+    for g in graphs:
+        copies = [g] + [renamed(Fragment(g), rng).graph for _ in range(3)]
+        sides = [evaluator._balanced_cut(copy) for copy in copies]
+        for copy, side in zip(copies, sides):
+            p = graph._isomorphism(*split(copy, side))
+            assert p is not None, (g, side)
+            perms[p] += 1
+        for h in models:
+            expected = whole(g, h, "mixed")
+            assert expected.value != 0
+            for copy, side in zip(copies, sides):
+                assert evaluator._by_cut(copy, side, h, "mixed") == expected, (copy, h)
+    assert perms == {
+        (0, 1, 2): 3,
+        (0, 1, 2, 3): 12,
+        (0, 1, 3, 2): 2,
+        (0, 2, 1): 1,
+        (0, 2, 1, 3): 1,
+        (0, 3, 2, 1): 5,
+    }
