@@ -5,10 +5,10 @@ computed in the field Q(i); nothing in this package ever rounds.  This module
 also owns the dual exterior basis, the one permutation parity every engine
 sign comes from (wedge words here, directed matchings in
 :mod:`mixedpf.connection`), normalization of wedge words into the canonical
-strictly-increasing form, and the table of the supersymmetric bilinear form
-on the mixed color space, which :func:`mixedpf.connection.gram_pairing`
-applies.
-"""
+strictly-increasing form, and the one signed coordinate table of the tensor
+powers of the mixed color space, :func:`signed_map`: the supersymmetric
+form slot by slot, which :func:`form_pairing` applies, and the Koszul-signed
+moves of tensor slots, which the engine's label permutations apply."""
 
 from __future__ import annotations
 
@@ -333,45 +333,57 @@ def sym_counts(colors, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def form_table(k: int, two_ell: int, t: int = 1) -> tuple[tuple[int, int], ...]:
-    """The supersymmetric form as one (partner, sign) per coordinate.
+def signed_map(k: int, two_ell: int, perm, dual: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One signed map of the coordinates of V^(x)t, V = C^(k|2*ell) and
+    t = len(perm), as two tuples: each coordinate's image, and its sign.
 
-    [x, y] = sum over coordinates a of sign * x[a] * y[partner]: a symmetric
-    coordinate pairs with itself, and the exterior f_i with f_j where its
-    dual is g_i = s * f_j (:func:`dual_basis`), with sign -s.  The form is
-    symmetric on the k-block and skew-symplectic on the 2*ell-block, which
-    pairs through ((0, I), (-I, 0)): [f_i, f_{i+ell}] = 1 = -[f_{i+ell}, f_i],
-    so the whole form is nondegenerate.  The coordinates are those of a t=1
-    :class:`mixedpf.connection.FragmentTensor`: e_i at i-1, f_i at k+i-1.
-    Over t tensor slots the form applies slot by slot: a coordinate's
-    partner pairs each of its slots, the first slot the most significant
-    digit, and its sign is the product of theirs.  Tables are kept for
-    reuse, so each is a tuple.
+    A coordinate is one basis vector per slot, e_i at i-1 and f_i at k+i-1,
+    the first slot the most significant digit.  Its image moves slot q to
+    slot perm[q], and with ``dual`` each slot's vector to its partner under
+    the form: e_i to itself, and f_i to f_j with sign -s, where its dual is
+    g_i = s * f_j (:func:`dual_basis`), so [f_i, f_{i+ell}] = 1 =
+    -[f_{i+ell}, f_i].  The sign is the product of the slots' signs times
+    the Koszul sign of the move, the sign of the sequence of perm[q] over
+    the exterior slots q in increasing order.  With the identity perm and
+    ``dual`` it is the form, [x, y] = sum over a of sign[a] x[a] y[image[a]];
+    without ``dual``, x with its slots moved, P x, is sign[a] x[a] at
+    image[a], and [x, P y] is the form through the table of perm's inverse
+    with ``dual``.  Tables are kept for reuse, so each is a tuple.
     """
     ell = two_ell // 2
-    table = [(a, 1) for a in range(k)]
+    slot = [(a, 1, 0) for a in range(k)]  # one slot's (image digit, sign, exterior)
     for i in range(1, two_ell + 1):
-        s, j = dual_basis(i, ell)
-        table.append((k + j - 1, -s))
-    base = k + two_ell
-    tensor = [(0, 1)]
-    for _ in range(t):
-        tensor = [(p * base + q, s * r) for p, s in tensor for q, r in table]
-    return tuple(tensor)
+        s, j = dual_basis(i, ell) if dual else (-1, i)  # without the dual, f_i stays
+        slot.append((k + j - 1, -s, 1))
+    base, t = k + two_ell, len(perm)
+    # the Koszul sign by the mask of the exterior slots, taken once per mask
+    koszul = [permutation_sign([p for q, p in enumerate(perm) if m >> q & 1]) for m in range(2**t)]
+    entries = [(0, 1, 0)]  # each coordinate's (image, slots' sign, exterior mask), slot by slot
+    for q, p in enumerate(perm):
+        step = base ** (t - 1 - p)
+        entries = [
+            (image + d * step, sign * s, mask | odd << q)
+            for image, sign, mask in entries
+            for d, s, odd in slot
+        ]
+    images = tuple(image for image, _, _ in entries)
+    return images, tuple(sign * koszul[mask] for _, sign, mask in entries)
 
 
-def form_pairing(x, y, k: int, two_ell: int, t: int = 1, signed: bool = True):
-    """[x, y] for two coefficient sequences over t tensor slots (:func:`form_table`).
+def form_pairing(x, y, k: int, two_ell: int, perm: tuple, signed: bool = True):
+    """[x, y] for two coefficient sequences through :func:`signed_map`'s
+    table of perm with the dual: the form itself when perm is the identity.
 
     Signed, the coefficients are Gaussian rationals and so is the result.
     With ``signed=False`` every sign is taken as +1: that pairs two
     sequences of int counts to an int.
     """
     total = ZERO if signed else 0
-    for val, (partner, sign) in zip(x, form_table(k, two_ell, t)):
+    images, signs = signed_map(k, two_ell, perm, True)
+    for val, image, sign in zip(x, images, signs):
         if not val:
             continue
-        other = y[partner]
+        other = y[image]
         if other:
             term = val * other
             total = total - term if signed and sign < 0 else total + term

@@ -124,10 +124,10 @@ def cmd_connrank(args) -> int:
     rank = exact_rank(matrix)
     bound = (model.k + model.two_ell) ** matrix.t
     verdict = "PASS" if rank <= bound else "FAIL"
-    print(f"rank={rank} bound={bound} {verdict}")
-    if args.csv:
+    if args.csv:  # before the verdict, so that a refused path prints nothing on stdout
         with open(args.csv, "w") as fh:
             fh.write(matrix.to_csv())
+    print(f"rank={rank} bound={bound} {verdict}")
     return 0 if verdict == "PASS" else 1
 
 

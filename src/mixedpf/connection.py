@@ -107,8 +107,9 @@ class FragmentTensor:
     """A dense vector in the t-fold tensor power of the mixed color space.
 
     Each slot has k + 2*ell coordinates, e_i at i-1 and f_i at k+i-1, and the
-    first slot is the most significant digit of a coefficient's index.  A
-    vector of the mixed space itself is the t=1 tensor.
+    first slot is the most significant digit of a coefficient's index: the
+    coordinates of :func:`~mixedpf.algebra.signed_map`.  A vector of the
+    mixed space itself is the t=1 tensor.
     """
 
     t: int
@@ -176,11 +177,12 @@ def fragment_tensor(
 
 def gram_pairing(t1: FragmentTensor, t2: FragmentTensor) -> GaussianRational:
     """The supersymmetric form applied factorwise across the t tensor slots
-    (:func:`~mixedpf.algebra.form_pairing`); at t=1 it is the form on the
+    (:func:`~mixedpf.algebra.form_pairing` through the identity's
+    :func:`~mixedpf.algebra.signed_map`); at t=1 it is the form on the
     mixed space itself."""
     if (t1.t, t1.k, t1.two_ell) != (t2.t, t2.k, t2.two_ell):
         raise ValueError("tensor shape mismatch in Gram pairing")
-    return form_pairing(t1.coeffs, t2.coeffs, t1.k, t1.two_ell, t1.t)
+    return form_pairing(t1.coeffs, t2.coeffs, t1.k, t1.two_ell, tuple(range(t1.t)))
 
 
 @dataclass(frozen=True)

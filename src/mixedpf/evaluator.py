@@ -23,13 +23,15 @@ of the whole.  Its colorings are the pairing of the halves' coloring
 counts, each counted at its label coordinate, with every sign +1, and its
 subsets, 2^cyc(G), are counted in closed form.  Isomorphic halves are
 walked once: when an isomorphism maps F1 onto F2, labels to labels
-(:func:`~mixedpf.graph._isomorphism`), only F1 is walked, and sum T(F2)
+(:func:`~mixedpf.graph._isomorphism`), only F1 is walked, since sum T(F2)
 is sum T(F1) with its labels moved by the isomorphism's label
-permutation, each coordinate times its Koszul sign (:func:`_relabel`, as
-for the classes of an orbit below).  The cut halves of a prism or Moebius
-ladder with an even number of rungs, 6 or more, are such.  The subset sum
-over the whole graph, :func:`partition_function_many`, is what the halves are
-checked against.  Disconnected graphs are not split into components: on
+permutation p, each coordinate times its Koszul sign, as for the classes
+of an orbit below; so F1's sum is paired with itself through the table
+of p's inverse with the dual (:func:`~mixedpf.algebra.signed_map`),
+which gives the form of sum T(F1) and sum T(F2).  The cut halves of a
+prism or Moebius ladder with an even number of rungs, 6 or more, are
+such.  The subset sum over the whole graph, :func:`partition_function_many`,
+is what the halves are checked against.  Disconnected graphs are not split into components: on
 the small graphs of the suites a subset sum per component costs more in
 setup than it saves.
 
@@ -110,9 +112,10 @@ generators that :func:`~mixedpf.graph._automorphisms` finds
 element that maps its orbit's first class onto it.  Each orbit is peeled
 and walked once, by its first class, into one sum per label permutation
 with the summed weight of its classes of that permutation, and each sum
-but that of the unmoved labels is permuted into the total once, at the end
-(:func:`_relabel`), a sign of -1 as two quarter turns.  Below the gate the
-search costs more than the walks it saves.
+but that of the unmoved labels is permuted into the total once, at the end,
+through the table of its permutation (:func:`_relabel`, which reads
+:func:`~mixedpf.algebra.signed_map`), a sign of -1 as two quarter turns.
+Below the gate the search costs more than the walks it saves.
 
 Each subset's state comes from the rng-free
 :func:`~mixedpf.graph.peel`, which counts circuits and lists the trails as
@@ -159,6 +162,7 @@ from .algebra import (
     form_pairing,
     normalize_wedge,
     permutation_sign,
+    signed_map,
     sym_counts,
 )
 from .graph import (
@@ -923,39 +927,26 @@ def _orbits(frag: Fragment, live: list) -> list[tuple[frozenset, int, dict]]:
     return orbits
 
 
-def _relabel(perm, k: int, base: int, source, target) -> None:
+def _relabel(perm, k: int, two_ell: int, source, target) -> None:
     """Add to ``target``, the (sums by quarter turn, counts) of a fragment
     F, those of ``source``, taken with F's labels moved by ``perm``:
     ``labels'[q] = labels[perm[q]]``.  An orbit's first class walked with
     its weight stands so for the classes that an automorphism of label
-    permutation ``perm`` maps it onto, and a cut's first half for the
-    second when an isomorphism of label permutation ``perm`` maps one onto
-    the other (:func:`_by_cut`).
+    permutation ``perm`` maps it onto.
 
-    F's tensor at coordinate c is that of F with its labels moved at c',
-    c'_q = c_perm[q], times the Koszul sign of the move: the sign of the
-    sequence of perm[q] over the q, in increasing order, whose c'_q is
-    exterior (offset k or more).  So each coordinate c' of ``source`` is
-    added at c, a sign of -1 as two quarter turns; counts take no sign.  A
-    coordinate that no coloring reached is skipped.
+    F's tensor is that of F with its labels moved, with slot q moved to
+    slot perm[q] and each coordinate times the Koszul sign of the move: the
+    table of :func:`~mixedpf.algebra.signed_map` without the dual.  So each
+    coordinate of ``source`` is added at its image, a sign of -1 as two
+    quarter turns; counts take no sign.  A coordinate that no coloring
+    reached is skipped.
     """
-    t = len(perm)
-    steps = [base ** (t - 1 - p) for p in perm]
-    flips = {}  # by the mask of the exterior q: 2 if the sign is -1, else 0
+    images, signs = signed_map(k, two_ell, perm, False)
     source_turns, source_counts = source
     target_turns, target_counts = target
     for c in {c for counts in source_counts for c, n in enumerate(counts) if n}:
-        idx = exterior = 0
-        rest = c
-        for q in range(t - 1, -1, -1):  # the last label's digit is the least significant
-            rest, d = divmod(rest, base)
-            idx += d * steps[q]
-            if d >= k:
-                exterior |= 1 << q
-        flip = flips.get(exterior)
-        if flip is None:
-            moved = [perm[q] for q in range(t) if exterior >> q & 1]
-            flip = flips[exterior] = 2 if permutation_sign(moved) < 0 else 0
+        idx = images[c]
+        flip = 0 if signs[c] > 0 else 2
         for i, counts in enumerate(source_counts):
             if counts[c]:
                 target_counts[i][idx] += counts[c]
@@ -982,18 +973,12 @@ def _validate(frags, models, mode: str) -> None:
             h.check_degree(d)
 
 
-def _mode_sums(frag: Fragment, models, mode: str, twin=None):
+def _mode_sums(frag: Fragment, models, mode: str):
     """The signed tensor sums of a fragment over the subsets of its mode.
 
     Returns (number of subsets, one (coefficients, counts) pair per model):
     a model's counts are its surviving full colorings, counted at the label
-    coordinate of the coefficient each adds to.  With ``twin``, the label
-    permutation of an isomorphism onto another fragment
-    (:func:`~mixedpf.graph._isomorphism`), a third item holds the other
-    fragment's pairs without a walk: its sums by quarter turn and counts
-    are this one's moved by :func:`_relabel` before the division, as the
-    two have equal vertices, labels and circles, so equal scales and circle
-    factors.  The callers have validated
+    coordinate of the coefficient each adds to.  The callers have validated
     ``models`` and ``mode`` (:func:`_validate`).  Each class of
     :func:`_mode_classes` is checked by :meth:`_SubsetContext.alive` once,
     and a dead one only counts in the subsets.  The live classes are merged
@@ -1011,8 +996,7 @@ def _mode_sums(frag: Fragment, models, mode: str, twin=None):
     fragment's own circles multiply them by k - 2*ell each.
     """
     ctx = _SubsetContext(frag, models)
-    base = ctx.k + ctx.two_ell
-    size = base**frag.t
+    size = (ctx.k + ctx.two_ell) ** frag.t
 
     def zeros():
         # by_turn[q][i]: model i's sum of the products whose quarter turn is q; counts[i]
@@ -1044,20 +1028,13 @@ def _mode_sums(frag: Fragment, models, mode: str, twin=None):
         state, circuits, trails = peel(frag, subset)
         ctx.run(subset, state, mask, subset_prefactor(circuits, trails), targets)
     for perm, sums in moved.items():
-        _relabel(perm, ctx.k, base, sums, total)
-    halves = [total]
-    if twin is not None:
-        halves.append(zeros())
-        _relabel(twin, ctx.k, base, total, halves[1])
-    results = []
-    for by_turn, counts in halves:
-        sums = [_unturn(turned, scale) for turned, scale in zip(zip(*by_turn), ctx.scales)]
-        if frag.graph.n_circles:
-            # the mode checks make k - 2*ell the circle factor of every mode
-            factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
-            sums = [[c * factor for c in coeffs] for coeffs in sums]
-        results.append(list(zip(sums, counts)))
-    return subsets, *results
+        _relabel(perm, ctx.k, ctx.two_ell, sums, total)
+    sums = [_unturn(turned, scale) for turned, scale in zip(zip(*by_turn), ctx.scales)]
+    if frag.graph.n_circles:
+        # the mode checks make k - 2*ell the circle factor of every mode
+        factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
+        sums = [[c * factor for c in coeffs] for coeffs in sums]
+    return subsets, list(zip(sums, counts))
 
 
 def tensor_sums(frags, model: EdgeColoringModel, mode: str = "mixed") -> list[list]:
@@ -1172,21 +1149,27 @@ def _by_cut(g: MultiGraph, side, model: EdgeColoringModel, mode: str) -> Evaluat
     The caller has validated ``model`` and ``mode``.
 
     When :func:`~mixedpf.graph._isomorphism` maps F1 onto F2, labels to
-    labels, only F1 is walked: F2's sums are F1's with the labels moved by
-    the isomorphism's label permutation, each coordinate with its Koszul
-    sign (:func:`_relabel`), as for the classes of an orbit.  Halves that
-    are not isomorphic are both walked.
+    labels, by a label permutation p, only F1 is walked: sum T(F2) is
+    P sum T(F1), F1's sum with its slots moved by p and each coordinate
+    times its Koszul sign, so g's value is [S, P S] with S = sum T(F1), and
+    its colorings the same pairing of F1's counts, which move with no sign.
+    Both are taken through the table of p's inverse with the dual
+    (:func:`~mixedpf.algebra.signed_map`): [x, P y] is the form of x and y
+    through that table, an identity that holds on every tensor.  Halves
+    that are not isomorphic are both walked.
     """
     f1, f2 = split(g, side)
     twin = _isomorphism(f1, f2)
+    [(values1, counts1)] = _mode_sums(f1, [model], mode)[1]
     if twin is None:
-        halves = [_mode_sums(f, [model], mode)[1] for f in (f1, f2)]
+        [(values2, counts2)] = _mode_sums(f2, [model], mode)[1]
+        perm = tuple(range(f1.t))
     else:
-        halves = _mode_sums(f1, [model], mode, twin)[1:]
-    [(values1, counts1)], [(values2, counts2)] = halves
-    k, two_ell, t = model.k, model.two_ell, f1.t
-    value = form_pairing(values1, values2, k, two_ell, t)
-    colorings = form_pairing(counts1, counts2, k, two_ell, t, signed=False)
+        values2, counts2 = values1, counts1
+        perm = tuple(sorted(range(f1.t), key=twin.__getitem__))  # p's inverse
+    k, two_ell = model.k, model.two_ell
+    value = form_pairing(values1, values2, k, two_ell, perm)
+    colorings = form_pairing(counts1, counts2, k, two_ell, perm, signed=False)
     if mode == "mixed":
         subsets = 2 ** (g.n_edges - g.n_vertices + n_components(g))
     else:

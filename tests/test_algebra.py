@@ -1,5 +1,7 @@
 """Exact-arithmetic and basis-bookkeeping tests."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,9 @@ from mixedpf.algebra import (
     I,
     double_factorial_odd,
     dual_basis,
+    form_pairing,
     normalize_wedge,
+    signed_map,
     sym_counts,
 )
 
@@ -213,3 +217,85 @@ def test_sym_counts():
     assert sym_counts((), 3) == (0, 0, 0)
     with pytest.raises(ValueError):
         sym_counts((3,), 2)
+
+
+# -- the signed coordinate table of V^(x)t ------------------------------------
+
+#: (k, 2l) shapes: both blocks, two exterior pairs, and the symmetric block alone
+TABLE_SHAPES = [(1, 2), (2, 2), (0, 4), (3, 0)]
+
+
+def table_by_brute_force(k, two_ell, perm, dual):
+    """signed_map's table from pure basis tensors: slot q's vector, e_i or
+    f_i, goes to slot perm[q], and with ``dual`` to its partner under the
+    form first, f_i to f_j with [f_i, f_j] = -s where dual_basis gives
+    g_i = s * f_j; the Koszul sign counts the swaps of two exterior factors
+    that sort the factors into their new slots."""
+    ell, base, t = two_ell // 2, k + two_ell, len(perm)
+    images, signs = [], []
+    for digits in itertools.product(range(base), repeat=t):
+        moved, sign = [None] * t, 1
+        for q, d in enumerate(digits):
+            if d >= k and dual:
+                s, j = dual_basis(d - k + 1, ell)
+                d, sign = k + j - 1, -s * sign
+            moved[perm[q]] = d
+        factors = [(perm[q], d >= k) for q, d in enumerate(digits)]
+        for end in range(t, 0, -1):  # bubble sort by target slot
+            for a in range(end - 1):
+                if factors[a][0] > factors[a + 1][0]:
+                    if factors[a][1] and factors[a + 1][1]:
+                        sign = -sign
+                    factors[a], factors[a + 1] = factors[a + 1], factors[a]
+        images.append(sum(d * base ** (t - 1 - r) for r, d in enumerate(moved)))
+        signs.append(sign)
+    return tuple(images), tuple(signs)
+
+
+@pytest.mark.parametrize("k, two_ell", TABLE_SHAPES)
+def test_the_signed_table_is_that_of_basis_tensors(k, two_ell):
+    """Every perm of t <= 3 slots, with and without the dual."""
+    for t in range(4):
+        for perm in itertools.permutations(range(t)):
+            for dual in (False, True):
+                expected = table_by_brute_force(k, two_ell, perm, dual)
+                assert signed_map(k, two_ell, perm, dual) == expected, (perm, dual)
+
+
+@pytest.mark.parametrize("k, two_ell", TABLE_SHAPES)
+def test_moves_keep_the_form_and_pair_through_the_inverse(k, two_ell):
+    """On dense Gaussian vectors, odd-parity coordinates included, and every
+    perm p of t <= 3 slots: [P x, P y] = [x, y], and [x, P y] is the form
+    taken through the table of p's inverse with the dual.  A cut's twin
+    halves pair one sum S with itself, and [S, P S] cannot tell p from its
+    inverse: [S, P S] = [P^-1 S, S], which is [S, P^-1 S] because each
+    nonzero coordinate of a fragment's sum has an even number of exterior
+    slots, where the form is symmetric.  Two dense vectors do tell them
+    apart, at each perm that is not an involution."""
+    rng = random.Random(27)
+
+    def move(x, perm):  # P x: each coordinate at its image, times its sign
+        out = [None] * len(x)
+        for c, (image, sign) in enumerate(zip(*signed_map(k, two_ell, perm, False))):
+            out[image] = x[c] if sign > 0 else -x[c]
+        return out
+
+    def pair(x, y, perm):
+        return form_pairing(x, y, k, two_ell, perm)
+
+    def dense(t):
+        size = (k + two_ell) ** t
+        return [GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(size)]
+
+    slips = 0
+    for t in range(1, 4):
+        unmoved = tuple(range(t))
+        for p in itertools.permutations(range(t)):
+            inverse = tuple(sorted(range(t), key=p.__getitem__))
+            x, y = dense(t), dense(t)
+            assert pair(move(x, p), move(y, p), unmoved) == pair(x, y, unmoved)
+            through = pair(x, move(y, p), unmoved)
+            assert pair(x, y, inverse) == through, p
+            slips += pair(x, y, p) != through
+    # the 3-cycles (1, 2, 0) and (2, 0, 1), the only perms of t <= 3 that are not involutions
+    assert slips == 2

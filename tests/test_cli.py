@@ -305,6 +305,16 @@ def test_connrank(tmp_path, capsys):
     assert len(rows) == 2 and len(rows[0].split(",")) == 2
 
 
+def test_connrank_csv_into_a_missing_directory_prints_no_verdict(tmp_path, capsys):
+    frags = write(tmp_path, "frags.graph", FRAGMENTS_TEXT)
+    csv_path = tmp_path / "missing" / "matrix.csv"
+    code = main(["connrank", frags, "--model", "charpoly?t=0", "--csv", str(csv_path)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+
+
 def test_connrank_empty_file(tmp_path, capsys):
     frags = write(tmp_path, "empty.graph", "# nothing here\n")
     assert main(["connrank", frags, "--model", "matchings", "--mode", "ordinary"]) == 0

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedpf import evaluator, graph
-from mixedpf.algebra import I, ZERO, GaussianRational
+from mixedpf.algebra import I, ZERO, GaussianRational, signed_map
 from mixedpf.connection import DirectedMatching, canonical_matching_sign, fragment_tensor
 from mixedpf.evaluator import (
     eulerian_sum,
@@ -1942,11 +1942,13 @@ def test_isomorphisms_are_those_of_brute_force():
 def test_the_twin_of_a_renamed_fragment_with_rotated_labels_is_its_own_walk():
     """Each connected fragment with 3 labels, at most 3 internal vertices
     and 6 edges, against a copy with its vertices renamed and its labels
-    rotated, labels'[q] = labels[(1, 2, 0)[q]]: the copy's sums that
-    _mode_sums adds up from the fragment's by the label permutation of
-    _isomorphism equal the copy's own walk, coefficients and counts, under
-    a dense Gaussian model with (k, 2l) = (1, 2).  The cuts of the ladders
-    give only involutions; a 3-cycle pins the direction of p."""
+    rotated, labels'[q] = labels[(1, 2, 0)[q]]: the fragment's finished
+    sums moved by the label permutation p of _isomorphism, through
+    signed_map's table of p without the dual (each coefficient to its image
+    times its sign, each count to its image), equal the copy's own walk,
+    coefficients and counts, under a dense Gaussian model with
+    (k, 2l) = (1, 2).  The cuts of the ladders give only involutions; a
+    3-cycle pins the direction of p."""
     rng = random.Random(7)
     frags = [f for f in enumerate_fragments(3, 3, 6) if graph.n_components(f.graph) == 1]
     h = random_sparse_model(rng, 1, 2, max(f.max_degree() for f in frags), density=1.0)
@@ -1955,10 +1957,16 @@ def test_the_twin_of_a_renamed_fragment_with_rotated_labels_is_its_own_walk():
     for frag in frags:
         copy = renamed(frag, rng, (1, 2, 0))
         p = graph._isomorphism(frag, copy)
-        subsets, sums, twin = evaluator._mode_sums(frag, [h], "mixed", p)
+        subsets, [(coeffs, counts)] = evaluator._mode_sums(frag, [h], "mixed")
+        images, signs = signed_map(h.k, h.two_ell, p, False)
+        moved, moved_counts = [ZERO] * len(coeffs), [0] * len(counts)
+        for c, (image, sign) in enumerate(zip(images, signs)):
+            moved[image] = coeffs[c] if sign > 0 else -coeffs[c]
+            moved_counts[image] = counts[c]
+        twin = [(moved, moved_counts)]
         assert (subsets, twin) == evaluator._mode_sums(copy, [h], "mixed"), frag
         perms[p] += 1
-        nonzero += any(sums[0][0])
+        nonzero += any(coeffs)
     assert (len(frags), nonzero) == (597, 597)
     # (2, 0, 1) is the rotation's own permutation, (1, 2, 0) its inverse
     assert perms == {(0, 1, 2): 39, (0, 2, 1): 194, (1, 0, 2): 80, (2, 0, 1): 216, (2, 1, 0): 68}
