@@ -374,11 +374,13 @@ def form_pairing(x, y, k: int, two_ell: int, perm: tuple, signed: bool = True):
     """[x, y] for two coefficient sequences through :func:`signed_map`'s
     table of perm with the dual: the form itself when perm is the identity.
 
-    Signed, the coefficients are Gaussian rationals and so is the result.
-    With ``signed=False`` every sign is taken as +1: that pairs two
-    sequences of int counts to an int.
+    The total starts from the int 0 and takes the coefficients' own
+    arithmetic: int coefficients pair to an int, and Gaussian rationals to
+    a Gaussian rational, or to the int 0 when no term is nonzero.  With
+    ``signed=False`` every sign is taken as +1: that pairs two sequences of
+    int counts to an int.
     """
-    total = ZERO if signed else 0
+    total = 0
     images, signs = signed_map(k, two_ell, perm, True)
     for val, image, sign in zip(x, images, signs):
         if not val:

@@ -182,7 +182,8 @@ def gram_pairing(t1: FragmentTensor, t2: FragmentTensor) -> GaussianRational:
     mixed space itself."""
     if (t1.t, t1.k, t1.two_ell) != (t2.t, t2.k, t2.two_ell):
         raise ValueError("tensor shape mismatch in Gram pairing")
-    return form_pairing(t1.coeffs, t2.coeffs, t1.k, t1.two_ell, tuple(range(t1.t)))
+    # the coefficients are Gaussian rationals, so the total is one too unless it is 0
+    return form_pairing(t1.coeffs, t2.coeffs, t1.k, t1.two_ell, tuple(range(t1.t))) or ZERO
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,12 @@ rank reaches :data:`CUT_GATE` may be cut along a few edges
 the inverse of gluing); its value is then the Gram pairing of the halves'
 tensor sums, Z(F1 * F2) = [sum T(F1), sum T(F2)], which visits
 2^cyc(F1) + 2^cyc(F2) subsets of half the graph each instead of 2^cyc(G)
-of the whole.  Its colorings are the pairing of the halves' coloring
+of the whole.  The halves are paired as the walk leaves their sums, as
+Gaussian integers scaled by D^(n_vertices - t) (see below): plain ints
+under weights that are real or purely imaginary, so the pairing runs in
+int arithmetic, and the paired value is taken into Q(i) by one exact
+division by the two halves' powers of D, which also applies the circle
+factor once.  Its colorings are the pairing of the halves' coloring
 counts, each counted at its label coordinate, with every sign +1, and its
 subsets, 2^cyc(G), are counted in closed form.  Isomorphic halves are
 walked once: when an isomorphism maps F1 onto F2, labels to labels
@@ -128,13 +133,18 @@ an int r and a quarter turn q when the weight is real or purely imaginary
 (:class:`~mixedpf.models.EdgeColoringModel`).  A product multiplies the r
 and adds the q, and a full coloring adds its product to one of four sums,
 the one of its q plus the subset's prefactor and a dual label's sign, all
-mod 4; the four sums are combined once at the end.  A weight with two
-nonzero parts keeps its Gaussian value as r, with q = 0, and ``mul``
-takes it as it takes an int.  Every vertex but the labels gives one weight
-per coloring, so a subset's sum is D^(n_vertices - t) times the true one;
-:func:`subset_sums` divides each coefficient by that power once, and the
-subset loop each coefficient of each model's sum once per call, skipping
-the division when D = 1.  The result is exact, with the same canonical
+mod 4; the four sums are combined once at the end, into one Gaussian
+integer a coordinate (:func:`_gaussian`).  A weight with two nonzero
+parts keeps its Gaussian value as r, with q = 0, and ``mul`` takes it as
+it takes an int.  Every vertex but the labels gives one weight per
+coloring, so a subset's sum is D^(n_vertices - t) times the true one.
+The subset loop hands on each model's scaled coordinates with its scale,
+the exact rational (k - 2*ell)^circles / D^(n_vertices - t) that takes
+them to the sum (:func:`_mode_sums`).  The callers that return Q(i)
+values, :func:`subset_sums`, :func:`tensor_sums` and
+:func:`partition_function_many`, multiply each coefficient by the scale
+once per call (:func:`_unturn`), skipping it when it is 1; a cut divides
+once per value, as above.  The result is exact, with the same canonical
 components as any Q(i) value.
 
 Vertexless circle components never enter the enumeration: each contributes
@@ -157,6 +167,7 @@ from .algebra import (
     ZERO,
     GaussianRational,
     I,
+    _div_exact,
     as_gaussian,
     dual_basis,
     form_pairing,
@@ -761,24 +772,28 @@ def subset_sums(
     leaves = [[0] * size for _ in models]
     ctx.run(subset, state, ctx.alive(subset), 0, [(1, by_turn, leaves)])
     return [
-        (_unturn(sums, scale), sum(n)) for sums, n, scale in zip(zip(*by_turn), leaves, ctx.scales)
+        (_unturn(_gaussian(sums), _div_exact(1, power)), sum(n))
+        for sums, n, power in zip(zip(*by_turn), leaves, ctx.scales)
     ]
 
 
-def _unturn(sums, scale: int) -> list[GaussianRational]:
-    """One model's coefficients in Q(i), with canonical components, from its
-    four sums of scaled products by quarter turn: sum_q i^q * sums[q] / scale."""
-    coeffs = []
-    for a, b, c, d in zip(*sums):
-        value, turned = a - c, b - d
-        if turned:
-            value = value + turned * I
-        if not value:
-            coeffs.append(ZERO)
-        else:
-            value = as_gaussian(value)
-            coeffs.append(value if scale == 1 else value / scale)
-    return coeffs
+def _gaussian(sums) -> list:
+    """One model's coordinates from its four sums by quarter turn,
+    sum_q i^q * sums[q]: (a - c) + (b - d)*i at each, an int where b = d
+    and the walk's weights are ints, else a Gaussian rational with int
+    components.  They are still scaled as the walk's products are."""
+    return [a - c + (b - d) * I if b != d else a - c for a, b, c, d in zip(*sums)]
+
+
+def _unturn(coords, scale) -> list[GaussianRational]:
+    """Coefficients in Q(i), with canonical components, from Gaussian
+    integer coordinates (:func:`_gaussian`, or a cut's pairing of them):
+    each times ``scale``, an exact rational, skipped when it is 1."""
+    if scale == 1:
+        return [as_gaussian(c) if c else ZERO for c in coords]
+    # an int coordinate times the numerator stays an int: one exact division each
+    n, d = scale.numerator, scale.denominator
+    return [as_gaussian(c * n) / d if c else ZERO for c in coords]
 
 
 def eulerian_sum(
@@ -974,11 +989,18 @@ def _validate(frags, models, mode: str) -> None:
 
 
 def _mode_sums(frag: Fragment, models, mode: str):
-    """The signed tensor sums of a fragment over the subsets of its mode.
+    """The signed tensor sums of a fragment over the subsets of its mode,
+    as the walk leaves them.
 
-    Returns (number of subsets, one (coefficients, counts) pair per model):
-    a model's counts are its surviving full colorings, counted at the label
-    coordinate of the coefficient each adds to.  The callers have validated
+    Returns (number of subsets, one (coordinates, counts, scale) triple per
+    model).  A model's coordinates are its sum's (k+2*ell)^t coefficients
+    times D^(n_vertices - t), each the Gaussian integer of
+    :func:`_gaussian`: an int unless a quarter turn is odd or a weight has
+    two nonzero parts.  Its scale is the exact rational
+    (k - 2*ell)^circles / D^(n_vertices - t), int or Fraction, that takes
+    every coordinate to its coefficient (:func:`_unturn`).  Its counts are
+    its surviving full colorings, counted at the label coordinate each
+    adds to.  The callers have validated
     ``models`` and ``mode`` (:func:`_validate`).  Each class of
     :func:`_mode_classes` is checked by :meth:`_SubsetContext.alive` once,
     and a dead one only counts in the subsets.  The live classes are merged
@@ -991,9 +1013,7 @@ def _mode_sums(frag: Fragment, models, mode: str):
     counts are those of a walk of every subset.  Each subset's tensor is
     scaled by i^q, q its :func:`subset_prefactor`: the walk adds q to the
     quarter turn of each product it sums, and the model's four sums by
-    quarter turn are combined once at the end.  Sums stay scaled by
-    D^(n_vertices - t) until one division per coefficient, and the
-    fragment's own circles multiply them by k - 2*ell each.
+    quarter turn are combined once at the end.
     """
     ctx = _SubsetContext(frag, models)
     size = (ctx.k + ctx.two_ell) ** frag.t
@@ -1029,12 +1049,12 @@ def _mode_sums(frag: Fragment, models, mode: str):
         ctx.run(subset, state, mask, subset_prefactor(circuits, trails), targets)
     for perm, sums in moved.items():
         _relabel(perm, ctx.k, ctx.two_ell, sums, total)
-    sums = [_unturn(turned, scale) for turned, scale in zip(zip(*by_turn), ctx.scales)]
-    if frag.graph.n_circles:
-        # the mode checks make k - 2*ell the circle factor of every mode
-        factor = GaussianRational(ctx.k - ctx.two_ell) ** frag.graph.n_circles
-        sums = [[c * factor for c in coeffs] for coeffs in sums]
-    return subsets, list(zip(sums, counts))
+    # the mode checks make k - 2*ell the circle factor of every mode
+    circles = (ctx.k - ctx.two_ell) ** frag.graph.n_circles
+    return subsets, [
+        (_gaussian(turned), n, _div_exact(circles, power))
+        for turned, n, power in zip(zip(*by_turn), counts, ctx.scales)
+    ]
 
 
 def tensor_sums(frags, model: EdgeColoringModel, mode: str = "mixed") -> list[list]:
@@ -1050,7 +1070,11 @@ def tensor_sums(frags, model: EdgeColoringModel, mode: str = "mixed") -> list[li
     """
     frags = [as_fragment(f) for f in frags]
     _validate(frags, [model], mode)
-    return [_mode_sums(frag, [model], mode)[1][0][0] for frag in frags]
+    sums = []
+    for frag in frags:
+        [(coords, _, scale)] = _mode_sums(frag, [model], mode)[1]
+        sums.append(_unturn(coords, scale))
+    return sums
 
 
 def partition_function_many(
@@ -1069,7 +1093,9 @@ def partition_function_many(
     frag = as_fragment(g)
     _validate([frag], models, mode)
     n_subsets, sums = _mode_sums(frag, models, mode)
-    return [EvaluationResult(value, n_subsets, n) for (value,), (n,) in sums]
+    return [
+        EvaluationResult(*_unturn(coords, scale), n_subsets, n) for coords, (n,), scale in sums
+    ]
 
 
 #: the least number of live classes that are merged into orbits: below it
@@ -1141,7 +1167,12 @@ def _by_cut(g: MultiGraph, side, model: EdgeColoringModel, mode: str) -> Evaluat
     The halves are those of :func:`~mixedpf.graph.split`, and g's value is
     the Gram pairing of their signed tensor sums (the form of
     :func:`~mixedpf.algebra.form_pairing`), the identity
-    Z(F1 * F2) = [sum T(F1), sum T(F2)].  Its colorings are the same
+    Z(F1 * F2) = [sum T(F1), sum T(F2)].  The halves are paired as
+    :func:`_mode_sums` leaves them, scaled Gaussian integer coordinates, in
+    int arithmetic unless a coordinate is not real; the pairing is then
+    taken into Q(i) once, times the product of the halves' scales, which
+    divides by both powers of D and applies the circle factor, all of the
+    circles being F1's.  Its colorings are the same
     pairing of the halves' counts with every sign +1: a full coloring of g
     is one of each half that agrees on the cut edges, and it survives when
     both do.  Its subsets are 2^cyc(g) in mixed mode, counted in closed
@@ -1160,15 +1191,16 @@ def _by_cut(g: MultiGraph, side, model: EdgeColoringModel, mode: str) -> Evaluat
     """
     f1, f2 = split(g, side)
     twin = _isomorphism(f1, f2)
-    [(values1, counts1)] = _mode_sums(f1, [model], mode)[1]
+    [(coords1, counts1, scale1)] = _mode_sums(f1, [model], mode)[1]
     if twin is None:
-        [(values2, counts2)] = _mode_sums(f2, [model], mode)[1]
+        [(coords2, counts2, scale2)] = _mode_sums(f2, [model], mode)[1]
         perm = tuple(range(f1.t))
     else:
-        values2, counts2 = values1, counts1
+        coords2, counts2, scale2 = coords1, counts1, scale1
         perm = tuple(sorted(range(f1.t), key=twin.__getitem__))  # p's inverse
     k, two_ell = model.k, model.two_ell
-    value = form_pairing(values1, values2, k, two_ell, perm)
+    paired = form_pairing(coords1, coords2, k, two_ell, perm)
+    [value] = _unturn([paired], scale1 * scale2)
     colorings = form_pairing(counts1, counts2, k, two_ell, perm, signed=False)
     if mode == "mixed":
         subsets = 2 ** (g.n_edges - g.n_vertices + n_components(g))

@@ -299,3 +299,22 @@ def test_moves_keep_the_form_and_pair_through_the_inverse(k, two_ell):
             slips += pair(x, y, p) != through
     # the 3-cycles (1, 2, 0) and (2, 0, 1), the only perms of t <= 3 that are not involutions
     assert slips == 2
+
+
+@pytest.mark.parametrize("k, two_ell", TABLE_SHAPES)
+def test_int_vectors_pair_to_the_int_of_their_gaussian_pairing(k, two_ell):
+    """On dense int vectors, negatives included, and every perm of t <= 3
+    slots: form_pairing through the table of the perm with the dual gives
+    an int, signed or not, and that int is the pairing of the same vectors
+    as Gaussian rationals.  A cut pairs its halves' scaled coordinates so."""
+    rng = random.Random(28)
+    for t in range(4):
+        size = (k + two_ell) ** t
+        for perm in itertools.permutations(range(t)):
+            x = [rng.randint(-9, 9) for _ in range(size)]
+            y = [rng.randint(-9, 9) for _ in range(size)]
+            gx, gy = [GaussianRational(a) for a in x], [GaussianRational(b) for b in y]
+            for signed in (True, False):
+                paired = form_pairing(x, y, k, two_ell, perm, signed)
+                assert type(paired) is int, (perm, signed)
+                assert paired == form_pairing(gx, gy, k, two_ell, perm, signed), (perm, signed)

@@ -302,7 +302,7 @@ def test_the_vertex_walk_equals_the_coloring_oracle():
             walk.run(subset, state, walk.alive(subset), 0, targets[1:])
             for weight, by_turn, counts in targets:
                 weighted = [
-                    (evaluator._unturn(sums, scale), sum(n))
+                    (evaluator._unturn(evaluator._gaussian(sums), Fraction(1, scale)), sum(n))
                     for sums, n, scale in zip(zip(*by_turn), counts, walk.scales)
                 ]
                 assert weighted == [
@@ -1491,16 +1491,31 @@ CUT_MODELS = {
     "skew": [circuit_neg_model(1), circuit_neg_model(2)],
 }
 
+# mixed models whose weights the walk scales by their common denominator D:
+# D = 2, and D = 6 with weights of two nonzero parts, so each half's scaled
+# Gaussian integer coordinates are paired before one division
+SCALED_CUT_MODELS = [
+    charpoly_model(Fraction(3, 2), cap=12),
+    charpoly_model(GaussianRational(Fraction(1, 3), Fraction(1, 2)), cap=12),
+]
 
-@pytest.mark.parametrize("mode", ["ordinary", "skew", "mixed"])
-def test_a_cut_gives_the_whole_subset_sum(mode):
+
+@pytest.mark.parametrize(
+    "mode, models",
+    [
+        *(pytest.param(mode, CUT_MODELS[mode], id=mode) for mode in ("ordinary", "skew", "mixed")),
+        pytest.param("mixed", SCALED_CUT_MODELS, id="mixed-scaled"),
+    ],
+)
+def test_a_cut_gives_the_whole_subset_sum(mode, models):
     """Every unordered bipartition of every multigraph with at most 3
-    vertices and 6 edges, the two halves each nonempty: the Gram pairing of
-    the halves' tensor sums and of their coloring counts, and the subsets in
-    closed form, are the whole graph's value, colorings and subsets."""
+    vertices and 6 edges, the two halves each nonempty, under the models in
+    turn graph by graph: the Gram pairing of the halves' tensor sums and of
+    their coloring counts, and the subsets in closed form, are the whole
+    graph's value, colorings and subsets."""
     cuts = nonzero = 0
     for idx, g in enumerate(enumerate_multigraphs(3, 6)):
-        model = CUT_MODELS[mode][idx % len(CUT_MODELS[mode])]
+        model = models[idx % len(models)]
         expected = whole(g, model, mode)
         for size in range(1, g.n_vertices):
             for rest in itertools.combinations(range(1, g.n_vertices), size - 1):
@@ -1944,9 +1959,9 @@ def test_the_twin_of_a_renamed_fragment_with_rotated_labels_is_its_own_walk():
     and 6 edges, against a copy with its vertices renamed and its labels
     rotated, labels'[q] = labels[(1, 2, 0)[q]]: the fragment's finished
     sums moved by the label permutation p of _isomorphism, through
-    signed_map's table of p without the dual (each coefficient to its image
-    times its sign, each count to its image), equal the copy's own walk,
-    coefficients and counts, under a dense Gaussian model with
+    signed_map's table of p without the dual (each scaled coordinate to its
+    image times its sign, each count to its image), equal the copy's own
+    walk, coordinates, counts and scale, under a dense Gaussian model with
     (k, 2l) = (1, 2).  The cuts of the ladders give only involutions; a
     3-cycle pins the direction of p."""
     rng = random.Random(7)
@@ -1957,13 +1972,13 @@ def test_the_twin_of_a_renamed_fragment_with_rotated_labels_is_its_own_walk():
     for frag in frags:
         copy = renamed(frag, rng, (1, 2, 0))
         p = graph._isomorphism(frag, copy)
-        subsets, [(coeffs, counts)] = evaluator._mode_sums(frag, [h], "mixed")
+        subsets, [(coeffs, counts, scale)] = evaluator._mode_sums(frag, [h], "mixed")
         images, signs = signed_map(h.k, h.two_ell, p, False)
         moved, moved_counts = [ZERO] * len(coeffs), [0] * len(counts)
         for c, (image, sign) in enumerate(zip(images, signs)):
             moved[image] = coeffs[c] if sign > 0 else -coeffs[c]
             moved_counts[image] = counts[c]
-        twin = [(moved, moved_counts)]
+        twin = [(moved, moved_counts, scale)]
         assert (subsets, twin) == evaluator._mode_sums(copy, [h], "mixed"), frag
         perms[p] += 1
         nonzero += any(coeffs)
