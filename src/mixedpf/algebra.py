@@ -370,7 +370,7 @@ def signed_map(k: int, two_ell: int, perm, dual: bool) -> tuple[tuple[int, ...],
     return images, tuple(sign * koszul[mask] for _, sign, mask in entries)
 
 
-def form_pairing(x, y, k: int, two_ell: int, perm: tuple, signed: bool = True):
+def form_pairing(x, y, k: int, two_ell: int, perm: tuple, signed: bool = True, support=None):
     """[x, y] for two coefficient sequences through :func:`signed_map`'s
     table of perm with the dual: the form itself when perm is the identity.
 
@@ -378,11 +378,16 @@ def form_pairing(x, y, k: int, two_ell: int, perm: tuple, signed: bool = True):
     arithmetic: int coefficients pair to an int, and Gaussian rationals to
     a Gaussian rational, or to the int 0 when no term is nonzero.  With
     ``signed=False`` every sign is taken as +1: that pairs two sequences of
-    int counts to an int.
+    int counts to an int.  A ``support``, the indices of x to visit, in
+    place of every index, serves a sparse x: it must hold every index where
+    x is nonzero.
     """
     total = 0
     images, signs = signed_map(k, two_ell, perm, True)
-    for val, image, sign in zip(x, images, signs):
+    terms = zip(x, images, signs)
+    if support is not None:
+        terms = [(x[a], images[a], signs[a]) for a in support]
+    for val, image, sign in terms:
         if not val:
             continue
         other = y[image]

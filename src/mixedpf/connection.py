@@ -10,7 +10,9 @@ connection submatrices.
 
 :func:`connection_matrix` reads the matrix off that representation: one
 signed tensor sum per fragment (:func:`~mixedpf.evaluator.tensor_sums`)
-and one pairing per entry, so no graph is glued for the entries.  Its rank
+and one pairing per entry, so no graph is glued for the entries.  The
+tensors are sparse, so a :class:`FragmentTensor` keeps the indices of its
+nonzero coefficients, and its sums and pairings visit those alone.  Its rank
 r is then certified from both sides.  rank <= r is the Gram identity
 Z(F1 * F2) = [sum T(F1), sum T(F2)], which the ``gram`` suite and the
 tests check against glued evaluations.  rank >= r rests on glued values
@@ -104,36 +106,47 @@ def matching_sign(m: DirectedMatching, n: DirectedMatching) -> int:
 
 @dataclass(frozen=True)
 class FragmentTensor:
-    """A dense vector in the t-fold tensor power of the mixed color space.
+    """A vector in the t-fold tensor power of the mixed color space.
 
     Each slot has k + 2*ell coordinates, e_i at i-1 and f_i at k+i-1, and the
     first slot is the most significant digit of a coefficient's index: the
     coordinates of :func:`~mixedpf.algebra.signed_map`.  A vector of the
     mixed space itself is the t=1 tensor.
+
+    ``support`` holds the ascending indices of the nonzero coefficients,
+    found as they are coerced to Q(i).  It is derived, so it takes no part
+    in construction, equality, hashing or repr.  A sum adds only the second
+    tensor's support into a copy of the first's coefficients.
     """
 
     t: int
     k: int
     two_ell: int
     coeffs: tuple
+    support: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         base = self.k + self.two_ell
         if len(self.coeffs) != base**self.t:
             raise ValueError("coefficient vector has wrong dimension")
-        object.__setattr__(self, "coeffs", tuple(as_gaussian(c) for c in self.coeffs))
+        coeffs, support = [], []
+        for a, c in enumerate(self.coeffs):
+            c = as_gaussian(c)
+            coeffs.append(c)
+            if c.re or c.im:  # bool(c) without the method call: half this loop's time
+                support.append(a)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "support", tuple(support))
 
     def __add__(self, other):
         if not isinstance(other, FragmentTensor):
             return NotImplemented
         if (self.t, self.k, self.two_ell) != (other.t, other.k, other.two_ell):
             raise ValueError("tensor shape mismatch")
-        return FragmentTensor(
-            self.t,
-            self.k,
-            self.two_ell,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        coeffs = list(self.coeffs)
+        for a in other.support:
+            coeffs[a] += other.coeffs[a]
+        return FragmentTensor(self.t, self.k, self.two_ell, tuple(coeffs))
 
     @classmethod
     def zero(cls, t: int, k: int, two_ell: int) -> "FragmentTensor":
@@ -153,8 +166,9 @@ def fragment_tensor(
     labels off the subset, and the exterior color's f (incoming) or g
     (outgoing, expanded to a signed f) at labels on it.  The whole tensor is
     scaled by i^(|S|/2), the sign of the trail matching, and the circuit
-    parity (:func:`~mixedpf.evaluator.subset_prefactor`).  This is the
-    per-subset oracle of :func:`~mixedpf.evaluator.tensor_sums`.
+    parity (:func:`~mixedpf.evaluator.subset_prefactor`), which multiplies
+    the nonzero coefficients only.  This is the per-subset oracle of
+    :func:`~mixedpf.evaluator.tensor_sums`.
     """
     frag = as_fragment(frag)
     subset = frozenset(subset)
@@ -171,7 +185,7 @@ def fragment_tensor(
     [(coeffs, _)] = subset_sums(frag, subset, state, [model])
     if q:
         prefactor = I**q
-        coeffs = [prefactor * c for c in coeffs]
+        coeffs = [prefactor * c if c else c for c in coeffs]
     return FragmentTensor(frag.t, model.k, model.two_ell, tuple(coeffs))
 
 
@@ -179,11 +193,14 @@ def gram_pairing(t1: FragmentTensor, t2: FragmentTensor) -> GaussianRational:
     """The supersymmetric form applied factorwise across the t tensor slots
     (:func:`~mixedpf.algebra.form_pairing` through the identity's
     :func:`~mixedpf.algebra.signed_map`); at t=1 it is the form on the
-    mixed space itself."""
+    mixed space itself.  It visits the first tensor's ``support`` only, and
+    returns ZERO when no term is nonzero."""
     if (t1.t, t1.k, t1.two_ell) != (t2.t, t2.k, t2.two_ell):
         raise ValueError("tensor shape mismatch in Gram pairing")
     # the coefficients are Gaussian rationals, so the total is one too unless it is 0
-    return form_pairing(t1.coeffs, t2.coeffs, t1.k, t1.two_ell, tuple(range(t1.t))) or ZERO
+    identity = tuple(range(t1.t))
+    total = form_pairing(t1.coeffs, t2.coeffs, t1.k, t1.two_ell, identity, support=t1.support)
+    return total or ZERO
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,11 @@ the cache and the records together, then holds the walk's record again.
 
 Work that does not depend on the subset is done once per call: the edge
 order, the vertex order and each vertex's edges and free edges; what does
-not depend on the graph either is read from the record.
+not depend on the graph either is read from the record.  The per-subset
+path, :func:`subset_sums`, is called once per subset, so it does that
+work once per run of calls on one fragment: it keeps the last context it
+built, with its fragment and models, for the next call on equal ones,
+and emptying the cache drops it with the records.
 
 A vertex with x of its d half-edges in a subset reads d - x symmetric
 colors and x exterior ones, so a model with no pattern of that bidegree
@@ -232,15 +236,23 @@ def _record_numbers(record) -> int:
     return size + 3 * len(bidegrees) + 1 + len(factors or ()) + len(turns or ())
 
 
+# The last (fragment, models, context) that subset_sums built, reused by its
+# next call on an equal fragment and equal models; None once _empty has run.
+_context = None
+
+
 def _empty() -> None:
     """Empty the factor cache and the model-set records, clearing each table
-    in place, so that a walk still filling one fills no stale table."""
-    global _held
+    in place, so that a walk still filling one fills no stale table, and
+    drop :func:`subset_sums`' last context, whose models key the records no
+    longer hold."""
+    global _held, _context
     for emptied in _FACTORS.values():
         emptied.clear()
     _FACTORS.clear()
     _KEYS.clear()
     _held = 0
+    _context = None
 
 
 def _model_set(models) -> tuple:
@@ -765,8 +777,20 @@ def subset_sums(
     validate once per evaluation what this search assumes: ``state`` is a
     valid state of ``subset``, and the models share (k, two_ell) and fit the
     graph's degree caps (:meth:`EdgeColoringModel.check_cap`).
+
+    Callers sum a fragment subset by subset, so the context of the last
+    call is kept and serves the next call on an equal fragment and equal
+    models.  Models are compared by ``==``, not by ``key``: models of
+    equal scaled weights can differ in D, and so in the context's scales.
     """
-    ctx = _SubsetContext(frag, models)
+    global _context
+    models = tuple(models)
+    last = _context
+    if last is not None and last[0] == frag and last[1] == models:
+        ctx = last[2]
+    else:
+        ctx = _SubsetContext(frag, models)
+        _context = (frag, models, ctx)
     size = (ctx.k + ctx.two_ell) ** frag.t
     by_turn = [[[0] * size for _ in models] for _ in range(4)]
     leaves = [[0] * size for _ in models]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedpf import connection, evaluator, linalg
-from mixedpf.algebra import ZERO, GaussianRational, I, dual_basis
+from mixedpf.algebra import ZERO, GaussianRational, I, dual_basis, form_pairing
 from mixedpf.connection import (
     ConnectionMatrix,
     DirectedMatching,
@@ -272,6 +272,55 @@ def test_empty_subset_tensor_is_symmetric_block():
     for idx, coeff in enumerate(tensor.coeffs):
         if idx >= 2:
             assert coeff == 0
+
+
+@pytest.mark.parametrize("t", range(4))
+def test_sums_and_pairings_read_the_support(t):
+    """On the summed tensors of a whole small family under a model with
+    two-part weights and one that vanishes on odd t: the support is exactly
+    the nonzero coordinates; a sum is the coordinatewise dense sum, with
+    either operand zero or the two supports disjoint, and it drops a
+    coordinate that cancels; the pairing, which reads the first tensor's
+    support, is the dense form on every ordered pair of distinct sums; and
+    the support takes no part in construction, equality, hashing or repr."""
+    family = list(enumerate_fragments(t, 2, 4))
+    identity = tuple(range(t))
+    split = 0
+    for model in (charpoly_model(Fraction(1, 3) + I / 2), circuit_odd_model(1)):
+        k, two_ell = model.k, model.two_ell
+        zero = FragmentTensor.zero(t, k, two_ell)
+        # equal sums, such as circuit-odd's zeros at odd t, are checked once
+        sums = dict.fromkeys(tuple(c) for c in tensor_sums(family, model))
+        tensors = [FragmentTensor(t, k, two_ell, c) for c in sums]
+        for a in [zero] + tensors:
+            assert a.support == tuple(i for i, c in enumerate(a.coeffs) if c)
+            assert zero + a == a + zero == a
+            negated = FragmentTensor(t, k, two_ell, tuple(-c for c in a.coeffs))
+            assert (a + negated).support == () and a + negated == zero
+            # a as the sum of two tensors of disjoint supports
+            half = set(a.support[::2])
+            pieces = [[0] * len(a.coeffs), [0] * len(a.coeffs)]
+            for i in a.support:
+                pieces[i in half][i] = a.coeffs[i]
+            p, q = (FragmentTensor(t, k, two_ell, tuple(piece)) for piece in pieces)
+            assert p + q == q + p == a
+            split += bool(q.support)
+            # ints in place of the zero coefficients: coerced, equal, and hashed alike
+            ints = FragmentTensor(t, k, two_ell, tuple(c if c else 0 for c in a.coeffs))
+            object.__setattr__(ints, "support", ())
+            assert ints == a and hash(ints) == hash(a) == hash((t, k, two_ell, a.coeffs))
+            assert repr(ints) == repr(a) == (
+                f"FragmentTensor(t={t}, k={k}, two_ell={two_ell}, coeffs={a.coeffs!r})"
+            )
+            with pytest.raises(TypeError):
+                FragmentTensor(t, k, two_ell, a.coeffs, a.support)
+        for a, b in itertools.product(tensors, repeat=2):
+            total = a + b
+            assert total.coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+            assert total.support == tuple(i for i, c in enumerate(total.coeffs) if c)
+            dense = form_pairing(a.coeffs, b.coeffs, k, two_ell, identity)
+            assert gram_pairing(a, b) == dense, (a, b)
+    assert split > 0 or t == 0
 
 
 def test_gram_label_mismatch_vanishes():

@@ -240,6 +240,75 @@ def test_subset_sums_equal_coloring_oracle():
     assert checked > 300
 
 
+def test_subset_sums_reuse_their_last_context_on_equal_input_only(monkeypatch):
+    """Calls on two fragments, interleaved, each on the next of its
+    fragment's subsets: a call reuses the last context built when its
+    fragment and models equal that context's, as objects built apart may,
+    and builds one otherwise, also for models of the same scaled weights
+    and so the same key whose D differs; after _empty it builds one again.
+    Each call gives what a context built for it alone gives."""
+    for name, value in (("_FACTORS", {}), ("_held", 0), ("_KEYS", {}), ("_context", None)):
+        monkeypatch.setattr(evaluator, name, value)
+    w = Fraction(1, 3) + I / 2
+    h = charpoly_model(w)
+    halved = EdgeColoringModel(2, 2, {pattern: v / 2 for pattern, v in h.entries.items()})
+    assert halved.key == h.key and halved.denominator == 2 * h.denominator
+    a = Fragment(MultiGraph(4, ((0, 1), (0, 1), (0, 2), (1, 3))), (2, 3))
+    b = Fragment(MultiGraph(3, ((0, 0), (0, 1), (0, 2))), (1, 2))
+    a_apart = Fragment(MultiGraph(4, a.graph.edges), a.labels)
+    assert a_apart == a and a_apart is not a
+    hs = [h]
+    # (fragment, models, whether the call builds a context); None: call _empty
+    calls = [
+        (a, hs, True),
+        (a, hs, False),
+        (a, [charpoly_model(w)], False),
+        (a_apart, [h], False),
+        (b, hs, True),
+        (a, hs, True),
+        (b, hs, True),
+        (a, [halved], True),
+        (a, hs, True),
+        (b, [h, halved], True),
+        (b, [charpoly_model(w), halved], False),
+        None,
+        (b, [h, halved], True),
+    ]
+    states = {}
+    for frag in (a, b):
+        states[frag] = [(s, eulerian_state(frag, s, 0)) for s in enumerate_eulerian_subsets(frag)]
+
+    def call(step, frag, models):
+        subset, state = states[frag][step % len(states[frag])]
+        return subset_sums(frag, subset, state, models)
+
+    expected = {}
+    for step, (frag, models, _) in enumerate(filter(None, calls)):
+        evaluator._context = None
+        expected[step] = call(step, frag, models)
+    # h's context would scale the halved model's nonzero sums by h's powers of D
+    assert any(any(coeffs) for coeffs, _ in expected[7])
+    built = []
+
+    class Spy(evaluator._SubsetContext):
+        def __init__(self, frag, models):
+            built.append(frag)
+            super().__init__(frag, models)
+
+    monkeypatch.setattr(evaluator, "_SubsetContext", Spy)
+    evaluator._empty()
+    step = 0
+    for entry in calls:
+        if entry is None:
+            evaluator._empty()
+            continue
+        frag, models, builds = entry
+        before = len(built)
+        assert call(step, frag, models) == expected[step], step
+        assert len(built) - before == builds, step
+        step += 1
+
+
 def quarter_turn_models(rng, k, two_ell, max_degree):
     """Two models on one random support: one weighs each pattern i, -i, 2i
     or -1, weights the walk keeps as an int and a quarter turn; the other
