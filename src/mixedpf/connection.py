@@ -39,14 +39,13 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     GaussianRational,
-    I,
     ZERO,
     as_gaussian,
     form_pairing,
     permutation_sign,
 )
 from . import evaluator
-from .evaluator import subset_prefactor, subset_sums, tensor_sums
+from .evaluator import subset_sums, tensor_sums
 from .graph import (
     EulerianState,
     Fragment,
@@ -166,9 +165,10 @@ def fragment_tensor(
     labels off the subset, and the exterior color's f (incoming) or g
     (outgoing, expanded to a signed f) at labels on it.  The whole tensor is
     scaled by i^(|S|/2), the sign of the trail matching, and the circuit
-    parity (:func:`~mixedpf.evaluator.subset_prefactor`), which multiplies
-    the nonzero coefficients only.  This is the per-subset oracle of
-    :func:`~mixedpf.evaluator.tensor_sums`.
+    parity (:func:`~mixedpf.evaluator.subset_prefactor`), which
+    :func:`~mixedpf.evaluator.subset_sums` applies as its walk starts,
+    given the state's :func:`~mixedpf.graph.decompose`.  This is the
+    per-subset oracle of :func:`~mixedpf.evaluator.tensor_sums`.
     """
     frag = as_fragment(frag)
     subset = frozenset(subset)
@@ -180,12 +180,7 @@ def fragment_tensor(
             raise ValueError("state was built for a different subset")
         validate_state(frag, state)
 
-    circuits, trails = decompose(state, frag)
-    q = subset_prefactor(circuits, trails)
-    [(coeffs, _)] = subset_sums(frag, subset, state, [model])
-    if q:
-        prefactor = I**q
-        coeffs = [prefactor * c if c else c for c in coeffs]
+    [(coeffs, _)] = subset_sums(frag, subset, state, [model], decompose(state, frag))
     return FragmentTensor(frag.t, model.k, model.two_ell, tuple(coeffs))
 
 

@@ -10,7 +10,10 @@ scalar subset value is the single coefficient of its t=0 tensor.  One
 subset loop serves graphs and fragments alike: :func:`tensor_sums` is its
 signed sum of a fragment's tensors over the subsets of a mode, and
 :func:`partition_function_many` reads the single coefficient of a graph's
-t=0 sum.  Each subset's tensor is signed by :func:`subset_prefactor`.
+t=0 sum.  Each subset's tensor is signed by :func:`subset_prefactor` in
+one place, the walk (:meth:`_SubsetContext.run`), which starts at that
+quarter turn for every caller: a scalar value is signed as a t-label
+tensor is, and no caller signs the walk's output again.
 
 :func:`partition_function` may evaluate a graph by two halves, with the same
 value, subsets and colorings.  A connected graph in mixed mode whose cycle
@@ -764,19 +767,22 @@ class _SubsetContext:
 
 
 def subset_sums(
-    frag: Fragment, subset, state: EulerianState, models: list[EdgeColoringModel]
+    frag: Fragment, subset, state: EulerianState, models: list[EdgeColoringModel], decomposition
 ) -> list[tuple[list, int]]:
     """The coloring search of one Eulerian subset, for several models at once.
 
     Returns one (coefficients, leaves) pair per model: the (k+2*ell)^t
-    coefficients of the subset's tensor over the label colors, in the
-    coordinates of :class:`~mixedpf.connection.FragmentTensor`, and the
+    coefficients of the subset's signed tensor over the label colors, in
+    the coordinates of :class:`~mixedpf.connection.FragmentTensor`, and the
     number of surviving full colorings.  A plain graph gives exactly one
-    coefficient, its subset value.  No sign is applied: callers multiply by
-    the circuit parity and, for labels, the trail prefactor.  Callers also
-    validate once per evaluation what this search assumes: ``state`` is a
-    valid state of ``subset``, and the models share (k, two_ell) and fit the
-    graph's degree caps (:meth:`EdgeColoringModel.check_cap`).
+    coefficient, its signed subset value.  ``decomposition`` is the
+    (circuits, trails) of ``state`` as :func:`~mixedpf.graph.decompose`
+    gives them, and the walk starts at their :func:`subset_prefactor`, as
+    :func:`_mode_sums` starts it at :func:`~mixedpf.graph.peel`'s; (0, ())
+    gives the unsigned sums.  Callers validate once per evaluation what
+    this search assumes: ``state`` is a valid state of ``subset`` and
+    ``decomposition`` is its own, and the models share (k, two_ell) and fit
+    the graph's degree caps (:meth:`EdgeColoringModel.check_cap`).
 
     Callers sum a fragment subset by subset, so the context of the last
     call is kept and serves the next call on an equal fragment and equal
@@ -794,7 +800,8 @@ def subset_sums(
     size = (ctx.k + ctx.two_ell) ** frag.t
     by_turn = [[[0] * size for _ in models] for _ in range(4)]
     leaves = [[0] * size for _ in models]
-    ctx.run(subset, state, ctx.alive(subset), 0, [(1, by_turn, leaves)])
+    turn = subset_prefactor(*decomposition)
+    ctx.run(subset, state, ctx.alive(subset), turn, [(1, by_turn, leaves)])
     return [
         (_unturn(_gaussian(sums), _div_exact(1, power)), sum(n))
         for sums, n, power in zip(zip(*by_turn), leaves, ctx.scales)
@@ -829,9 +836,10 @@ def eulerian_sum(
     """The signed coloring sum for one Eulerian edge subset.
 
     Exterior colors run over the subset (through the state's pairing),
-    symmetric colors over the rest, weighted by (-1)^(number of circuits).
-    The value does not depend on which valid state is used.  Circle
-    components of g are NOT handled here; callers account for them.
+    symmetric colors over the rest, weighted by (-1)^(number of circuits):
+    the t=0 tensor of :func:`subset_sums`, signed there as every subset's
+    tensor is.  The value does not depend on which valid state is used.
+    Circle components of g are NOT handled here; callers account for them.
     """
     frag = as_fragment(g)
     if frag.t:
@@ -844,9 +852,8 @@ def eulerian_sum(
         if frozenset(state.subset) != subset:
             raise ValueError("state was built for a different subset")
         validate_state(frag, state)
-    circuits, _ = decompose(state, frag)
-    [((total,), _)] = subset_sums(frag, subset, state, [model])
-    return -total if circuits % 2 else total
+    [((total,), _)] = subset_sums(frag, subset, state, [model], decompose(state, frag))
+    return total
 
 
 def subset_prefactor(circuits: int, trails) -> int:
@@ -1109,12 +1116,15 @@ def partition_function_many(
     All models must share (k, two_ell).  A value is the single coefficient
     of the whole graph's t=0 tensor sum: this is the subset sum that
     :func:`partition_function`, which may cut a graph in two, is checked
-    against, and its results equal that function's exactly.
+    against, and its results equal that function's exactly.  Like it, this
+    refuses a fragment with labels before any work.
     """
     models = list(models)
     if not models:
         return []
     frag = as_fragment(g)
+    if frag.t:
+        raise ValueError("partition_function_many expects a plain graph, not a fragment")
     _validate([frag], models, mode)
     n_subsets, sums = _mode_sums(frag, models, mode)
     return [
@@ -1247,9 +1257,12 @@ def partition_function(
     A connected graph in mixed mode of cycle rank at least :data:`CUT_GATE`
     is cut by :func:`_balanced_cut` when a cut pays, and evaluated by
     :func:`_by_cut`; any other goes to :func:`partition_function_many`.
-    In ordinary and skew mode a graph has a single subset, so no cut can
-    pay.  Each path validates the graph and model once, after the cut
-    finder, which reads the graph alone, and before any subset is summed.
+    Only mixed mode is offered the cut, since :func:`_balanced_cut` prices
+    a cut by the subsets it saves, and a graph has one subset in ordinary
+    and skew mode.  The cut can still pay there, by the colorings a half's
+    walk saves, but the cut finder cannot yet see it.  Each path validates
+    the graph and model once, after the cut finder, which reads the graph
+    alone, and before any subset is summed.
     """
     frag = as_fragment(g)
     if frag.t:

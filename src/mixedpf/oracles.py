@@ -35,10 +35,6 @@ class Polynomial:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -57,19 +53,6 @@ class Polynomial:
             for c in coeffs:
                 re, im = re * a - im * b + c.re, re * b + im * a + c.im
         return GaussianRational(re, im)
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            for b, cb in enumerate(other.coeffs):
-                out[a + b] = out[a + b] + ca * cb
-        return Polynomial(tuple(out))
 
     def shift(self, n: int) -> "Polynomial":
         """Multiply by x^n."""

@@ -198,6 +198,22 @@ def test_evaluator_refusals():
     assert str(info.value) == "eulerian_sum expects a plain graph, not a fragment"
 
 
+def test_partition_function_many_refuses_a_fragment_before_any_work(monkeypatch):
+    """A fragment with labels is refused with one line before a subset is
+    summed, as partition_function refuses it; no models is still no
+    results."""
+    walked = []
+    mode_sums = evaluator._mode_sums
+    monkeypatch.setattr(evaluator, "_mode_sums", lambda *a: walked.append(a) or mode_sums(*a))
+    with pytest.raises(ValueError) as info:
+        partition_function_many(PATH2, [charpoly_model(1)], "mixed")
+    assert str(info.value) == "partition_function_many expects a plain graph, not a fragment"
+    assert walked == []
+    assert partition_function_many(K3, [], "mixed") == []
+    assert partition_function_many(K3, [charpoly_model(1)], "mixed")[0].value == -4  # det(I - A)
+    assert len(walked) == 1
+
+
 def test_cap_too_small_raises():
     with pytest.raises(ValueError, match="cap"):
         partition_function(K3, matchings_model(cap=1), "ordinary")
@@ -233,7 +249,7 @@ def test_subset_sums_equal_coloring_oracle():
             models.append(EdgeColoringModel(k, two_ell, {}))
             for subset in enumerate_eulerian_subsets(frag):
                 state = eulerian_state(frag, subset, rng.randrange(100))
-                got = subset_sums(frag, subset, state, models)
+                got = subset_sums(frag, subset, state, models, (0, ()))
                 expected = [coloring_sum_oracle(frag, subset, state, h) for h in models]
                 assert got == expected, (frag, subset, k, two_ell)
             checked += 1
@@ -280,7 +296,7 @@ def test_subset_sums_reuse_their_last_context_on_equal_input_only(monkeypatch):
 
     def call(step, frag, models):
         subset, state = states[frag][step % len(states[frag])]
-        return subset_sums(frag, subset, state, models)
+        return subset_sums(frag, subset, state, models, (0, ()))
 
     expected = {}
     for step, (frag, models, _) in enumerate(filter(None, calls)):
@@ -361,7 +377,7 @@ def test_the_vertex_walk_equals_the_coloring_oracle():
         for subset in enumerate_eulerian_subsets(frag):
             state = eulerian_state(frag, subset, rng.randrange(100))
             expected = [coloring_sum_oracle(frag, subset, state, h) for h in models]
-            assert subset_sums(frag, subset, state, models) == expected, (frag, subset)
+            assert subset_sums(frag, subset, state, models, (0, ())) == expected, (frag, subset)
             zeros = [0] * size
             targets = [
                 (weight, [[zeros[:] for _ in models] for _ in range(4)], [zeros[:] for _ in models])
@@ -855,6 +871,47 @@ def oracle_tensor(frag, subset, state, h):
     return tuple(prefactor * c for c in coeffs)
 
 
+def test_each_subset_is_signed_once_inside_the_walk():
+    """On every Eulerian subset of every multigraph with at most 3 vertices
+    and 5 edges and of every fragment with 2, 3 or 4 labels, at most 2
+    internal vertices and 4 edges, under seeded states and the two
+    quarter_turn_models: subset_sums of both, given the state's
+    decomposition, is i^q times subset_sums given (0, ()), q the prefactor
+    of i^(trails), the trail matching's sign and the circuit parity; and
+    under one of them, by turns, that is the oracle's tensor, so is
+    fragment_tensor, and eulerian_sum is the oracle's value times
+    (-1)^circuits.  The counts are the subsets, with a nonzero oracle
+    value, of an odd number of circuits and of a negative matching sign."""
+    rng = random.Random(30)
+    frags = [Fragment(g) for g in enumerate_multigraphs(3, 5)]
+    frags += [*enumerate_fragments(2, 2, 4), *enumerate_fragments(3, 2, 4)]
+    frags += enumerate_fragments(4, 2, 4)
+    odd_circuits = negative_matching = 0
+    for pos, frag in enumerate(frags):
+        k, two_ell = ((1, 2), (2, 2))[pos % 2]
+        models = quarter_turn_models(rng, k, two_ell, max(frag.graph.max_degree(), 1))
+        for subset in enumerate_eulerian_subsets(frag):
+            state = eulerian_state(frag, subset, rng.randrange(100))
+            circuits, trails = decompose(state, frag)
+            sign = canonical_matching_sign(DirectedMatching(trails))
+            turn = I ** len(trails) * sign * (-1) ** circuits
+            signed = subset_sums(frag, subset, state, models, (circuits, trails))
+            unsigned = subset_sums(frag, subset, state, models, (0, ()))
+            assert signed == [([turn * c for c in coeffs], n) for coeffs, n in unsigned]
+            h = models[pos % 2]
+            coeffs, n = coloring_sum_oracle(frag, subset, state, h)
+            assert signed[pos % 2] == ([turn * c for c in coeffs], n), (frag, subset)
+            got = fragment_tensor(frag, subset, h, state).coeffs
+            assert got == tuple(turn * c for c in coeffs), (frag, subset)
+            if not frag.t:
+                value = eulerian_sum(frag.graph, subset, h, state)
+                assert value == coeffs[0] * (-1) ** circuits, (frag, subset)
+            if any(coeffs):
+                odd_circuits += circuits % 2
+                negative_matching += sign < 0
+    assert (odd_circuits, negative_matching) == (1474, 301)
+
+
 def test_scaled_values_equal_the_unscaled_oracle():
     """Four models of common denominators 1, 2, 6 and 6 share each call, on
     every multigraph with at most 3 vertices and 4 edges, isolated vertices
@@ -917,7 +974,7 @@ def test_divided_values_have_canonical_components():
         models = [charpoly_model(0, cap=4), charpoly_model(Fraction(1, 3), cap=4)]
         for subset in enumerate_eulerian_subsets(frag):
             state = eulerian_state(frag, subset, 0)
-            for coeffs, _ in subset_sums(frag, subset, state, models):
+            for coeffs, _ in subset_sums(frag, subset, state, models, (0, ())):
                 for c in coeffs:
                     assert_canonical(c)
             for h in models:
@@ -1073,7 +1130,7 @@ def simple_path(g, model, mode):
     for subset in subsets:
         state = eulerian_state(g, subset, 0)
         circuits, _ = decompose(state, g)
-        [((total,), leaves)] = subset_sums(Fragment(g), subset, state, [model])
+        [((total,), leaves)] = subset_sums(Fragment(g), subset, state, [model], (0, ()))
         value = value - total if circuits % 2 else value + total
         colorings += leaves
     return value, len(subsets), colorings
@@ -1177,7 +1234,7 @@ def test_the_bidegree_check_keeps_every_tensor():
             for subset in enumerate_eulerian_subsets(frag):
                 state = eulerian_state(frag, subset, rng.randrange(100))
                 expected = [coloring_sum_oracle(frag, subset, state, h) for h in models]
-                assert subset_sums(frag, subset, state, models) == expected, (frag, subset)
+                assert subset_sums(frag, subset, state, models, (0, ())) == expected, (frag, subset)
                 for h in models:
                     got = fragment_tensor(frag, subset, h, state).coeffs
                     assert got == oracle_tensor(frag, subset, state, h), (frag, subset, h)
@@ -1270,8 +1327,8 @@ def test_a_parallel_edge_class_sums_as_its_representative(monkeypatch):
     fragment with 2 or 3 labels, at most 2 internal vertices and 4 edges:
 
     - every Eulerian subset's signed tensor and surviving colorings, from
-      subset_sums under a seeded state times i^subset_prefactor, are those
-      of its class's representative;
+      subset_sums under a seeded state and its peeled (circuits, trails),
+      are those of its class's representative;
     - the classes are each subset's class once, represented by the first
       edges of each group and weighted by their number of subsets, so the
       weights sum to every Eulerian subset;
@@ -1302,9 +1359,7 @@ def test_a_parallel_edge_class_sums_as_its_representative(monkeypatch):
             signed = {}
             for s in shared:
                 state, circuits, trails = peel(frag, s, rng)
-                turn = I ** evaluator.subset_prefactor(circuits, trails)
-                sums = subset_sums(frag, s, state, models)
-                signed[s] = [([c * turn for c in coeffs], n) for coeffs, n in sums]
+                signed[s] = subset_sums(frag, s, state, models, (circuits, trails))
             for s in shared:
                 rep = representative(groups, class_of(groups, s))
                 assert signed[s] == signed[rep], (frag, s)
